@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linalg import rank_bareiss, rank_exact, rank_mod_p
+from .linalg import rank_bareiss, rank_exact
 from .profiles import age_of_finite
 from .structures import RelStruct, canonical_code, restrict
 
@@ -66,16 +66,19 @@ def matrix_rank_alt(matrix: ExactMatrix) -> int:
     return rank_bareiss(matrix.entries, pivot_by_magnitude=False)
 
 
+def inclusion_rank(m: int, n: int, k: int) -> tuple[ExactMatrix, int]:
+    """The inclusion matrix M(n, n+k) over an m-set and its exact rank."""
+    matrix = build_incidence(m, n, k)
+    return matrix, matrix_rank(matrix)
+
+
 def verify_kantor(m: int, n: int, k: int) -> bool:
     """Full row rank of the inclusion matrix under the hypothesis 2n+k <= m."""
     if 2 * n + k > m:
         raise ValueError(f"hypothesis 2n+k <= m unmet: 2*{n}+{k} > {m}")
-    matrix = build_incidence(m, n, k)
-    rows = len(matrix.row_labels)
-    # modular full row rank already certifies rational full row rank
-    if rank_mod_p(matrix.entries) == rows:
-        return True
-    return rank_exact(matrix.entries) == rows
+    # rows <= cols here, so the mod-p certificate of rank_exact settles full rank
+    matrix, rank = inclusion_rank(m, n, k)
+    return rank == len(matrix.row_labels)
 
 
 def dump_matrix(matrix: ExactMatrix, m: int, n: int, k: int) -> str:

@@ -1,14 +1,22 @@
 """Profile sequences and the universal profile inequalities.
 
 The profile of a structure counts, for each n, the isomorphism types of its
-n-element restrictions.  For finite structures this sweeps all n-subsets
-(with a vectorized pattern pass for a single binary relation, since e.g. a
-30-vertex path at n = 8 means 5.8 million subsets); for presentations it
-defers to exact age enumeration.
+n-element restrictions.  For presentations it defers to exact age
+enumeration.  A finite structure takes one of two paths:
+
+* the *interface-coloured vertex sweep*, when every arity is <= 2 and the
+  interface width (see ``interface_width``) is <= ``SWEEP_MAX_WIDTH``.  It
+  walks the vertices in order and keeps one chosen set per class of
+  "same type once each vertex is coloured by its arcs to vertices not yet
+  processed"; such sets have the same completions, so a 30-vertex path at
+  n = 8 keys about 6,000 states instead of visiting 5.8 million subsets;
+* otherwise the subset sweep over all n-subsets, with a vectorized pattern
+  pass for a single binary relation and n <= 8.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,9 +31,12 @@ from .presentations import (
     realize,
     words_of_size,
 )
-from .structures import RelStruct, canonical_code, make_struct, restrict
+from .structures import RelStruct, Signature, canonical_code, make_struct, restrict
 
 _CHUNK = 200_000
+# Above this interface width the subset sweep is faster: measured crossover
+# between widths 2 and 3 for m = 18, n <= 7.
+SWEEP_MAX_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -97,10 +108,8 @@ def _generic_pattern_structs(struct: RelStruct, n: int):
     return out
 
 
-def age_of_finite(struct: RelStruct, n: int) -> dict:
-    """Types of the n-element restrictions as (code -> representative)."""
-    if not 0 <= n <= struct.domain_size:
-        raise ValueError(f"n={n} outside 0..{struct.domain_size}")
+def _subset_age(struct: RelStruct, n: int) -> dict:
+    """Types of the n-restrictions by a sweep over all n-subsets."""
     if struct.signature.arities == (2,) and 0 < n <= 8:
         candidates = _binary_pattern_codes(struct, n)
     else:
@@ -111,6 +120,118 @@ def age_of_finite(struct: RelStruct, n: int) -> dict:
         if code not in by_code:
             by_code[code] = r
     return dict(sorted(by_code.items()))
+
+
+def interface_width(struct: RelStruct) -> int:
+    """Max over t of the number of vertices v <= t that share a binary tuple
+    with some w > t, in the given vertex order; O(m + tuples)."""
+    m = struct.domain_size
+    last = list(range(m))  # v -> largest w sharing a binary tuple with v
+    for arity, rel in zip(struct.signature.arities, struct.relations):
+        if arity == 2:
+            for u, w in rel:
+                if u > w:
+                    u, w = w, u
+                if w > last[u]:
+                    last[u] = w
+    change = [0] * (m + 1)  # v is open for t in [v, last[v])
+    for v, w in enumerate(last):
+        if w > v:
+            change[v] += 1
+            change[w] -= 1
+    width = running = 0
+    for delta in change:
+        running += delta
+        width = max(width, running)
+    return width
+
+
+def _interface_sweep(struct: RelStruct, n: int) -> dict:
+    """Types of the n-restrictions of an arity <= 2 structure by a vertex sweep.
+
+    Vertices are processed in order; a state is a chosen vertex tuple, and at
+    step t each state skips t or takes it.  The *interface* of a chosen v at
+    step t is the literal set of (w, symbol, direction) over its binary tuples
+    with w > t.  States are keyed by the sorted distinct non-empty interfaces
+    plus the canonical code of the restriction with one unary symbol per
+    interface rank: equal keys mean an isomorphism of the chosen sets that
+    keeps every literal interface, so (arity <= 2) both sets have isomorphic
+    completions by every later set, and one per key suffices.  The
+    lexicographically least chosen tuple is kept, so each type's
+    representative is its least n-subset, as on the generic subset path.
+    """
+    m = struct.domain_size
+    arities = struct.signature.arities
+    back = [[[] for _ in arities] for _ in range(m)]  # t -> per symbol, tuples with max t
+    arcs = [[] for _ in range(m)]  # v -> sorted (w, symbol, direction) with w > v
+    for s, rel in enumerate(struct.relations):
+        for tup in rel:
+            back[max(tup)][s].append(tup)
+            if len(tup) == 2 and tup[0] != tup[1]:
+                u, w = tup
+                if u < w:
+                    arcs[u].append((w, s, 0))
+                else:
+                    arcs[w].append((u, s, 1))
+    for a in arcs:
+        a.sort()
+    # marked restrictions carry one unary symbol per distinct open interface
+    signatures = [Signature(arities + (1,) * k) for k in range(interface_width(struct) + 1)]
+    opened = []  # chosen or not, the vertices v <= t with a non-empty interface
+    states = {}
+    _keep(states, (), tuple(frozenset() for _ in arities), [], signatures)
+    for t in range(m):
+        opened = [v for v in opened + [t] if arcs[v] and arcs[v][-1][0] > t]
+        interfaces = [(v, tuple(a for a in arcs[v] if a[0] > t)) for v in opened]
+        short = n - (m - 1 - t)  # a state smaller than this cannot reach n
+        new = {}
+        for chosen, rels in states.values():
+            if len(chosen) >= short:
+                _keep(new, chosen, rels, interfaces, signatures)
+            if len(chosen) < n:
+                position = {v: i for i, v in enumerate(chosen)}
+                position[t] = len(chosen)
+                rels = tuple(
+                    rel | {tuple(position[x] for x in tup)
+                           for tup in added if all(x in position for x in tup)}
+                    if added else rel
+                    for rel, added in zip(rels, back[t])
+                )
+                _keep(new, chosen + (t,), rels, interfaces, signatures)
+        states = new
+    return dict(sorted(
+        (code, RelStruct(struct.signature, n, rels))
+        for (_, code), (chosen, rels) in states.items() if len(chosen) == n
+    ))
+
+
+def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, signatures: list):
+    """Add a sweep state under its interface-coloured key, keeping the least
+    chosen tuple per key."""
+    marks = []
+    for v, interface in interfaces:
+        i = bisect.bisect_left(chosen, v)
+        if i < len(chosen) and chosen[i] == v:
+            marks.append((interface, i))
+    ranks = sorted({interface for interface, _ in marks})
+    unary = [set() for _ in ranks]
+    for interface, i in marks:
+        unary[ranks.index(interface)].add((i,))
+    marked = rels + tuple(frozenset(u) for u in unary)
+    key = (tuple(ranks), canonical_code(RelStruct(signatures[len(ranks)], len(chosen), marked)))
+    kept = states.get(key)
+    if kept is None or chosen < kept[0]:
+        states[key] = (chosen, rels)
+
+
+def age_of_finite(struct: RelStruct, n: int) -> dict:
+    """Types of the n-element restrictions as (code -> representative)."""
+    if not 0 <= n <= struct.domain_size:
+        raise ValueError(f"n={n} outside 0..{struct.domain_size}")
+    narrow = max(struct.signature.arities, default=0) <= 2
+    if narrow and interface_width(struct) <= SWEEP_MAX_WIDTH:
+        return _interface_sweep(struct, n)
+    return _subset_age(struct, n)
 
 
 def profile_finite(struct: RelStruct, n: int) -> int:

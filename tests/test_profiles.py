@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from relprof import profiles
 from relprof.presentations import (
     CLIQUE,
     OMEGA,
@@ -14,19 +18,27 @@ from relprof.presentations import (
     tournament_fixtures,
 )
 from relprof.profiles import (
+    SWEEP_MAX_WIDTH,
     ProfileSequence,
+    _binary_pattern_codes,
+    _generic_pattern_structs,
+    _interface_sweep,
+    _subset_age,
+    age_of_finite,
     brute_profile_presented,
     check_basic_inequality,
     check_binomial_bound,
     check_eq10_bound,
     check_linalg_inequality,
     check_monotone,
+    interface_width,
     kernel_probe,
     profile_finite,
     profile_presented,
     profile_sequence,
 )
 from relprof.structures import (
+    canonical_code,
     clique_graph,
     digraph,
     graph_from_edges,
@@ -67,12 +79,87 @@ def test_path_profile_is_partition_function():
         assert profile_finite(p30, n) == partitions_oracle(n), n
 
 
+def _codes(candidates):
+    return {canonical_code(r) for r in candidates}
+
+
 def test_generic_and_vectorized_paths_agree():
-    # force the generic sweep by a fake second symbol with no tuples
+    # both subset paths called directly: age_of_finite sends a path to the sweep
     g = path_graph(9)
-    doubled = make_struct((2, 1), 9, [g.relations[0], set()])
-    for n in range(6):
-        assert profile_finite(g, n) == profile_finite(doubled, n)
+    for n in range(1, 6):
+        assert _codes(_binary_pattern_codes(g, n)) == _codes(_generic_pattern_structs(g, n))
+
+
+def _random_narrow_structure(rng, m):
+    """Two binary symbols and a unary one on m vertices: loops, directed arcs
+    and symmetric edges, each pair added only while the width stays <= 2."""
+    s = make_struct((2, 1, 2), m, [set(), set(), set()])
+    pairs = list(itertools.combinations(range(m), 2))
+    rng.shuffle(pairs)
+    for u, w in pairs[: rng.randrange(len(pairs) + 1)]:
+        symbol = rng.choice((0, 2))
+        arcs = rng.choice(([(u, w)], [(w, u)], [(u, w), (w, u)]))
+        rels = list(s.relations)
+        rels[symbol] = rels[symbol] | set(arcs)
+        wider = make_struct((2, 1, 2), m, rels)
+        if interface_width(wider) <= SWEEP_MAX_WIDTH:
+            s = wider
+    loops = {(v, v) for v in range(m) if rng.random() < 0.3}
+    unary = {(v,) for v in range(m) if rng.random() < 0.4}
+    return make_struct((2, 1, 2), m, [s.relations[0] | loops, unary, s.relations[2]])
+
+
+def test_interface_sweep_matches_subset_path():
+    rng = random.Random(20070302)
+    for trial in range(30):
+        m = rng.randrange(1, 10)
+        s = _random_narrow_structure(rng, m)
+        assert interface_width(s) <= SWEEP_MAX_WIDTH
+        for n in range(m + 1):
+            # same codes in the same order, and the same least-subset representatives
+            assert _interface_sweep(s, n) == _subset_age(s, n), (trial, n)
+
+
+def test_interface_sweep_matches_vectorized_path_on_digraphs():
+    rng = random.Random(3)
+    for trial in range(10):
+        arcs = {(v, v + d) if rng.random() < 0.5 else (v + d, v)
+                for v in range(11) for d in (1, 2) if v + d < 11 and rng.random() < 0.6}
+        g = digraph(11, arcs)
+        assert interface_width(g) <= SWEEP_MAX_WIDTH
+        for n in range(1, 9):
+            swept = _interface_sweep(g, n)
+            assert list(swept) == list(_subset_age(g, n)), (trial, n)
+            assert all(canonical_code(r) == code for code, r in swept.items())
+
+
+def test_interface_sweep_is_sound_beyond_the_width_rule():
+    g = graph_from_edges(8, [(i, j) for i in range(8) for j in range(i + 1, 8) if (i * j) % 3])
+    assert interface_width(g) > SWEEP_MAX_WIDTH
+    for n in range(9):
+        assert list(_interface_sweep(g, n)) == list(_subset_age(g, n))
+
+
+def test_interface_width_chooses_the_path(monkeypatch):
+    rng = random.Random(16)
+    g16 = graph_from_edges(
+        16, [e for e in itertools.combinations(range(16), 2) if rng.random() < 0.5])
+    assert interface_width(path_graph(30)) == 1
+    assert interface_width(g16) > SWEEP_MAX_WIDTH
+    ternary = make_struct((3,), 5, [{(0, 2, 4)}])
+    assert interface_width(ternary) == 0  # but arity 3 keeps it on the subset path
+    swept = []
+    monkeypatch.setattr(
+        profiles, "_interface_sweep", lambda s, n: swept.append(s) or _interface_sweep(s, n))
+    for s in (path_graph(30), g16, ternary):
+        age_of_finite(s, 3)
+    assert swept == [path_graph(30)]
+
+
+def test_path_profile_reach_beyond_subset_sweep():
+    # C(40, 10) ~ 8.5e8 subsets at n = 10; the sweep keys about 19,000 states
+    assert profile_sequence(path_graph(40), 10).values == tuple(
+        partitions_oracle(n) for n in range(11))
 
 
 def test_profile_presented_fixtures():
