@@ -10,7 +10,7 @@ from relprof.presentations import (
     tournament_fixtures,
 )
 from relprof.profiles import profile_sequence
-from relprof.series import classify_growth, fit_rational, series_from
+from relprof.series import classify_growth, fit_rational
 
 print("Fit each profile window against a denominator and read off the numerator.\n")
 
@@ -21,7 +21,7 @@ cases = [
     ("C3 along omega", tournament_fixtures("C3omega"), dict(denominator_poly=(1, -1, 0, -1))),
 ]
 for label, pres, spec in cases:
-    seq = series_from(profile_sequence(pres, 11 if "T3" in label else 9).values)
+    seq = profile_sequence(pres, 11 if "T3" in label else 9)
     fit = fit_rational(seq, **spec)
     print(f"{label}:")
     print(f"  window  {', '.join(map(str, seq.coeffs))}")
@@ -29,7 +29,7 @@ for label, pres, spec in cases:
 
 print("\nA fit is a window statement: the tail of profile * denominator must")
 print("vanish with a safety margin.  A wrong denominator fails loudly:")
-seq = series_from(profile_sequence(half_complete_bipartite(), 9).values)
+seq = profile_sequence(half_complete_bipartite(), 9)
 fit = fit_rational(seq, denominator_exponents=(1, 2))
 print(f"  half-complete bipartite vs (1-x)(1-x^2): success={fit.success}, "
       f"residuals {fit.residual_window}")
@@ -40,7 +40,7 @@ for label, pres, window in [
     ("T3", lexsum_tournament_fixture("T3"), 24),
     ("half-complete bipartite", half_complete_bipartite(), 9),
 ]:
-    seq = series_from(profile_sequence(pres, window).values)
+    seq = profile_sequence(pres, window)
     g = classify_growth(seq)
     degree = "" if g.degree is None else f", degree {g.degree}"
     print(f"  {label:26s} -> {g.kind}{degree}")

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import nullspace, rank_bareiss, rank_mod_p
+from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
 from .profiles import age_of_finite
 from .structures import RelStruct, canonical_code, restrict
@@ -212,14 +212,7 @@ def e_matrix(basis: AgeBasis, degree: int):
 
 def e_rank(basis: AgeBasis, degree: int) -> int:
     """Exact rank of multiplication by e out of the given degree."""
-    rows = e_matrix(basis, degree)
-    if not rows or not rows[0]:
-        return 0
-    cols = len(rows[0])
-    modular = rank_mod_p(rows)
-    if modular == cols:
-        return modular  # full column rank certified exactly
-    return rank_bareiss(rows)
+    return rank_exact(e_matrix(basis, degree))
 
 
 def check_e_regular(basis: AgeBasis, degree: int) -> bool:

@@ -25,7 +25,7 @@ from .fileformat import (
 from .incidence import dump_matrix, inclusion_rank
 from .presentations import LexSumPresentation, OMEGA
 from .profiles import check_basic_inequality, check_monotone, profile_sequence
-from .series import fit_rational, format_poly, series_from
+from .series import fit_rational, format_poly
 from .structures import RelStruct
 from .tournaments import classify
 
@@ -63,11 +63,11 @@ def cmd_profile(args) -> int:
     source, seq = _sequence(args.input, args)
     if args.format == "record":
         print(f"record profile source={seq.source} max-n={seq.window}")
-        for n, value in enumerate(seq.values):
+        for n, value in enumerate(seq.coeffs):
             print(f"n={n} phi={value}")
     else:
         print("n\tphi")
-        for n, value in enumerate(seq.values):
+        for n, value in enumerate(seq.coeffs):
             print(f"{n}\t{value}")
     return 0
 
@@ -76,22 +76,18 @@ def cmd_series(args) -> int:
     source, seq = _sequence(args.input, args)
     if args.denominator:
         exponents = tuple(int(x) for x in args.denominator.split(","))
-        fit = fit_rational(seq_to_series(seq), denominator_exponents=exponents)
+        fit = fit_rational(seq, denominator_exponents=exponents)
     else:
         poly = tuple(int(x) for x in args.denominator_poly.split(","))
-        fit = fit_rational(seq_to_series(seq), denominator_poly=poly)
+        fit = fit_rational(seq, denominator_poly=poly)
     print(f"source={seq.source} window={seq.window}")
-    print("phi=" + ",".join(str(v) for v in seq.values))
+    print("phi=" + ",".join(str(v) for v in seq.coeffs))
     if not fit.success:
         print("FAIL residual-window=" + ",".join(str(r) for r in fit.residual_window))
         return 1
     print(f"numerator={format_poly(fit.numerator)}")
     print(f"form={fit.form}")
     return 0
-
-
-def seq_to_series(seq):
-    return series_from(seq.values)
 
 
 def cmd_decompose(args) -> int:

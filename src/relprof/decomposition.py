@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .presentations import (
     LexSumPresentation,
     OMEGA,
+    compositions_of_size,
     enumerate_age,
     realize_composition,
 )
@@ -301,24 +302,6 @@ def monomial_greater(a: Monomial, b: Monomial) -> bool:
     return a.exponents > b.exponents
 
 
-def _vectors(pres: LexSumPresentation, decomp: Decomposition, degree: int):
-    caps = [
-        degree if size is OMEGA else size for (_, size) in decomp.blocks
-    ]
-
-    def rec(i, remaining):
-        if i == len(caps):
-            if remaining == 0:
-                yield ()
-            return
-        tail = sum(caps[i + 1:])
-        for c in range(max(0, remaining - tail), min(caps[i], remaining) + 1):
-            for rest in rec(i + 1, remaining - c):
-                yield (c,) + rest
-
-    yield from rec(0, degree)
-
-
 def _realize_vector(pres: LexSumPresentation, decomp: Decomposition, exponents):
     counts = [0] * len(pres.blocks)
     for (slots, _), e in zip(decomp.blocks, exponents):
@@ -336,7 +319,7 @@ def _realize_vector(pres: LexSumPresentation, decomp: Decomposition, exponents):
 def leading_monomials(pres: LexSumPresentation, decomp: Decomposition, degree: int) -> dict:
     """Map type code -> its leading monomial at the given degree."""
     best = {}
-    for vec in _vectors(pres, decomp, degree):
+    for vec in compositions_of_size(decomp, degree):
         mono = Monomial(vec)
         code = canonical_code(_realize_vector(pres, decomp, vec))
         cur = best.get(code)

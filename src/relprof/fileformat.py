@@ -256,6 +256,8 @@ def _parse_multichain(lines):
                 raise FormatError(line_no, f"fpart {sym!r} not closed by 'end'")
             pos += 1
         elif parts[0] == "unary":
+            if len(parts) < 2:
+                raise FormatError(line_no, "expected 'unary <name> <slice...>'")
             s = symbol(line_no, parts[1])
             unary.setdefault(s, set()).update(int(x) for x in parts[2:])
             pos += 1
@@ -269,13 +271,13 @@ def _parse_multichain(lines):
                     raise FormatError(line_no, f"bad comparator {cmp!r}")
                 vv.setdefault(s, set()).add((x, y, cmp))
             pos += 1
-        elif parts[0] == "fv":
+        elif parts[0] in ("fv", "vf"):
+            if len(parts) != 4:
+                shape = "<f-elt> <slice>" if parts[0] == "fv" else "<slice> <f-elt>"
+                raise FormatError(line_no, f"expected '{parts[0]} <name> {shape}'")
             s = symbol(line_no, parts[1])
-            fv.setdefault(s, set()).add((int(parts[2]), int(parts[3])))
-            pos += 1
-        elif parts[0] == "vf":
-            s = symbol(line_no, parts[1])
-            vf.setdefault(s, set()).add((int(parts[2]), int(parts[3])))
+            rules = fv if parts[0] == "fv" else vf
+            rules.setdefault(s, set()).add((int(parts[2]), int(parts[3])))
             pos += 1
         else:
             raise FormatError(line_no, f"unexpected line {line!r}")

@@ -11,7 +11,6 @@ Subsets are indexed colexicographically for reproducible dumps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .linalg import rank_bareiss, rank_exact
@@ -135,7 +134,3 @@ def kantor_sweep(max_m: int):
             for k in range(m - 2 * n + 1):
                 results.append(((m, n, k), verify_kantor(m, n, k)))
     return results
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

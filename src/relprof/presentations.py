@@ -91,16 +91,26 @@ class MultichainPresentation:
             raise ValueError("finite part must share the signature")
         if any(a not in (1, 2) for a in self.signature.arities):
             raise ValueError("presentations support arities 1 and 2 only")
+        slices, f_elts = range(self.v_size), range(self.f_size)
         for sym, arity in enumerate(self.signature.arities):
             if arity == 1:
                 if self.unary_slices[sym] is None:
                     raise ValueError(f"unary symbol {sym} needs a slice rule")
+                for x in self.unary_slices[sym]:
+                    if x not in slices:
+                        raise ValueError(f"bad unary slice {x} for symbol {sym}")
             else:
                 if self.vv_true[sym] is None:
                     raise ValueError(f"binary symbol {sym} needs comparator rules")
                 for x, y, cmp in self.vv_true[sym]:
-                    if cmp not in COMPARATORS or not (0 <= x < self.v_size and 0 <= y < self.v_size):
+                    if cmp not in COMPARATORS or x not in slices or y not in slices:
                         raise ValueError(f"bad rule ({x},{y},{cmp}) for symbol {sym}")
+                for a, x in self.fv_true[sym] or ():
+                    if a not in f_elts or x not in slices:
+                        raise ValueError(f"bad fv rule ({a},{x}) for symbol {sym}")
+                for x, a in self.vf_true[sym] or ():
+                    if x not in slices or a not in f_elts:
+                        raise ValueError(f"bad vf rule ({x},{a}) for symbol {sym}")
 
     @property
     def f_size(self) -> int:
@@ -266,32 +276,30 @@ def realize_composition(pres: LexSumPresentation, counts) -> RelStruct:
 # ---------------------------------------------------------------------------
 
 
-def _letters(v_size):
-    # non-empty subsets of V as frozensets, ordered by bitmask
-    out = []
-    for mask in range(1, 1 << v_size):
-        out.append(frozenset(x for x in range(v_size) if mask >> x & 1))
-    return out
+def letter_sequences(elements, total: int):
+    """All sequences of non-empty subsets of ``elements`` whose sizes sum to ``total``.
 
+    Letters are frozensets ordered by bitmask over the sorted elements;
+    sequences come by length, then by their letters in that order.
+    """
+    elems = sorted(elements)
+    letters = [
+        frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        for mask in range(1, 1 << len(elems))
+    ]
 
-def _letter_sequences(v_size, total):
-    """All letter sequences of the given total size, ordered by (length, bitmasks)."""
-    letters = _letters(v_size)
-    if total == 0:
-        yield ()
-        return
-    max_len = total
-    for length in range(1, max_len + 1):
-        def rec(remaining, slots):
-            if slots == 0:
-                if remaining == 0:
-                    yield ()
-                return
-            for letter in letters:
-                size = len(letter)
-                if size <= remaining - (slots - 1):
-                    for rest in rec(remaining - size, slots - 1):
-                        yield (letter,) + rest
+    def rec(remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for letter in letters:
+            size = len(letter)
+            if size <= remaining - (slots - 1):
+                for rest in rec(remaining - size, slots - 1):
+                    yield (letter,) + rest
+
+    for length in range(total + 1):
         yield from rec(total, length)
 
 
@@ -302,11 +310,16 @@ def words_of_size(pres: MultichainPresentation, n: int):
         subset = tuple(a for a in range(f) if mask >> a & 1)
         if len(subset) > n:
             continue
-        for letters in _letter_sequences(pres.v_size, n - len(subset)):
+        for letters in letter_sequences(range(pres.v_size), n - len(subset)):
             yield Word(subset, letters)
 
 
-def compositions_of_size(pres: LexSumPresentation, n: int):
+def compositions_of_size(pres, n: int):
+    """Size vectors of total n, one entry per block, in lexicographic order.
+
+    ``pres`` is any object whose ``.blocks`` are (label, size | OMEGA) pairs:
+    a ``LexSumPresentation`` or a monomorphic ``Decomposition``.
+    """
     caps = [n if size is OMEGA else min(size, n) for (_, size) in pres.blocks]
 
     def rec(i, remaining):
@@ -469,13 +482,10 @@ def tournament_fixtures(name: str) -> MultichainPresentation:
                 vv[0] |= {(a, b, cmp) for cmp in COMPARATORS}
         return multichain(arities, f_struct, max(blown, 1), vv=vv, fv=fv, vf=vf, name=name)
     if name == "C3omega":
-        vv = {0: set(_C3_ARCS_AT("=")) | {(x, y, "<") for x in range(3) for y in range(3)}}
+        forward = {(x, y, "<") for x in range(3) for y in range(3)}
+        vv = {0: forward | {(a, b, "=") for (a, b) in _C3_ARCS}}
         return multichain(arities, empty_finite_part(arities), 3, vv=vv, name="C3omega")
     raise ValueError(f"unknown tournament fixture {name!r}")
-
-
-def _C3_ARCS_AT(cmp):
-    return {(a, b, cmp) for (a, b) in _C3_ARCS}
 
 
 def half_complete_bipartite(tilde: bool = False) -> MultichainPresentation:

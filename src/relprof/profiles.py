@@ -31,6 +31,7 @@ from .presentations import (
     realize,
     words_of_size,
 )
+from .series import TruncatedSeries
 from .structures import RelStruct, Signature, canonical_code, make_struct, restrict
 
 _CHUNK = 200_000
@@ -40,23 +41,15 @@ SWEEP_MAX_WIDTH = 2
 
 
 @dataclass(frozen=True)
-class ProfileSequence:
+class ProfileSequence(TruncatedSeries):
     """Exact values phi(0..N) with a record of where they came from."""
 
-    values: tuple[int, ...]
     source: str
     infinite_source: bool
 
     def __post_init__(self):
-        if not self.values or self.values[0] != 1:
+        if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("phi(0) = 1: the empty restriction always exists")
-
-    @property
-    def window(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .presentations import letter_sequences
+
 
 @dataclass(frozen=True)
 class ShuffleWord:
@@ -125,18 +127,4 @@ def shuffle(left: ShuffleCombination, right: ShuffleCombination) -> ShuffleCombi
 def words_of_total_size(alphabet, n: int):
     """All words of the given size; the degree-n basis of the algebra."""
     alphabet = frozenset(alphabet)
-    letters = []
-    elems = sorted(alphabet)
-    for mask in range(1, 1 << len(elems)):
-        letters.append(frozenset(e for i, e in enumerate(elems) if mask >> i & 1))
-
-    def rec(remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for letter in letters:
-            if len(letter) <= remaining:
-                for rest in rec(remaining - len(letter)):
-                    yield (letter,) + rest
-
-    return [ShuffleWord(alphabet, letters_) for letters_ in rec(n)]
+    return [ShuffleWord(alphabet, letters) for letters in letter_sequences(alphabet, n)]

@@ -12,6 +12,7 @@ from relprof.algebra import (
     cardinality_partition,
     check_e_regular,
     e_element,
+    e_matrix,
     e_rank,
     isomorphy_partition,
     is_hereditary,
@@ -30,11 +31,13 @@ from relprof.presentations import (
     sum_of_cliques,
     tournament_fixtures,
 )
+from relprof.linalg import rank_bareiss
 from relprof.profiles import profile_presented
 from relprof.structures import (
     acyclic_tournament,
     canonical_code,
     clique_graph,
+    graph_from_edges,
     path_graph,
     restrict,
 )
@@ -237,3 +240,15 @@ def test_hereditary_rejects_uneven_counts():
 def test_hereditary_validates_partition():
     with pytest.raises(ValueError):
         is_hereditary(2, [[frozenset()], [frozenset({0})]])
+
+
+def test_e_rank_agrees_with_bareiss_when_dimension_drops():
+    # a finite 8-vertex graph has dim(n+1) < dim(n) near the top degrees, so
+    # e_matrix has fewer rows than columns and the certificate bound is rows
+    rng = random.Random(8)
+    edges = [e for e in itertools.combinations(range(8), 2) if rng.random() < 0.5]
+    basis = AgeBasis.build(graph_from_edges(8, edges), 8)
+    drops = [n for n in range(8) if basis.dimension(n + 1) < basis.dimension(n)]
+    assert drops
+    for n in range(8):
+        assert e_rank(basis, n) == rank_bareiss(e_matrix(basis, n)), n

@@ -238,6 +238,41 @@ def test_cli_input_errors(capsys, tmp_path):
     assert code == 2 and "line 4" in err
 
 
+
+MULTICHAIN_HEAD = """\
+presentation multichain
+symbols arc 2 mark 1
+slices 2
+fpart-domain 1
+vv arc 0 1 <
+unary mark 0
+"""
+
+
+@pytest.mark.parametrize("rule, where", [
+    ("fv arc 0", "line 7"),
+    ("vf arc 0", "line 7"),
+    ("unary", "line 7"),
+    ("fv arc 5 9", "bad fv rule"),
+    ("fv arc 0 2", "bad fv rule"),
+    ("vf arc 2 0", "bad vf rule"),
+    ("vf arc 0 1", "bad vf rule"),
+    ("unary mark 0 3", "bad unary slice"),
+])
+def test_cli_malformed_multichain_rules_are_input_errors(capsys, tmp_path, rule, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(MULTICHAIN_HEAD + rule + "\n")
+    code, out, err = run_cli(["profile", str(bad), "--max-n", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and where in err, err
+
+
+def test_cli_multichain_rules_in_range_accepted(capsys, tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text(MULTICHAIN_HEAD + "fv arc 0 1\nvf arc 1 0\n")
+    code, out, _ = run_cli(["profile", str(good), "--max-n", "2"], capsys)
+    assert code == 0 and out.startswith("n\tphi\n0\t1\n")
+
 def test_cli_bad_denominator_is_input_error(capsys):
     code, _, err = run_cli(
         ["series", "T2", "--max-n", "8", "--denominator", "1,x"], capsys

@@ -207,12 +207,12 @@ def test_predicted_degree_matches_series_fitting():
     # the least k whose denominator (1-x)...(1-x^k) fits the window recovers
     # the same degree k-1 that the decomposition predicts
     from relprof.profiles import profile_sequence
-    from relprof.series import fit_rational, series_from
+    from relprof.series import fit_rational
 
     for name in ("omega", "T2", "T3"):
         pres = lexsum_tournament_fixture(name)
         predicted = predict_growth_degree(presentation_decomposition(pres))
-        seq = series_from(profile_sequence(pres, 14).values)
+        seq = profile_sequence(pres, 14)
         fitted = None
         for k in range(1, 5):
             if fit_rational(seq, denominator_exponents=tuple(range(1, k + 1))).success:

@@ -1,0 +1,56 @@
+"""The README's fast CLI commands, pinned byte for byte.
+
+Each command runs in a fresh interpreter under two ``PYTHONHASHSEED``
+values; both stdouts must equal the file in ``tests/golden/``.  To re-record
+a file after an intended output change, run the command with
+``PYTHONPATH=src python3 -m relprof.cli ... > tests/golden/<name>.txt``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+COMMANDS = {
+    "profile-T3": ["profile", "T3", "--max-n", "11"],
+    "profile-colored-chain-2": ["profile", "colored-chain:2", "--max-n", "5"],
+    "series-T2": ["series", "T2", "--max-n", "9", "--denominator", "1,1"],
+    "series-C3omega": [
+        "series", "C3omega", "--max-n", "7", "--denominator-poly", "1,-1,0,-1",
+    ],
+    "decompose-two-cliques": ["decompose", "two-cliques"],
+    "algebra-colored-chain-2-e-regular": [
+        "algebra", "colored-chain:2", "--check", "e-regular", "--max-degree", "6",
+    ],
+    "algebra-T2-tournament-identity": [
+        "algebra", "T2", "--check", "tournament-identity", "--max-degree", "5",
+    ],
+    "incidence-5-2-1": ["incidence", "--m", "5", "--n", "2", "--k", "1", "--dump", "-"],
+    "tournament-C3omega": ["tournament", "C3omega"],
+    "check-T3": ["check", "T3", "--max-n", "10"],
+}
+
+
+def _stdout(argv, hashseed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "relprof.cli", *argv],
+        env=env, capture_output=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_readme_command_matches_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    for hashseed in (0, 1):
+        assert _stdout(COMMANDS[name], hashseed) == expected, (name, hashseed)

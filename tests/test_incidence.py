@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -198,3 +199,39 @@ def test_incidence_proof_agrees_with_direct_inequality():
                 if 2 * n + k <= 7 and n + k <= 7:
                     assert profile_inequality_via_incidence(s, n, k)
                     assert check_linalg_inequality(s, n, k)
+
+
+def _wilson_rank(m, t, k, p):
+    """Rank over GF(p) of the t-subsets vs k-subsets inclusion matrix, for
+    t <= min(k, m - k) (R. M. Wilson, Europ. J. Combin. 11, 1990)."""
+    return sum(
+        math.comb(m, i) - (math.comb(m, i - 1) if i else 0)
+        for i in range(t + 1)
+        if math.comb(k - i, t - i) % p
+    )
+
+
+def test_rank_mod_p_matches_wilson_small_primes():
+    cases = 0
+    deficient = 0
+    for m in range(11):
+        for k in range(m + 1):
+            for t in range(min(k, m - k) + 1):
+                entries = build_incidence(m, t, k - t).entries
+                for p in (2, 3):
+                    expected = _wilson_rank(m, t, k, p)
+                    assert rank_mod_p(entries, p) == expected, (m, t, k, p)
+                    cases += 1
+                    deficient += expected < math.comb(m, t)
+    assert cases == 322
+    assert deficient > 0  # these primes reach the rank-deficient branch
+
+
+def test_rank_bareiss_full_row_rank_both_pivot_orders():
+    for m in range(9):
+        for k in range(m + 1):
+            for t in range(min(k, m - k) + 1):
+                entries = build_incidence(m, t, k - t).entries
+                for by_magnitude in (True, False):
+                    rank = rank_bareiss(entries, pivot_by_magnitude=by_magnitude)
+                    assert rank == math.comb(m, t), (m, t, k, by_magnitude)

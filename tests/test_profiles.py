@@ -158,7 +158,7 @@ def test_interface_width_chooses_the_path(monkeypatch):
 
 def test_path_profile_reach_beyond_subset_sweep():
     # C(40, 10) ~ 8.5e8 subsets at n = 10; the sweep keys about 19,000 states
-    assert profile_sequence(path_graph(40), 10).values == tuple(
+    assert profile_sequence(path_graph(40), 10).coeffs == tuple(
         partitions_oracle(n) for n in range(11))
 
 
@@ -217,13 +217,13 @@ def test_profile_presented_matches_pairwise_dedup_oracle():
 
 def test_profile_sequence_t3():
     seq = profile_sequence(lexsum_tournament_fixture("T3"), 11)
-    assert seq.values == (1, 1, 1, 2, 2, 3, 5, 6, 8, 11, 13, 16)
+    assert seq.coeffs == (1, 1, 1, 2, 2, 3, 5, 6, 8, 11, 13, 16)
     assert seq.infinite_source
 
 
 def test_profile_sequence_empty_structure():
     seq = profile_sequence(make_struct((), 0, []), 0)
-    assert seq.values == (1,)
+    assert seq.coeffs == (1,)
 
 
 def test_profile_sequence_c3omega_matches_recurrence():
@@ -231,7 +231,7 @@ def test_profile_sequence_c3omega_matches_recurrence():
     a = [1, 1, 1]
     for n in range(3, 10):
         a.append(a[n - 1] + a[n - 3])
-    assert seq.values == tuple(a)
+    assert seq.coeffs == tuple(a)
 
 
 def test_clique_plus_independent_linear_profile():
@@ -244,9 +244,9 @@ def test_clique_plus_independent_linear_profile():
         digraph(2, []), ((CLIQUE, OMEGA), (INDEPENDENT, OMEGA)), name="clique+empty"
     )
     seq = profile_sequence(pres, 9)
-    assert seq.values == (1,) + tuple(range(1, 10))
+    assert seq.coeffs == (1,) + tuple(range(1, 10))
     form = RationalForm((1, 0, 0, 1), denominator_exponents=(1, 2))
-    assert expand(form, 9).coeffs == seq.values
+    assert expand(form, 9).coeffs == seq.coeffs
 
 
 def test_interval_chain_profile_and_bound_equality():
@@ -256,7 +256,7 @@ def test_interval_chain_profile_and_bound_equality():
 
     for k in (1, 2):
         seq = profile_sequence(interval_division_chain(k), 7)
-        assert seq.values == tuple(math.comb(n + k, k) for n in range(8))
+        assert seq.coeffs == tuple(math.comb(n + k, k) for n in range(8))
         assert check_binomial_bound(seq, k)  # met with equality
 
 
