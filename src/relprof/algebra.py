@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
@@ -238,19 +239,25 @@ class ZeroDivisorReport:
 
 
 def _mult_matrix(basis: AgeBasis, element: AlgebraElement, degree_in: int):
-    """Matrix of v -> element*v from degree_in, element homogeneous."""
+    """Integer matrix of v -> element*v from degree_in, element homogeneous.
+
+    The element is scaled by the lcm of its coefficient denominators, which
+    leaves the kernel unchanged."""
     (out_deg,) = element.degrees()
     total = out_deg + degree_in
-    cols = basis.codes(degree_in)
-    rows = [[Fraction(0)] * len(cols) for _ in range(basis.dimension(total))]
-    table = basis.split_table(total, out_deg)
-    for (deg_l, pos_l), cl in element.coeffs:
-        sigma = basis.codes(deg_l)[pos_l]
-        for pos_r, counts in enumerate(table):
-            for j, tau in enumerate(cols):
-                c = counts.get((sigma, tau), 0)
-                if c:
-                    rows[pos_r][j] += cl * c
+    scale = lcm(*(c.denominator for _, c in element.coeffs))
+    weight = {
+        basis.codes(deg_l)[pos_l]: int(c * scale) for (deg_l, pos_l), c in element.coeffs
+    }
+    col_index = {tau: j for j, tau in enumerate(basis.codes(degree_in))}
+    rows = []
+    for counts in basis.split_table(total, out_deg):
+        row = [0] * len(col_index)
+        for (sigma, tau), c in counts.items():
+            w = weight.get(sigma)
+            if w:
+                row[col_index[tau]] += w * c
+        rows.append(row)
     return rows
 
 

@@ -70,18 +70,43 @@ def _content_lines(text):
             yield i, line
 
 
+def _int(line_no, token, what):
+    """One numeric field of an input line; a bad one is an error at that line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(line_no, f"{what} must be an integer, got {token!r}") from None
+
+
+def _size_line(line_no, line, keyword, placeholder):
+    """A '<keyword> <n>' line with n a non-negative integer."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != keyword:
+        raise FormatError(line_no, f"expected '{keyword} <{placeholder}>'")
+    size = _int(line_no, parts[1], keyword)
+    if size < 0:
+        raise FormatError(line_no, f"{keyword} must be non-negative")
+    return size
+
+
+def _tuple_line(line_no, line, arity, size):
+    """A whitespace-separated tuple of the given arity over 0..size-1."""
+    entries = tuple(_int(line_no, x, "tuple entry") for x in line.split())
+    if len(entries) != arity:
+        raise FormatError(line_no, f"tuple {entries} does not match arity {arity}")
+    if any(not 0 <= x < size for x in entries):
+        raise FormatError(line_no, f"tuple {entries} out of domain 0..{size - 1}")
+    return entries
+
+
 def parse_structure(text: str) -> NamedStruct:
     lines = list(_content_lines(text))
     if not lines or lines[0][1] != "structure":
         raise FormatError(lines[0][0] if lines else 1, "expected 'structure' header")
-    pos = 1
-    if pos >= len(lines) or not lines[pos][1].startswith("domain "):
-        raise FormatError(lines[pos][0] if pos < len(lines) else 1, "expected 'domain <m>'")
-    try:
-        m = int(lines[pos][1].split()[1])
-    except (IndexError, ValueError):
-        raise FormatError(lines[pos][0], "domain needs one integer") from None
-    pos += 1
+    if len(lines) < 2:
+        raise FormatError(1, "expected 'domain <m>'")
+    m = _size_line(*lines[1], "domain", "m")
+    pos = 2
     names = []
     arities = []
     relations = []
@@ -91,10 +116,7 @@ def parse_structure(text: str) -> NamedStruct:
         if parts[0] != "relation" or len(parts) != 3:
             raise FormatError(line_no, f"expected 'relation <name> <arity>', got {line!r}")
         name = parts[1]
-        try:
-            arity = int(parts[2])
-        except ValueError:
-            raise FormatError(line_no, "arity must be an integer") from None
+        arity = _int(line_no, parts[2], "arity")
         pos += 1
         tuples = set()
         closed = False
@@ -104,15 +126,7 @@ def parse_structure(text: str) -> NamedStruct:
                 closed = True
                 pos += 1
                 break
-            try:
-                entries = tuple(int(x) for x in line.split())
-            except ValueError:
-                raise FormatError(line_no, f"expected integers, got {line!r}") from None
-            if len(entries) != arity:
-                raise FormatError(line_no, f"tuple {entries} does not match arity {arity}")
-            if any(not 0 <= x < m for x in entries):
-                raise FormatError(line_no, f"tuple {entries} out of domain 0..{m - 1}")
-            tuples.add(entries)
+            tuples.add(_tuple_line(line_no, line, arity, m))
             pos += 1
         if not closed:
             raise FormatError(lines[-1][0], f"relation {name!r} not closed by 'end'")
@@ -137,10 +151,7 @@ def write_structure(named: NamedStruct) -> str:
 def _parse_size(line_no, token):
     if token == "omega":
         return OMEGA
-    try:
-        size = int(token)
-    except ValueError:
-        raise FormatError(line_no, f"size must be 'omega' or an integer, got {token!r}") from None
+    size = _int(line_no, token, "block size other than 'omega'")
     if size < 1:
         raise FormatError(line_no, "block sizes must be positive")
     return size
@@ -169,9 +180,7 @@ def parse_presentation(text: str):
 def _parse_lexsum(lines):
     it = iter(lines)
     line_no, line = next(it, (1, ""))
-    if not line.startswith("index-domain "):
-        raise FormatError(line_no, "expected 'index-domain <d>'")
-    d = int(line.split()[1])
+    d = _size_line(line_no, line, "index-domain", "d")
     line_no, line = next(it, (line_no, ""))
     if line != "index-arcs":
         raise FormatError(line_no, "expected 'index-arcs'")
@@ -179,11 +188,7 @@ def _parse_lexsum(lines):
     for line_no, line in it:
         if line == "end":
             break
-        try:
-            u, v = (int(x) for x in line.split())
-        except ValueError:
-            raise FormatError(line_no, f"expected '<u> <v>', got {line!r}") from None
-        arcs.add((u, v))
+        arcs.add(_tuple_line(line_no, line, 2, d))
     line_no, line = next(it, (line_no, ""))
     if line != "blocks":
         raise FormatError(line_no, "expected 'blocks'")
@@ -212,19 +217,12 @@ def _parse_multichain(lines):
     if parts[0] != "symbols" or len(parts) < 3 or len(parts) % 2 == 0:
         raise FormatError(line_no, "expected 'symbols <name> <arity> ...'")
     names = parts[1::2]
-    try:
-        arities = tuple(int(a) for a in parts[2::2])
-    except ValueError:
-        raise FormatError(line_no, "arities must be integers") from None
+    arities = tuple(_int(line_no, a, "arity") for a in parts[2::2])
     index = {name: i for i, name in enumerate(names)}
     line_no, line = next(it, (line_no, ""))
-    if not line.startswith("slices "):
-        raise FormatError(line_no, "expected 'slices <v>'")
-    v_size = int(line.split()[1])
+    v_size = _size_line(line_no, line, "slices", "v")
     line_no, line = next(it, (line_no, ""))
-    if not line.startswith("fpart-domain "):
-        raise FormatError(line_no, "expected 'fpart-domain <f>'")
-    f_size = int(line.split()[1])
+    f_size = _size_line(line_no, line, "fpart-domain", "f")
     f_rels = {name: set() for name in names}
     unary = {}
     vv = {}
@@ -245,12 +243,10 @@ def _parse_multichain(lines):
             if len(parts) != 2:
                 raise FormatError(line_no, "expected 'fpart <name>'")
             sym = parts[1]
-            symbol(line_no, sym)
+            arity = arities[symbol(line_no, sym)]
             pos += 1
             while pos < len(rest) and rest[pos][1] != "end":
-                t_line_no, t_line = rest[pos]
-                entries = tuple(int(x) for x in t_line.split())
-                f_rels[sym].add(entries)
+                f_rels[sym].add(_tuple_line(*rest[pos], arity, f_size))
                 pos += 1
             if pos == len(rest):
                 raise FormatError(line_no, f"fpart {sym!r} not closed by 'end'")
@@ -259,13 +255,13 @@ def _parse_multichain(lines):
             if len(parts) < 2:
                 raise FormatError(line_no, "expected 'unary <name> <slice...>'")
             s = symbol(line_no, parts[1])
-            unary.setdefault(s, set()).update(int(x) for x in parts[2:])
+            unary.setdefault(s, set()).update(_int(line_no, x, "slice") for x in parts[2:])
             pos += 1
         elif parts[0] == "vv":
             if len(parts) < 5:
                 raise FormatError(line_no, "expected 'vv <name> <x> <y> <cmp...>'")
             s = symbol(line_no, parts[1])
-            x, y = int(parts[2]), int(parts[3])
+            x, y = (_int(line_no, t, "slice") for t in parts[2:4])
             for cmp in parts[4:]:
                 if cmp not in ("<", "=", ">"):
                     raise FormatError(line_no, f"bad comparator {cmp!r}")
@@ -277,7 +273,10 @@ def _parse_multichain(lines):
                 raise FormatError(line_no, f"expected '{parts[0]} <name> {shape}'")
             s = symbol(line_no, parts[1])
             rules = fv if parts[0] == "fv" else vf
-            rules.setdefault(s, set()).add((int(parts[2]), int(parts[3])))
+            fields = ("F element", "slice") if parts[0] == "fv" else ("slice", "F element")
+            rules.setdefault(s, set()).add(
+                tuple(_int(line_no, t, what) for t, what in zip(parts[2:], fields))
+            )
             pos += 1
         else:
             raise FormatError(line_no, f"unexpected line {line!r}")

@@ -20,6 +20,9 @@ MOD_PRIME = 2_000_003  # p**2 * cols stays well inside int64
 def _to_int_rows(matrix):
     rows = []
     for row in matrix:
+        if all(type(x) is int for x in row):
+            rows.append(row)  # already integer; no copy and no per-entry ABC check
+            continue
         row = list(row)
         if any(isinstance(x, Fraction) for x in row):
             denom = 1
@@ -38,7 +41,10 @@ def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
     rows = _to_int_rows(matrix)
     if not rows or not rows[0]:
         return 0
-    a = np.array(rows, dtype=np.int64) % p
+    try:
+        a = np.array(rows, dtype=np.int64) % p
+    except OverflowError:  # entries beyond int64: reduce them exactly first
+        a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     n_rows, n_cols = a.shape
     rank = 0
     for col in range(n_cols):
@@ -105,10 +111,15 @@ def rank_exact(matrix) -> int:
 
 
 def nullspace(matrix):
-    """A basis of the rational null space, as tuples of Fractions."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    if not a:
+    """A basis of the rational null space, as tuples of Fractions.
+
+    The basis is the reduced-echelon one: vector i has 1 at the i-th free
+    column and 0 at the other free columns.  A trivial kernel is settled by
+    the rank certificate alone, without rational elimination.
+    """
+    if not matrix or rank_exact(matrix) == len(matrix[0]):
         return []
+    a = [[Fraction(x) for x in row] for row in matrix]
     n_rows, n_cols = len(a), len(a[0])
     pivot_cols = []
     rank = 0

@@ -9,6 +9,7 @@ from relprof.algebra import (
     AgeBasis,
     AlgebraElement,
     DegreeOverflowError,
+    _mult_matrix,
     cardinality_partition,
     check_e_regular,
     e_element,
@@ -31,7 +32,7 @@ from relprof.presentations import (
     sum_of_cliques,
     tournament_fixtures,
 )
-from relprof.linalg import rank_bareiss
+from relprof.linalg import nullspace, rank_bareiss
 from relprof.profiles import profile_presented
 from relprof.structures import (
     acyclic_tournament,
@@ -204,6 +205,34 @@ def test_zero_divisor_search_finds_planted_divisor():
     assert report.found
     u, v = report.witness
     assert multiply(basis, u, v).is_zero and not u.is_zero and not v.is_zero
+
+
+def test_mult_matrix_is_scaled_integer_product():
+    # fractional weights: the matrix is lcm(2, 3) = 6 times the product's columns
+    basis = basis_of(colored_dense_chain(2), 4)
+    u = AlgebraElement.from_dict({(2, 0): Fraction(1, 2), (2, 3): Fraction(-2, 3)})
+    matrix = _mult_matrix(basis, u, 2)
+    assert len(matrix) == basis.dimension(4)
+    assert all(type(x) is int for row in matrix for x in row)
+    for j in range(basis.dimension(2)):
+        product = multiply(basis, u, AlgebraElement.from_dict({(2, j): 1})).as_dict()
+        column = [row[j] for row in matrix]
+        assert column == [6 * product.get((4, r), 0) for r in range(basis.dimension(4))]
+        assert any(column)
+
+
+def test_mult_matrix_kernel_vectors_annihilate_with_non_unit_weights():
+    # on P4, u = 2*edge - 3*non-edge maps the two 2-types onto the single
+    # 4-type, so its kernel is non-trivial and nullspace takes the elimination path
+    basis = AgeBasis.build(path_graph(4), 4, name="P4")
+    assert basis.dimension(2) == 2 and basis.dimension(4) == 1
+    edge = 0 if basis.representative(2, 0).relations[0] else 1
+    u = AlgebraElement.from_dict({(2, edge): 2, (2, 1 - edge): -3})
+    kernel = nullspace(_mult_matrix(basis, u, 2))
+    assert len(kernel) == 1
+    for vec in kernel:
+        v = AlgebraElement.from_dict({(2, j): c for j, c in enumerate(vec)})
+        assert not v.is_zero and multiply(basis, u, v).is_zero
 
 
 def test_hereditary_isomorphy_partition():

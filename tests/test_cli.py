@@ -249,6 +249,33 @@ unary mark 0
 """
 
 
+LEXSUM_HEAD = """\
+presentation lexsum
+index-domain 1
+index-arcs
+end
+blocks
+clique omega
+end
+"""
+
+HEADER_KEYWORDS = ("slices", "fpart-domain", "index-domain")
+
+
+def _input_file(rule):
+    """MULTICHAIN_HEAD with the rule appended.  A header rule ('slices',
+    'fpart-domain', 'index-domain') replaces the head line of the same
+    keyword instead, in LEXSUM_HEAD for 'index-domain'."""
+    keyword = rule.split()[0]
+    if keyword not in HEADER_KEYWORDS:
+        return MULTICHAIN_HEAD + rule + "\n"
+    head = LEXSUM_HEAD if keyword == "index-domain" else MULTICHAIN_HEAD
+    return "".join(
+        rule + "\n" if line.split()[0] == keyword else line
+        for line in head.splitlines(keepends=True)
+    )
+
+
 @pytest.mark.parametrize("rule, where", [
     ("fv arc 0", "line 7"),
     ("vf arc 0", "line 7"),
@@ -258,10 +285,25 @@ unary mark 0
     ("vf arc 2 0", "bad vf rule"),
     ("vf arc 0 1", "bad vf rule"),
     ("unary mark 0 3", "bad unary slice"),
+    ("slices x", "line 3"),
+    ("slices -1", "line 3"),
+    ("fpart-domain x", "line 4"),
+    ("index-domain x", "line 2"),
+    ("unary mark x", "line 7"),
+    ("vv arc x 1 <", "line 7"),
+    ("vv arc 0 y <", "line 7"),
+    ("fv arc z 0", "line 7"),
+    ("fv arc 0 z", "line 7"),
+    ("vf arc z 0", "line 7"),
+    ("vf arc 0 z", "line 7"),
+    ("fpart arc\n0 x\nend", "line 8"),
+    ("fpart arc\n0\nend", "line 8"),
+    ("fpart arc\n0 1\nend", "line 8"),
+    ("fpart mark\n0 0\nend", "line 8"),
 ])
 def test_cli_malformed_multichain_rules_are_input_errors(capsys, tmp_path, rule, where):
     bad = tmp_path / "bad.txt"
-    bad.write_text(MULTICHAIN_HEAD + rule + "\n")
+    bad.write_text(_input_file(rule))
     code, out, err = run_cli(["profile", str(bad), "--max-n", "3"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and where in err, err

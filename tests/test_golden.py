@@ -1,4 +1,5 @@
-"""The README's fast CLI commands, pinned byte for byte.
+"""The README's fast CLI commands, pinned byte for byte, and a zero-divisor
+search whose counts pin the search path.
 
 Each command runs in a fresh interpreter under two ``PYTHONHASHSEED``
 values; both stdouts must equal the file in ``tests/golden/``.  To re-record
@@ -29,6 +30,9 @@ COMMANDS = {
     ],
     "algebra-T2-tournament-identity": [
         "algebra", "T2", "--check", "tournament-identity", "--max-degree", "5",
+    ],
+    "algebra-half-bipartite-zero-divisors": [
+        "algebra", "half-bipartite", "--check", "zero-divisors", "--max-degree", "5",
     ],
     "incidence-5-2-1": ["incidence", "--m", "5", "--n", "2", "--k", "1", "--dump", "-"],
     "tournament-C3omega": ["tournament", "C3omega"],

@@ -110,6 +110,57 @@ def test_nullspace_vectors_annihilate():
             )
 
 
+def _pivot_free_columns(m, cols):
+    """Free columns of the reduced echelon form: those in the span of the
+    columns before them, found from ranks of column prefixes."""
+    free, prev = [], 0
+    for c in range(cols):
+        rank = rank_bareiss([row[:c + 1] for row in m])
+        if rank == prev:
+            free.append(c)
+        prev = rank
+    return free
+
+
+def test_nullspace_certificate_and_elimination_branches():
+    rng = random.Random(21)
+    ranks_seen = set()
+    for trial in range(120):
+        kind = ("full", "deficient", "wide", "zero-column")[trial % 4]
+        cols = rng.randint(1, 6)
+        rows = rng.randint(1, cols - 1) if kind == "wide" and cols > 1 else rng.randint(cols, 7)
+        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        if trial % 8 >= 4:
+            m = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in m]
+        if kind == "deficient" and cols > 1:
+            a, b = rng.sample(range(cols), 2)
+            factor = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for row in m:
+                row[b] = row[a] * factor  # column b depends on column a
+        if kind == "zero-column":
+            z = rng.randrange(cols)
+            for row in m:
+                row[z] = 0
+        rank = rank_bareiss(m)
+        ranks_seen.add(rank == cols)
+        basis = nullspace(m)
+        assert len(basis) == cols - rank, m
+        for v in basis:
+            assert all(sum(Fraction(x) * y for x, y in zip(row, v)) == 0 for row in m)
+        free = _pivot_free_columns(m, cols)
+        assert len(free) == len(basis)
+        for i, v in enumerate(basis):
+            assert [v[c] for c in free] == [int(i == j) for j in range(len(free))], m
+    assert ranks_seen == {True, False}  # both the certificate and the elimination ran
+
+
+def test_modular_rank_beyond_int64():
+    big = 2 ** 70
+    assert rank_mod_p([[big, 1], [1, big]]) == 2
+    assert rank_exact([[big, 2 * big], [1, 2]]) == 1
+    assert nullspace([[big, 2 * big], [1, 2]]) == [(Fraction(-2), Fraction(1))]
+
+
 def test_modular_rank_is_lower_bound():
     rng = random.Random(5)
     for _ in range(40):
