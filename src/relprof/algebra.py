@@ -261,6 +261,19 @@ def _mult_matrix(basis: AgeBasis, element: AlgebraElement, degree_in: int):
     return rows
 
 
+def _annihilated(basis: AgeBasis, u: AlgebraElement, b: int):
+    """A non-zero v of degree b with u * v = 0, or None.  When the product
+    degree has no types, every product is zero and v is the first type."""
+    matrix = _mult_matrix(basis, u, b)
+    if not matrix:
+        kernel = [(Fraction(1),)] if basis.dimension(b) else []
+    else:
+        kernel = nullspace(matrix)
+    if not kernel:
+        return None
+    return AlgebraElement.from_dict({(b, j): c for j, c in enumerate(kernel[0]) if c})
+
+
 def search_zero_divisors(basis: AgeBasis, max_total_degree: int, random_probes: int = 20,
                          seed: int = 0) -> ZeroDivisorReport:
     """Falsification search for homogeneous u, v != 0 with u*v = 0.
@@ -283,14 +296,10 @@ def search_zero_divisors(basis: AgeBasis, max_total_degree: int, random_probes: 
         for b in range(1, max_total_degree - a + 1):
             for pos_s in range(basis.dimension(a)):
                 u = AlgebraElement.from_dict({(a, pos_s): Fraction(1)})
-                matrix = _mult_matrix(basis, u, b)
                 kernels += 1
                 pure += basis.dimension(b)
-                kernel = nullspace(matrix)
-                if kernel:
-                    v = AlgebraElement.from_dict(
-                        {(b, j): c for j, c in enumerate(kernel[0]) if c}
-                    )
+                v = _annihilated(basis, u, b)
+                if v is not None:
                     return ZeroDivisorReport((u, v), pure, kernels, probes)
             for _ in range(random_probes):
                 dim = basis.dimension(a)
@@ -298,13 +307,9 @@ def search_zero_divisors(basis: AgeBasis, max_total_degree: int, random_probes: 
                 u = AlgebraElement.from_dict(
                     {(a, pos): Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for pos in support}
                 )
-                matrix = _mult_matrix(basis, u, b)
                 probes += 1
-                kernel = nullspace(matrix)
-                if kernel:
-                    v = AlgebraElement.from_dict(
-                        {(b, j): c for j, c in enumerate(kernel[0]) if c}
-                    )
+                v = _annihilated(basis, u, b)
+                if v is not None:
                     return ZeroDivisorReport((u, v), pure, kernels, probes)
     return ZeroDivisorReport(witness, pure, kernels, probes)
 

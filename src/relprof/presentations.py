@@ -31,6 +31,7 @@ from .structures import (
     canonical_code,
     digraph,
     make_struct,
+    restrict,
 )
 
 COMPARATORS = ("<", "=", ">")
@@ -366,6 +367,84 @@ def enumerate_age(pres, n: int):
         if code not in by_code:
             by_code[code] = struct
     return dict(sorted(by_code.items()))
+
+
+# ---------------------------------------------------------------------------
+# Window-bounded kernel probe
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KernelProbe:
+    status: str  # "in-kernel" | "undetected"
+    witness_size: int | None
+    note: str = ""
+
+
+def _age_codes(pres, n):
+    return frozenset(enumerate_age(pres, n))
+
+
+def _without_f_element(pres: MultichainPresentation, drop: int) -> MultichainPresentation:
+    keep = [a for a in range(pres.f_size) if a != drop]
+    new_index = {a: i for i, a in enumerate(keep)}
+    f_struct = restrict(pres.finite_part, keep)
+    remap_fv = tuple(
+        frozenset((new_index[a], x) for (a, x) in fv if a != drop) if fv is not None else None
+        for fv in pres.fv_true
+    )
+    remap_vf = tuple(
+        frozenset((x, new_index[a]) for (x, a) in vf if a != drop) if vf is not None else None
+        for vf in pres.vf_true
+    )
+    return MultichainPresentation(
+        pres.signature, f_struct, pres.v_size, pres.unary_slices,
+        pres.vv_true, remap_fv, remap_vf, name=f"{pres.name}-minus-f{drop}",
+    )
+
+
+def _without_one_block_element(pres: LexSumPresentation, block: int) -> LexSumPresentation:
+    kind, size = pres.blocks[block]
+    if size == 1:
+        keep = [v for v in range(len(pres.blocks)) if v != block]
+        index = restrict(pres.index, keep)
+        blocks = tuple(pres.blocks[v] for v in keep)
+        if not blocks:
+            raise ValueError("cannot probe the only element of a presentation")
+        return LexSumPresentation(index, blocks, name=f"{pres.name}-minus-b{block}")
+    blocks = list(pres.blocks)
+    blocks[block] = (kind, size - 1)
+    return LexSumPresentation(pres.index, tuple(blocks), name=f"{pres.name}-minus-b{block}")
+
+
+def kernel_probe(pres, element_class, window: int) -> KernelProbe:
+    """One-sided probe: does deleting one element of the class shrink the age?
+
+    Sound for membership only; a clean window never certifies absence, so the
+    negative answer is always reported as ``undetected``.
+    """
+    kind, which = element_class
+    if isinstance(pres, MultichainPresentation):
+        if kind == "slice":
+            # each slice class has one element per chain position; removing a
+            # single element leaves an order-isomorphic chain, so every word
+            # stays realizable and the age cannot change
+            return KernelProbe("undetected", None, "slice classes repeat along the chain")
+        if kind != "F":
+            raise ValueError(f"unknown element class {element_class!r}")
+        reduced = _without_f_element(pres, which)
+    elif isinstance(pres, LexSumPresentation):
+        if kind != "block":
+            raise ValueError(f"unknown element class {element_class!r}")
+        if pres.blocks[which][1] is OMEGA:
+            return KernelProbe("undetected", None, "infinite block, deletion absorbed")
+        reduced = _without_one_block_element(pres, which)
+    else:
+        raise TypeError(f"not a presentation: {pres!r}")
+    for n in range(window + 1):
+        if _age_codes(pres, n) != _age_codes(reduced, n):
+            return KernelProbe("in-kernel", n)
+    return KernelProbe("undetected", None, f"ages agree up to n={window}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,32 +10,21 @@ enumeration.  A finite structure takes one of two paths:
   "same type once each vertex is coloured by its arcs to vertices not yet
   processed"; such sets have the same completions, so a 30-vertex path at
   n = 8 keys about 6,000 states instead of visiting 5.8 million subsets;
-* otherwise the subset sweep over all n-subsets, with a vectorized pattern
-  pass for a single binary relation and n <= 8.
+* otherwise the subset walk, depth first over all n-subsets in
+  lexicographic order, building the relabelled relations one vertex at a time.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .presentations import (
-    LexSumPresentation,
-    MultichainPresentation,
-    OMEGA,
-    enumerate_age,
-    realize,
-    words_of_size,
-)
+from .presentations import MultichainPresentation, enumerate_age, realize, words_of_size
 from .series import TruncatedSeries
-from .structures import RelStruct, Signature, canonical_code, make_struct, restrict
+from .structures import RelStruct, Signature, canonical_code
 
-_CHUNK = 200_000
-# Above this interface width the subset sweep is faster: measured crossover
+# Above this interface width the subset walk is faster: measured crossover
 # between widths 2 and 3 for m = 18, n <= 7.
 SWEEP_MAX_WIDTH = 2
 
@@ -57,61 +46,50 @@ class ProfileSequence(TruncatedSeries):
 # ---------------------------------------------------------------------------
 
 
-def _binary_pattern_codes(struct: RelStruct, n: int):
-    """Distinct order-preserved restriction patterns via vectorized lookups."""
-    m = struct.domain_size
-    adj = np.zeros((m, m), dtype=np.uint64)
-    for (u, v) in struct.relations[0]:
-        adj[u, v] = 1
-    patterns = set()
-    combos = itertools.combinations(range(m), n)
-    while True:
-        chunk = list(itertools.islice(combos, _CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.intp)
-        bits = np.zeros(len(chunk), dtype=np.uint64)
-        shift = np.uint64(0)
-        for i in range(n):
-            for j in range(n):
-                bits |= adj[arr[:, i], arr[:, j]] << shift
-                shift += np.uint64(1)
-        patterns.update(np.unique(bits).tolist())
-    structs = []
-    for bits in sorted(patterns):
-        arcs = {
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if bits >> (i * n + j) & 1
-        }
-        structs.append(make_struct((2,), n, [arcs]))
-    return structs
+def _tuples_by_last(struct: RelStruct) -> list:
+    """t -> per symbol, (tuple, vertex bitmask) of the tuples whose largest vertex is t."""
+    back = [[[] for _ in struct.relations] for _ in range(struct.domain_size)]
+    for s, rel in enumerate(struct.relations):
+        for tup in rel:
+            back[max(tup)][s].append((tup, sum(1 << x for x in set(tup))))
+    return back
 
 
-def _generic_pattern_structs(struct: RelStruct, n: int):
-    seen = set()
+def _extend(rels: tuple, added: list, position, inside: int) -> tuple:
+    """The relabelled relations of a chosen set after its new largest vertex t
+    joins: ``added`` is ``_tuples_by_last`` at t, ``inside`` the bitmask of the
+    chosen vertices with t, and ``position`` maps each of them to its index."""
     out = []
-    for subset in itertools.combinations(range(struct.domain_size), n):
-        r = restrict(struct, subset)
-        key = r.relations
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+    for rel, tuples in zip(rels, added):
+        new = [tuple(position[x] for x in tup) for tup, mask in tuples if mask & inside == mask]
+        out.append(rel.union(new) if new else rel)
+    return tuple(out)
 
 
 def _subset_age(struct: RelStruct, n: int) -> dict:
-    """Types of the n-restrictions by a sweep over all n-subsets."""
-    if struct.signature.arities == (2,) and 0 < n <= 8:
-        candidates = _binary_pattern_codes(struct, n)
-    else:
-        candidates = _generic_pattern_structs(struct, n)
+    """Types of the n-restrictions by a depth-first walk over the n-subsets in
+    lexicographic order, building the relabelled relations one vertex at a
+    time.  Raw duplicates skip canon, and the first subset per code is kept,
+    so each type's representative is its least n-subset."""
+    m = struct.domain_size
+    back = _tuples_by_last(struct)
+    position = [0] * m  # vertex -> index in the current subset
+    seen = set()
     by_code = {}
-    for r in candidates:
-        code = canonical_code(r)
-        if code not in by_code:
-            by_code[code] = r
+
+    def walk(start, depth, inside, rels):
+        if depth == n:
+            if rels not in seen:
+                seen.add(rels)
+                r = RelStruct(struct.signature, n, rels)
+                by_code.setdefault(canonical_code(r), r)
+            return
+        for t in range(start, m - n + depth + 1):
+            position[t] = depth
+            inner = inside | 1 << t
+            walk(t + 1, depth + 1, inner, _extend(rels, back[t], position, inner))
+
+    walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
     return dict(sorted(by_code.items()))
 
 
@@ -151,15 +129,14 @@ def _interface_sweep(struct: RelStruct, n: int) -> dict:
     keeps every literal interface, so (arity <= 2) both sets have isomorphic
     completions by every later set, and one per key suffices.  The
     lexicographically least chosen tuple is kept, so each type's
-    representative is its least n-subset, as on the generic subset path.
+    representative is its least n-subset, as on the subset walk.
     """
     m = struct.domain_size
     arities = struct.signature.arities
-    back = [[[] for _ in arities] for _ in range(m)]  # t -> per symbol, tuples with max t
+    back = _tuples_by_last(struct)
     arcs = [[] for _ in range(m)]  # v -> sorted (w, symbol, direction) with w > v
     for s, rel in enumerate(struct.relations):
         for tup in rel:
-            back[max(tup)][s].append(tup)
             if len(tup) == 2 and tup[0] != tup[1]:
                 u, w = tup
                 if u < w:
@@ -184,13 +161,9 @@ def _interface_sweep(struct: RelStruct, n: int) -> dict:
             if len(chosen) < n:
                 position = {v: i for i, v in enumerate(chosen)}
                 position[t] = len(chosen)
-                rels = tuple(
-                    rel | {tuple(position[x] for x in tup)
-                           for tup in added if all(x in position for x in tup)}
-                    if added else rel
-                    for rel, added in zip(rels, back[t])
-                )
-                _keep(new, chosen + (t,), rels, interfaces, signatures)
+                inside = sum(1 << v for v in position)
+                _keep(new, chosen + (t,), _extend(rels, back[t], position, inside),
+                      interfaces, signatures)
         states = new
     return dict(sorted(
         (code, RelStruct(struct.signature, n, rels))
@@ -298,84 +271,6 @@ def check_eq10_bound(seq: ProfileSequence, r: int, k: int) -> bool:
     return all(
         seq[n] <= (2 ** r) * math.comb(n + k - 1, k - 1) for n in range(seq.window + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# Window-bounded kernel probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelProbe:
-    status: str  # "in-kernel" | "undetected"
-    witness_size: int | None
-    note: str = ""
-
-
-def _age_codes(pres, n):
-    return frozenset(enumerate_age(pres, n))
-
-
-def _without_f_element(pres: MultichainPresentation, drop: int) -> MultichainPresentation:
-    keep = [a for a in range(pres.f_size) if a != drop]
-    new_index = {a: i for i, a in enumerate(keep)}
-    f_struct = restrict(pres.finite_part, keep)
-    remap_fv = tuple(
-        frozenset((new_index[a], x) for (a, x) in fv if a != drop) if fv is not None else None
-        for fv in pres.fv_true
-    )
-    remap_vf = tuple(
-        frozenset((x, new_index[a]) for (x, a) in vf if a != drop) if vf is not None else None
-        for vf in pres.vf_true
-    )
-    return MultichainPresentation(
-        pres.signature, f_struct, pres.v_size, pres.unary_slices,
-        pres.vv_true, remap_fv, remap_vf, name=f"{pres.name}-minus-f{drop}",
-    )
-
-
-def _without_one_block_element(pres: LexSumPresentation, block: int) -> LexSumPresentation:
-    kind, size = pres.blocks[block]
-    if size == 1:
-        keep = [v for v in range(len(pres.blocks)) if v != block]
-        index = restrict(pres.index, keep)
-        blocks = tuple(pres.blocks[v] for v in keep)
-        if not blocks:
-            raise ValueError("cannot probe the only element of a presentation")
-        return LexSumPresentation(index, blocks, name=f"{pres.name}-minus-b{block}")
-    blocks = list(pres.blocks)
-    blocks[block] = (kind, size - 1)
-    return LexSumPresentation(pres.index, tuple(blocks), name=f"{pres.name}-minus-b{block}")
-
-
-def kernel_probe(pres, element_class, window: int) -> KernelProbe:
-    """One-sided probe: does deleting one element of the class shrink the age?
-
-    Sound for membership only; a clean window never certifies absence, so the
-    negative answer is always reported as ``undetected``.
-    """
-    kind, which = element_class
-    if isinstance(pres, MultichainPresentation):
-        if kind == "slice":
-            # each slice class has one element per chain position; removing a
-            # single element leaves an order-isomorphic chain, so every word
-            # stays realizable and the age cannot change
-            return KernelProbe("undetected", None, "slice classes repeat along the chain")
-        if kind != "F":
-            raise ValueError(f"unknown element class {element_class!r}")
-        reduced = _without_f_element(pres, which)
-    elif isinstance(pres, LexSumPresentation):
-        if kind != "block":
-            raise ValueError(f"unknown element class {element_class!r}")
-        if pres.blocks[which][1] is OMEGA:
-            return KernelProbe("undetected", None, "infinite block, deletion absorbed")
-        reduced = _without_one_block_element(pres, which)
-    else:
-        raise TypeError(f"not a presentation: {pres!r}")
-    for n in range(window + 1):
-        if _age_codes(pres, n) != _age_codes(reduced, n):
-            return KernelProbe("in-kernel", n)
-    return KernelProbe("undetected", None, f"ages agree up to n={window}")
 
 
 # ---------------------------------------------------------------------------

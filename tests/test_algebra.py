@@ -207,6 +207,17 @@ def test_zero_divisor_search_finds_planted_divisor():
     assert multiply(basis, u, v).is_zero and not u.is_zero and not v.is_zero
 
 
+def test_zero_divisor_search_when_the_product_degree_has_no_types():
+    # P2 has no 3-element restriction, so point * edge is zero: the kernel is
+    # the whole degree-2 space although the multiplication matrix has no rows
+    basis = AgeBasis.build(path_graph(2), 3, name="P2")
+    assert basis.dimension(3) == 0
+    report = search_zero_divisors(basis, 3, random_probes=0)
+    assert report.found
+    u, v = report.witness
+    assert multiply(basis, u, v).is_zero and not u.is_zero and not v.is_zero
+
+
 def test_mult_matrix_is_scaled_integer_product():
     # fractional weights: the matrix is lcm(2, 3) = 6 times the product's columns
     basis = basis_of(colored_dense_chain(2), 4)

@@ -1,5 +1,6 @@
-"""The README's fast CLI commands, pinned byte for byte, and a zero-divisor
-search whose counts pin the search path.
+"""The README's fast CLI commands, pinned byte for byte, a zero-divisor
+search whose counts pin the search path, and the profile of a committed
+ternary structure, which pins the finite subset walk.
 
 Each command runs in a fresh interpreter under two ``PYTHONHASHSEED``
 values; both stdouts must equal the file in ``tests/golden/``.  To re-record
@@ -37,6 +38,9 @@ COMMANDS = {
     "incidence-5-2-1": ["incidence", "--m", "5", "--n", "2", "--k", "1", "--dump", "-"],
     "tournament-C3omega": ["tournament", "C3omega"],
     "check-T3": ["check", "T3", "--max-n", "10"],
+    "profile-ternary10": [
+        "profile", str(ROOT / "tests" / "data" / "ternary10.txt"), "--max-n", "10",
+    ],
 }
 
 

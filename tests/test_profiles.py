@@ -10,6 +10,7 @@ from relprof.presentations import (
     LexSumPresentation,
     colored_dense_chain,
     half_complete_bipartite,
+    kernel_probe,
     lexsum_tournament_fixture,
     product_of,
     reflexive_chain,
@@ -20,8 +21,6 @@ from relprof.presentations import (
 from relprof.profiles import (
     SWEEP_MAX_WIDTH,
     ProfileSequence,
-    _binary_pattern_codes,
-    _generic_pattern_structs,
     _interface_sweep,
     _subset_age,
     age_of_finite,
@@ -32,7 +31,6 @@ from relprof.profiles import (
     check_linalg_inequality,
     check_monotone,
     interface_width,
-    kernel_probe,
     profile_finite,
     profile_presented,
     profile_sequence,
@@ -44,6 +42,7 @@ from relprof.structures import (
     graph_from_edges,
     make_struct,
     path_graph,
+    restrict,
 )
 
 
@@ -79,15 +78,39 @@ def test_path_profile_is_partition_function():
         assert profile_finite(p30, n) == partitions_oracle(n), n
 
 
-def _codes(candidates):
-    return {canonical_code(r) for r in candidates}
+def _restrict_oracle(struct, n):
+    """Independent oracle: restrict every n-subset, keep the first per code."""
+    by_code = {}
+    for subset in itertools.combinations(range(struct.domain_size), n):
+        r = restrict(struct, subset)
+        by_code.setdefault(canonical_code(r), r)
+    return dict(sorted(by_code.items()))
 
 
-def test_generic_and_vectorized_paths_agree():
-    # both subset paths called directly: age_of_finite sends a path to the sweep
-    g = path_graph(9)
-    for n in range(1, 6):
-        assert _codes(_binary_pattern_codes(g, n)) == _codes(_generic_pattern_structs(g, n))
+def _random_structure(rng, m):
+    """Symbols of arities 1, 2, 3 and an empty binary one; each tuple draws its
+    entries from one to arity vertices, so loops and tuples such as (x, x, y)
+    are common."""
+    arities = (1, 2, 3, 2)
+    rels = []
+    for arity in arities[:3]:
+        rel = set()
+        for _ in range(rng.randrange(2 * m + 1)):
+            pool = rng.sample(range(m), rng.randint(1, min(arity, m)))
+            rel.add(tuple(rng.choice(pool) for _ in range(arity)))
+        rels.append(rel)
+    return make_struct(arities, m, rels + [set()])
+
+
+def test_subset_walk_matches_restrict_oracle():
+    rng = random.Random(20070308)
+    for trial in range(40):
+        m = rng.randrange(9)
+        s = _random_structure(rng, m)
+        for n in range(m + 1):
+            # same codes in the same order, and the same least-subset representatives
+            assert list(_subset_age(s, n).items()) == list(_restrict_oracle(s, n).items()), \
+                (trial, n)
 
 
 def _random_narrow_structure(rng, m):
@@ -160,6 +183,42 @@ def test_path_profile_reach_beyond_subset_sweep():
     # C(40, 10) ~ 8.5e8 subsets at n = 10; the sweep keys about 19,000 states
     assert profile_sequence(path_graph(40), 10).coeffs == tuple(
         partitions_oracle(n) for n in range(11))
+
+
+def _gaussian_binomial(top, k):
+    """Coefficients of [top choose k]_q by [N, k] = [N-1, k-1] + q^k [N-1, k]."""
+    if k in (0, top):
+        return [1]
+    left, right = _gaussian_binomial(top - 1, k - 1), _gaussian_binomial(top - 1, k)
+    out = [0] * (k * (top - k) + 1)
+    for i, c in enumerate(left):
+        out[i] += c
+    for i, c in enumerate(right):
+        out[i + k] += c
+    return out
+
+
+def _blown_up_cliques(m, r, complement=False, label=None):
+    """m disjoint copies of K_r, or its complement, vertex v renamed label[v]."""
+    label = label or list(range(m * r))
+    edges = [(label[u], label[w]) for u, w in itertools.combinations(range(m * r), 2)
+             if (u // r == w // r) != complement]
+    return graph_from_edges(m * r, edges)
+
+
+def test_blown_up_cliques_match_gaussian_binomial():
+    # m.K_r and its complement are homogeneous: phi(n) counts the orbits of
+    # S_r wr S_m on n-subsets, the coefficient of q^n in [m+r choose m]_q
+    label = list(range(24))
+    random.Random(1978).shuffle(label)
+    cases = [
+        (_blown_up_cliques(8, 3), 8, 3, True),  # width 2: the sweep
+        (_blown_up_cliques(8, 3, label=label), 8, 3, False),  # the walk
+        (_blown_up_cliques(5, 4, complement=True), 5, 4, False),
+    ]
+    for g, m, r, swept in cases:
+        assert (interface_width(g) <= SWEEP_MAX_WIDTH) == swept
+        assert profile_sequence(g, 6).coeffs == tuple(_gaussian_binomial(m + r, m)[:7])
 
 
 def test_profile_presented_fixtures():
