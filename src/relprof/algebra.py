@@ -20,8 +20,8 @@ from math import lcm
 
 from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
-from .profiles import age_of_finite
-from .structures import RelStruct, canonical_code, restrict
+from .profiles import age_of_finite, subset_codes
+from .structures import RelStruct
 
 
 class DegreeOverflowError(ValueError):
@@ -74,16 +74,12 @@ class AgeBasis:
         table = self._split_tables.get(key)
         if table is not None:
             return table
+        full = (1 << degree) - 1
         table = []
-        for code, rep in self.types[degree]:
-            counts = Counter()
-            domain = range(rep.domain_size)
-            for subset in itertools.combinations(domain, part):
-                left = canonical_code(restrict(rep, subset))
-                complement = [v for v in domain if v not in set(subset)]
-                right = canonical_code(restrict(rep, complement))
-                counts[(left, right)] += 1
-            table.append(counts)
+        for _, rep in self.types[degree]:
+            left = subset_codes(rep, part)
+            right = left if 2 * part == degree else subset_codes(rep, degree - part)
+            table.append(Counter((c, right[full ^ mask]) for mask, c in left.items()))
         self._split_tables[key] = table
         return table
 
@@ -203,9 +199,8 @@ def e_matrix(basis: AgeBasis, degree: int):
     rows = []
     for _, rep in basis.types[degree + 1]:
         row = [0] * len(cols)
-        domain = range(rep.domain_size)
-        for x in domain:
-            rest = canonical_code(restrict(rep, [v for v in domain if v != x]))
+        # the degree-subsets of rep are its one-vertex deletions
+        for rest in subset_codes(rep, degree).values():
             row[col_index[rest]] += 1
         rows.append(row)
     return rows
@@ -301,8 +296,10 @@ def search_zero_divisors(basis: AgeBasis, max_total_degree: int, random_probes: 
                 v = _annihilated(basis, u, b)
                 if v is not None:
                     return ZeroDivisorReport((u, v), pure, kernels, probes)
+            dim = basis.dimension(a)
+            if not dim:
+                continue  # no type of degree a, so every probe would be zero
             for _ in range(random_probes):
-                dim = basis.dimension(a)
                 support = rng.sample(range(dim), k=min(dim, rng.randint(1, 3)))
                 u = AlgebraElement.from_dict(
                     {(a, pos): Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for pos in support}
@@ -357,11 +354,11 @@ def is_hereditary(m: int, classes) -> bool:
 
 def isomorphy_partition(struct: RelStruct):
     """The partition of all subsets of the domain by restriction type."""
+    domain = range(struct.domain_size)
     groups = {}
     for r in range(struct.domain_size + 1):
-        for combo in itertools.combinations(range(struct.domain_size), r):
-            code = canonical_code(restrict(struct, combo))
-            groups.setdefault(code, []).append(frozenset(combo))
+        for mask, code in subset_codes(struct, r).items():
+            groups.setdefault(code, []).append(frozenset(v for v in domain if mask >> v & 1))
     return list(groups.values())
 
 

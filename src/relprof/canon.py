@@ -47,11 +47,6 @@ def staged_relations(m, relations, labeling=None):
     return tuple(tuple(tuple(sorted(sym)) for sym in stage) for stage in stages)
 
 
-def flat_form(arities, m, relations):
-    """Identity-order serialization; equal iff the structures are literally equal."""
-    return (tuple(arities), m, tuple(tuple(sorted(rel)) for rel in relations))
-
-
 def ordered_form(arities, m, relations, colors, labeling=None):
     if labeling is None:
         color_seq = tuple(colors)

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import rank_bareiss, rank_exact
-from .profiles import age_of_finite
-from .structures import RelStruct, canonical_code, restrict
+from .profiles import age_of_finite, subset_codes
+from .structures import RelStruct
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ def type_indicator_matrix(struct: RelStruct, n: int) -> ExactMatrix:
     """Rows: types of n-restrictions; columns: n-subsets (colex); entry 1 at matches."""
     types = list(age_of_finite(struct, n))
     index = {code: i for i, code in enumerate(types)}
+    codes = subset_codes(struct, n)
     cols = colex_subsets(struct.domain_size, n)
     entries = [[0] * len(cols) for _ in types]
     for j, subset in enumerate(cols):
-        code = canonical_code(restrict(struct, subset))
-        entries[index[code]][j] = 1
+        entries[index[codes[sum(1 << v for v in subset)]]][j] = 1
     return ExactMatrix(tuple(map(tuple, entries)), tuple(types), tuple(cols))
 
 
@@ -124,13 +124,3 @@ def profile_inequality_via_incidence(struct: RelStruct, n: int, k: int) -> bool:
         return False
     phi_nk = len(age_of_finite(struct, n + k))
     return phi_n <= phi_nk
-
-
-def kantor_sweep(max_m: int):
-    """All (m, n, k) with 2n+k <= m, m <= max_m, and their verification."""
-    results = []
-    for m in range(max_m + 1):
-        for n in range(m // 2 + 1):
-            for k in range(m - 2 * n + 1):
-                results.append(((m, n, k), verify_kantor(m, n, k)))
-    return results

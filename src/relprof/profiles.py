@@ -12,6 +12,9 @@ enumeration.  A finite structure takes one of two paths:
   n = 8 keys about 6,000 states instead of visiting 5.8 million subsets;
 * otherwise the subset walk, depth first over all n-subsets in
   lexicographic order, building the relabelled relations one vertex at a time.
+  The same walk gives ``subset_codes`` (n-subset bitmask -> code), which serves
+  the algebra's split tables, e-matrices and isomorphy partitions and the type
+  indicators of the incidence lab.
 """
 
 from __future__ import annotations
@@ -66,31 +69,42 @@ def _extend(rels: tuple, added: list, position, inside: int) -> tuple:
     return tuple(out)
 
 
-def _subset_age(struct: RelStruct, n: int) -> dict:
-    """Types of the n-restrictions by a depth-first walk over the n-subsets in
-    lexicographic order, building the relabelled relations one vertex at a
-    time.  Raw duplicates skip canon, and the first subset per code is kept,
-    so each type's representative is its least n-subset."""
+def _restrictions(struct: RelStruct, n: int):
+    """(vertex bitmask, relabelled relations) of every n-subset, depth first in
+    lexicographic order, building the relations one vertex at a time."""
     m = struct.domain_size
     back = _tuples_by_last(struct)
     position = [0] * m  # vertex -> index in the current subset
-    seen = set()
-    by_code = {}
 
     def walk(start, depth, inside, rels):
         if depth == n:
-            if rels not in seen:
-                seen.add(rels)
-                r = RelStruct(struct.signature, n, rels)
-                by_code.setdefault(canonical_code(r), r)
+            yield inside, rels
             return
         for t in range(start, m - n + depth + 1):
             position[t] = depth
             inner = inside | 1 << t
-            walk(t + 1, depth + 1, inner, _extend(rels, back[t], position, inner))
+            yield from walk(t + 1, depth + 1, inner, _extend(rels, back[t], position, inner))
 
-    walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
+    return walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
+
+
+def _subset_age(struct: RelStruct, n: int) -> dict:
+    """Types of the n-restrictions by the subset walk.  Raw duplicates skip
+    canon, and the first subset per code is kept, so each type's
+    representative is its least n-subset."""
+    by_code = {}
+    for rels in dict.fromkeys(rels for _, rels in _restrictions(struct, n)):
+        r = RelStruct(struct.signature, n, rels)
+        by_code.setdefault(canonical_code(r), r)
     return dict(sorted(by_code.items()))
+
+
+def subset_codes(struct: RelStruct, n: int) -> dict[int, bytes]:
+    """Vertex bitmask -> canonical code of the restriction, for every n-subset
+    in lexicographic order."""
+    sig = struct.signature
+    return {mask: canonical_code(RelStruct(sig, n, rels))
+            for mask, rels in _restrictions(struct, n)}
 
 
 def interface_width(struct: RelStruct) -> int:

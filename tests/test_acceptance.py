@@ -46,9 +46,7 @@ from relprof.structures import (
 )
 
 # Presentation fixture corpus.  Window checks (criteria 7 and 8) run over
-# all of these; the zero-divisor search (criterion 9) over the empty-kernel
-# ones, excluding colored-chain:3 whose degree-6 kernel solves are the one
-# desk-scale-excessive case (colored-chain:2 exercises the same construction).
+# all of these; the zero-divisor search (criterion 9) over the empty-kernel ones.
 PRESENTATION_FIXTURES = {
     "colored-chain:1": colored_dense_chain(1),
     "colored-chain:2": colored_dense_chain(2),
@@ -69,6 +67,7 @@ PRESENTATION_FIXTURES = {
 EMPTY_KERNEL_FIXTURES = (
     "colored-chain:1",
     "colored-chain:2",
+    "colored-chain:3",
     "interval-chain:2",
     "two-cliques",
     "three-cliques",
@@ -262,8 +261,6 @@ def test_criterion_08_e_regularity():
 def test_criterion_09_zero_divisors():
     bad = []
     for name in EMPTY_KERNEL_FIXTURES:
-        if name == "colored-chain:3":
-            continue
         basis = AgeBasis.build(PRESENTATION_FIXTURES[name], 6, name=name)
         found = search_zero_divisors(basis, 6, random_probes=10, seed=1).found
         if found:

@@ -39,6 +39,7 @@ from relprof.structures import (
     canonical_code,
     clique_graph,
     graph_from_edges,
+    make_struct,
     path_graph,
     restrict,
 )
@@ -123,6 +124,29 @@ def test_structure_constants_representative_independent():
             right = canonical_code(restrict(rep, [v for v in domain if v not in subset]))
             counts[(left, right)] = counts.get((left, right), 0) + 1
         assert counts == dict(expected), comp
+
+
+def test_e_matrix_entries_match_restrict_oracle():
+    # entry (r, c): the number of vertices of type r's representative whose
+    # deletion leaves a restriction of type c
+    rng = random.Random(11)
+    edges = [e for e in itertools.combinations(range(7), 2) if rng.random() < 0.5]
+    bases = [
+        AgeBasis.build(graph_from_edges(7, edges), 7),
+        basis_of(colored_dense_chain(2), 5),
+        basis_of(tournament_fixtures("C3omega"), 6),
+    ]
+    for basis in bases:
+        for degree in range(basis.max_degree):
+            col_index = {code: j for j, code in enumerate(basis.codes(degree))}
+            expected = []
+            for _, rep in basis.types[degree + 1]:
+                row = [0] * len(col_index)
+                for x in rep.domain:
+                    rest = restrict(rep, [v for v in rep.domain if v != x])
+                    row[col_index[canonical_code(rest)]] += 1
+                expected.append(row)
+            assert e_matrix(basis, degree) == expected, (basis.source_name, degree)
 
 
 def test_e_element_contents():
@@ -216,6 +240,14 @@ def test_zero_divisor_search_when_the_product_degree_has_no_types():
     assert report.found
     u, v = report.witness
     assert multiply(basis, u, v).is_zero and not u.is_zero and not v.is_zero
+
+
+def test_zero_divisor_search_skips_probes_of_a_degree_without_types():
+    # the empty structure has no type of degree 1, so a random probe of
+    # degree 1 would be the zero element
+    basis = AgeBasis.build(make_struct((2,), 0, [[]]), 2)
+    report = search_zero_divisors(basis, 2, random_probes=1)
+    assert not report.found and report.random_probes == 0
 
 
 def test_mult_matrix_is_scaled_integer_product():

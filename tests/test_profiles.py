@@ -34,6 +34,7 @@ from relprof.profiles import (
     profile_finite,
     profile_presented,
     profile_sequence,
+    subset_codes,
 )
 from relprof.structures import (
     canonical_code,
@@ -110,6 +111,12 @@ def test_subset_walk_matches_restrict_oracle():
         for n in range(m + 1):
             # same codes in the same order, and the same least-subset representatives
             assert list(_subset_age(s, n).items()) == list(_restrict_oracle(s, n).items()), \
+                (trial, n)
+            # every n-subset's code, keyed by its vertex bitmask in lexicographic order
+            subsets = list(itertools.combinations(range(m), n))
+            codes = subset_codes(s, n)
+            assert list(codes) == [sum(1 << v for v in subset) for subset in subsets]
+            assert list(codes.values()) == [canonical_code(restrict(s, x)) for x in subsets], \
                 (trial, n)
 
 
