@@ -186,9 +186,11 @@ def _parse_lexsum(lines):
         raise FormatError(line_no, "expected 'index-arcs'")
     arcs = set()
     for line_no, line in it:
-        if line == "end":
+        if line in ("end", "blocks"):
             break
         arcs.add(_tuple_line(line_no, line, 2, d))
+    if line != "end":
+        raise FormatError(line_no, "index-arcs not closed by 'end'")
     line_no, line = next(it, (line_no, ""))
     if line != "blocks":
         raise FormatError(line_no, "expected 'blocks'")
@@ -202,8 +204,13 @@ def _parse_lexsum(lines):
         if parts[0] not in BLOCK_KINDS:
             raise FormatError(line_no, f"unknown block kind {parts[0]!r}")
         blocks.append((parts[0], _parse_size(line_no, parts[1])))
+    if line != "end":
+        raise FormatError(line_no, "blocks not closed by 'end'")
     if len(blocks) != d:
         raise FormatError(line_no, f"{d} blocks expected, got {len(blocks)}")
+    extra = next(it, None)
+    if extra is not None:
+        raise FormatError(extra[0], f"unexpected line {extra[1]!r}")
     try:
         return LexSumPresentation(digraph(d, arcs), tuple(blocks), name="lexsum-file")
     except ValueError as exc:
@@ -219,6 +226,8 @@ def _parse_multichain(lines):
     names = parts[1::2]
     arities = tuple(_int(line_no, a, "arity") for a in parts[2::2])
     index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise FormatError(line_no, "duplicate symbol names")
     line_no, line = next(it, (line_no, ""))
     v_size = _size_line(line_no, line, "slices", "v")
     line_no, line = next(it, (line_no, ""))

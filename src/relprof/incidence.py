@@ -111,12 +111,9 @@ def profile_inequality_via_incidence(struct: RelStruct, n: int, k: int) -> bool:
     if m < 2 * n + k:
         raise ValueError(f"need domain size >= {2 * n + k}, got {m}")
     indicator = type_indicator_matrix(struct, n)
-    inclusion = build_incidence(m, n, k)
+    inclusion_cols = list(zip(*build_incidence(m, n, k).entries))
     product = [
-        [
-            sum(a * b for a, b in zip(row, col))
-            for col in zip(*inclusion.entries)
-        ]
+        [sum(a * b for a, b in zip(row, col)) for col in inclusion_cols]
         for row in indicator.entries
     ]
     phi_n = len(indicator.row_labels)

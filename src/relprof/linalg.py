@@ -1,10 +1,11 @@
 """Exact rank and null spaces for integer/rational matrices.
 
-Rank is computed fraction-free (Bareiss) over the integers, with a modular
-certificate as a fast path: the rank over GF(p) never exceeds the rational
-rank, so whenever elimination mod p yields full rank min(rows, cols) the
-rational rank is pinned exactly without any big-integer work.  Matrices with
-rational entries are scaled row-wise to integers first (rank preserving).
+One fraction-free (Bareiss) elimination over the integers gives both rank
+and null space.  A modular certificate is the fast path: the rank over GF(p)
+never exceeds the rational rank, so whenever elimination mod p yields full
+rank min(rows, cols) the rational rank is pinned exactly without any
+big-integer work.  Matrices with rational entries are scaled row-wise to
+integers first (rank and kernel preserving).
 """
 
 from __future__ import annotations
@@ -66,48 +67,51 @@ def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
     return rank
 
 
-def rank_bareiss(matrix, pivot_by_magnitude: bool = True) -> int:
-    """Fraction-free elimination over the integers; always exact."""
-    a = _to_int_rows(matrix)
-    if not a or not a[0]:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
+def _echelon(rows, pivot_by_magnitude: bool = True) -> list[int]:
+    """Bareiss echelon form of a list of integer rows, in place, returning
+    the pivot columns: row i has its pivot at column pivots[i] and the rows
+    below the last pivot are zero.  Rows are replaced, never mutated, so
+    rows shared with the caller stay unchanged."""
+    if not rows or not rows[0]:
+        return []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
     prev = 1
-    col = 0
-    while rank < n_rows and col < n_cols:
-        candidates = [r for r in range(rank, n_rows) if a[r][col] != 0]
+    for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
+        candidates = [r for r in range(rank, n_rows) if rows[r][col] != 0]
         if not candidates:
-            col += 1
             continue
         if pivot_by_magnitude:
-            pivot = max(candidates, key=lambda r: abs(a[r][col]))
+            pivot = max(candidates, key=lambda r: abs(rows[r][col]))
         else:
             pivot = candidates[0]
         if pivot != rank:
-            a[rank], a[pivot] = a[pivot], a[rank]
-        p = a[rank][col]
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][col]
         for r in range(rank + 1, n_rows):
-            f = a[r][col]
-            row_r, row_p = a[r], a[rank]
+            f = rows[r][col]
+            row_r, row_p = rows[r], rows[rank]
             # exact by the fraction-free invariant; must run even when f == 0
-            a[r] = [(p * row_r[c] - f * row_p[c]) // prev for c in range(n_cols)]
+            rows[r] = [(p * row_r[c] - f * row_p[c]) // prev for c in range(n_cols)]
         prev = p
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_bareiss(matrix, pivot_by_magnitude: bool = True) -> int:
+    """Fraction-free elimination over the integers; always exact."""
+    return len(_echelon(_to_int_rows(matrix), pivot_by_magnitude))
 
 
 def rank_exact(matrix) -> int:
     """Exact rational rank: modular certificate first, Bareiss otherwise."""
-    rows = _to_int_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    bound = min(len(rows), len(rows[0]))
-    modular = rank_mod_p(rows)
-    if modular == bound:
-        return modular  # rank_p <= rank_Q <= bound forces equality
-    return rank_bareiss(rows)
+    modular = rank_mod_p(matrix)
+    if not matrix or modular == min(len(matrix), len(matrix[0])):
+        return modular  # rank_p <= rank_Q <= min(rows, cols) forces equality
+    return rank_bareiss(matrix)
 
 
 def nullspace(matrix):
@@ -115,35 +119,20 @@ def nullspace(matrix):
 
     The basis is the reduced-echelon one: vector i has 1 at the i-th free
     column and 0 at the other free columns.  A trivial kernel is settled by
-    the rank certificate alone, without rational elimination.
+    the mod-p certificate alone; otherwise one Bareiss echelon is solved
+    back to front for each free column.
     """
-    if not matrix or rank_exact(matrix) == len(matrix[0]):
+    if not matrix or rank_mod_p(matrix) == len(matrix[0]):
         return []
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n_rows, n_cols = len(a), len(a[0])
-    pivot_cols = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][col]
-        a[rank] = [x / inv for x in a[rank]]
-        for r in range(n_rows):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == n_rows:
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    a = _to_int_rows(matrix)  # row scaling leaves the kernel unchanged
+    pivots = _echelon(a)
+    n_cols = len(a[0])
     basis = []
-    for free in free_cols:
+    for free in sorted(set(range(n_cols)) - set(pivots)):
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -a[r][free]
+        for row, col in reversed(list(zip(a, pivots))):
+            rest = sum(row[c] * vec[c] for c in range(col + 1, n_cols))
+            vec[col] = Fraction(-rest, row[col])
         basis.append(tuple(vec))
     return basis

@@ -1,5 +1,6 @@
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from relprof.fileformat import (
 from relprof.presentations import LexSumPresentation, MultichainPresentation
 from relprof.profiles import profile_presented
 from relprof.structures import path_graph
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -185,6 +189,15 @@ def test_cli_algebra_checks(capsys):
         ["algebra", "T2", "--check", "tournament-identity", "--max-degree", "4"], capsys
     )
     assert code == 0 and "PASS" in out
+    # a kernel the mod-p certificate cannot settle: the echelon path finds a witness
+    code, out, _ = run_cli(
+        ["algebra", str(DATA / "clique-plus-point.txt"), "--check", "zero-divisors",
+         "--max-degree", "4"],
+        capsys,
+    )
+    assert (code, out) == (
+        1, "searched kernels=7 pure-pairs=11 random-probes=80\nFAIL witness found\n"
+    )
 
 
 def test_cli_incidence(capsys):
@@ -259,13 +272,16 @@ clique omega
 end
 """
 
-HEADER_KEYWORDS = ("slices", "fpart-domain", "index-domain")
+HEADER_KEYWORDS = ("symbols", "slices", "fpart-domain", "index-domain")
 
 
 def _input_file(rule):
-    """MULTICHAIN_HEAD with the rule appended.  A header rule ('slices',
-    'fpart-domain', 'index-domain') replaces the head line of the same
-    keyword instead, in LEXSUM_HEAD for 'index-domain'."""
+    """MULTICHAIN_HEAD with the rule appended.  A header rule ('symbols',
+    'slices', 'fpart-domain', 'index-domain') replaces the head line of the
+    same keyword instead, in LEXSUM_HEAD for 'index-domain'.  A rule that
+    starts with 'presentation' is the whole file."""
+    if rule.startswith("presentation"):
+        return rule
     keyword = rule.split()[0]
     if keyword not in HEADER_KEYWORDS:
         return MULTICHAIN_HEAD + rule + "\n"
@@ -300,6 +316,11 @@ def _input_file(rule):
     ("fpart arc\n0\nend", "line 8"),
     ("fpart arc\n0 1\nend", "line 8"),
     ("fpart mark\n0 0\nend", "line 8"),
+    ("symbols arc 2 arc 2 mark 1", "line 2: duplicate symbol names"),
+    (LEXSUM_HEAD.removesuffix("end\n"), "line 6: blocks not closed by 'end'"),
+    (LEXSUM_HEAD.replace("index-arcs\nend\n", "index-arcs\n"),
+     "line 4: index-arcs not closed by 'end'"),
+    (LEXSUM_HEAD + "clique omega\n", "line 8: unexpected line 'clique omega'"),
 ])
 def test_cli_malformed_multichain_rules_are_input_errors(capsys, tmp_path, rule, where):
     bad = tmp_path / "bad.txt"

@@ -125,18 +125,31 @@ def _pivot_free_columns(m, cols):
 def test_nullspace_certificate_and_elimination_branches():
     rng = random.Random(21)
     ranks_seen = set()
-    for trial in range(120):
+    for trial in range(136):
         kind = ("full", "deficient", "wide", "zero-column")[trial % 4]
-        cols = rng.randint(1, 6)
-        rows = rng.randint(1, cols - 1) if kind == "wide" and cols > 1 else rng.randint(cols, 7)
-        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        small = trial < 120  # later trials: up to 30 columns, entries beyond int64
+        cols = rng.randint(1, 6) if small else rng.randint(8, 30)
+        rows = (
+            rng.randint(1, cols - 1) if kind == "wide" and cols > 1
+            else rng.randint(cols, 7) if small else rng.randint(cols, cols + 2)
+        )
+        bound = 5 if small else 2 ** 70
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
         if trial % 8 >= 4:
             m = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in m]
-        if kind == "deficient" and cols > 1:
+        if kind == "deficient" and cols > 1 and small:
             a, b = rng.sample(range(cols), 2)
             factor = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             for row in m:
                 row[b] = row[a] * factor  # column b depends on column a
+        if kind == "deficient" and not small:
+            planted = rng.sample(range(cols), rng.randint(1, cols // 3))
+            sources = [c for c in range(cols) if c not in planted]
+            for b in planted:  # each planted column combines two source columns
+                a, c = rng.sample(sources, 2)
+                fa, fc = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+                for row in m:
+                    row[b] = row[a] * fa + row[c] * fc
         if kind == "zero-column":
             z = rng.randrange(cols)
             for row in m:
