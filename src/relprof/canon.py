@@ -16,12 +16,16 @@ class:
 * bound pruning - a staged prefix already above the best form cannot win;
 * automorphism pruning - equal leaves certify an automorphism, and
   candidates in one orbit of the discovered group (fixing the prefix
-  pointwise) yield identical subtrees.
+  pointwise) yield identical subtrees.  An explored candidate's orbit is
+  taken after its subtree, so automorphisms found there prune its siblings.
 
-Refinement does the heavy lifting on near-rigid structures (a transitive
-tournament refines to singleton classes and the search degenerates to one
-path) while automorphism pruning absorbs the symmetric ones (cliques,
-independent sets, empty signatures).
+Refinement does the heavy lifting on near-rigid structures while
+automorphism pruning absorbs the symmetric ones (cliques, independent sets,
+empty signatures).  When refinement is discrete (every color class a
+singleton, as for a transitive tournament) exactly one ordering sorts the
+vertices by color, so the form is that ordering's staged serialization and
+no search runs.  A discrete coloring is also stable, so refinement stops as
+soon as it reaches one.
 
 ``brute_force_form`` recomputes the same minimum by a plain sweep over all
 m! orderings and serves as the independent oracle for small domains; both
@@ -41,9 +45,10 @@ def staged_relations(m, relations, labeling=None):
     nsym = len(relations)
     stages = [[[] for _ in range(nsym)] for _ in range(m)]
     for ri, rel in enumerate(relations):
+        if labeling is not None:
+            rel = [tuple(map(labeling.__getitem__, t)) for t in rel]
         for t in rel:
-            tt = t if labeling is None else tuple(labeling[x] for x in t)
-            stages[max(tt)][ri].append(tt)
+            stages[max(t)][ri].append(t)
     return tuple(tuple(tuple(sorted(sym)) for sym in stage) for stage in stages)
 
 
@@ -93,21 +98,27 @@ def _initial_colors(m, relations):
 def refined_colors(m, relations):
     """Stable coloring under iterated tuple-incidence refinement."""
     colors = _initial_colors(m, relations)
+    # a discrete coloring is stable: a round keeps each color, as it sorts first
+    if len(set(colors)) == m:
+        return colors
+    # each tuple with its distinct entries and the positions each occupies,
+    # found once: only the color pattern changes between rounds
+    incidences = [
+        (ri, t,
+         [(x, (q,)) for q, x in enumerate(t)] if len(set(t)) == len(t) else
+         [(x, tuple(q for q, y in enumerate(t) if y == x)) for x in dict.fromkeys(t)])
+        for ri, rel in enumerate(relations)
+        for t in rel
+    ]
     while True:
         per_vertex = [[] for _ in range(m)]
-        for ri, rel in enumerate(relations):
-            for t in rel:
-                pat = tuple(colors[x] for x in t)
-                seen = set()
-                for x in t:
-                    if x in seen:
-                        continue
-                    seen.add(x)
-                    positions = tuple(q for q, y in enumerate(t) if y == x)
-                    per_vertex[x].append((ri, positions, pat))
+        for ri, t, members in incidences:
+            pat = tuple(map(colors.__getitem__, t))
+            for x, positions in members:
+                per_vertex[x].append((ri, positions, pat))
         new = _normalize([(colors[v], tuple(sorted(per_vertex[v]))) for v in range(m)])
-        if new == colors:
-            return colors
+        if new == colors or len(set(new)) == m:
+            return new
         colors = new
 
 
@@ -136,6 +147,9 @@ def canonical_form(arities, m, relations):
         return ordered_form(arities, 0, relations, [])
 
     colors = refined_colors(m, relations)
+    if len(set(colors)) == m:
+        # discrete: the colors themselves are the only color-sorted ordering
+        return (arities, m, tuple(range(m)), staged_relations(m, relations, colors))
     color_seq = tuple(sorted(colors))
     by_color = defaultdict(list)
     for v, c in enumerate(colors):
@@ -148,75 +162,76 @@ def canonical_form(arities, m, relations):
         start += len(cls)
 
     nsym = len(relations)
-    tuples_with = [defaultdict(list) for _ in range(nsym)]
+    incident = [[[] for _ in range(nsym)] for _ in range(m)]
     for ri, rel in enumerate(relations):
         for t in rel:
             for x in set(t):
-                tuples_with[ri][x].append(t)
+                incident[x][ri].append(t)
 
     assigned = [-1] * m
     chosen = []
     stages = []
     best = None  # list of stage values
     best_chosen = None
-    automorphisms = []
+    automorphisms = {}  # permutation -> its fixed points
 
     def stage_of(v, p):
-        per_symbol = []
-        for ri in range(nsym):
+        """Tuples of v whose entries are all placed once v goes to position p.
+
+        Places v at p while relabeling and frees it again before returning."""
+        assigned[v] = p
+        stage = []
+        for tuples in incident[v]:
             out = []
-            for t in tuples_with[ri].get(v, ()):
-                relabeled = []
-                for x in t:
-                    q = p if x == v else assigned[x]
-                    if q < 0:
-                        break
-                    relabeled.append(q)
-                else:
-                    out.append(tuple(relabeled))
-            per_symbol.append(tuple(sorted(out)))
-        return tuple(per_symbol)
+            for t in tuples:
+                relabeled = tuple(map(assigned.__getitem__, t))
+                if -1 not in relabeled:
+                    out.append(relabeled)
+            out.sort()
+            stage.append(tuple(out))
+        assigned[v] = -1
+        return tuple(stage)
 
     def search(p, class_index):
         nonlocal best, best_chosen
         tight = False
         if best is not None:
-            for q in range(p):
-                if stages[q] != best[q]:
-                    if stages[q] > best[q]:
-                        return  # best improved since this branch was entered
-                    break
-            else:
-                tight = True
+            prefix = best[:p]
+            if stages > prefix:
+                return  # best improved since this branch was entered
+            tight = stages == prefix
         if p == m:
             if best is None or stages < best:
                 best = list(stages)
                 best_chosen = list(chosen)
             elif tight:
                 g = tuple(best_chosen[assigned[v]] for v in range(m))
-                if any(g[v] != v for v in range(m)) and g not in automorphisms:
-                    automorphisms.append(g)
+                fixed = {v for v in range(m) if g[v] == v}
+                if len(fixed) < m:
+                    automorphisms[g] = fixed
             return
         if class_index + 1 < len(class_start) and p == class_start[class_index + 1]:
             class_index += 1
-        candidates = [v for v in class_order[class_index] if assigned[v] < 0]
-        vals = {v: stage_of(v, p) for v in candidates}
-        candidates.sort(key=lambda v: (vals[v], v))
+        ranked = sorted((stage_of(v, p), v) for v in class_order[class_index] if assigned[v] < 0)
         done = set()
-        for v in candidates:
-            if tight and best is not None and vals[v] > best[p]:
+        for i, (val, v) in enumerate(ranked, 1):
+            if tight and val > best[p]:
                 break  # sorted ascending; later candidates cannot do better
             if v in done:
                 continue
-            fixing = [g for g in automorphisms if all(g[u] == u for u in chosen)]
-            done |= _orbit(v, fixing) if fixing else {v}
             assigned[v] = p
             chosen.append(v)
-            stages.append(vals[v])
+            stages.append(val)
             search(p + 1, class_index)
             stages.pop()
             chosen.pop()
             assigned[v] = -1
+            if i < len(ranked):
+                # the orbit of v under automorphisms fixing the prefix, including
+                # those just found below v, holds only subtrees equal to v's
+                fixing = [g for g, fixed in automorphisms.items() if fixed.issuperset(chosen)]
+                if fixing:
+                    done |= _orbit(v, fixing)
 
     search(0, 0)
     return (arities, m, color_seq, tuple(best))

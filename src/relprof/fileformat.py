@@ -78,6 +78,14 @@ def _int(line_no, token, what):
         raise FormatError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
+def _arity(line_no, token):
+    """An arity field; a relation symbol takes at least one entry."""
+    arity = _int(line_no, token, "arity")
+    if arity < 1:
+        raise FormatError(line_no, f"arity must be positive, got {arity}")
+    return arity
+
+
 def _size_line(line_no, line, keyword, placeholder):
     """A '<keyword> <n>' line with n a non-negative integer."""
     parts = line.split()
@@ -116,7 +124,7 @@ def parse_structure(text: str) -> NamedStruct:
         if parts[0] != "relation" or len(parts) != 3:
             raise FormatError(line_no, f"expected 'relation <name> <arity>', got {line!r}")
         name = parts[1]
-        arity = _int(line_no, parts[2], "arity")
+        arity = _arity(line_no, parts[2])
         pos += 1
         tuples = set()
         closed = False
@@ -224,7 +232,7 @@ def _parse_multichain(lines):
     if parts[0] != "symbols" or len(parts) < 3 or len(parts) % 2 == 0:
         raise FormatError(line_no, "expected 'symbols <name> <arity> ...'")
     names = parts[1::2]
-    arities = tuple(_int(line_no, a, "arity") for a in parts[2::2])
+    arities = tuple(_arity(line_no, a) for a in parts[2::2])
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise FormatError(line_no, "duplicate symbol names")

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import random
+
+import pytest
 
 from relprof import canon
 from relprof.structures import (
@@ -68,3 +71,231 @@ def test_code_invariance_exhaustive_small():
             ]
             relabeled = make_struct(s.signature.arities, s.domain_size, rels)
             assert canonical_code(relabeled) == base
+
+
+def _discrete(m, relations):
+    return len(set(canon.refined_colors(m, relations))) == m
+
+
+def test_search_agrees_with_sweep_up_to_eight_vertices():
+    # the sweep's limit: dense digraphs with loops and a mark (refinement
+    # discrete, so the form comes from the color order alone) and symmetric
+    # ones whose ties the search must break
+    rng = random.Random(13)
+    cases = []
+    for m in (7, 8):
+        arcs = frozenset((rng.randrange(m), rng.randrange(m)) for _ in range(2 * m))
+        cases.append(((2, 1), m, (arcs, frozenset({(0,), (3,)}))))
+    cycle = frozenset((x, (x + 1) % 8) for x in range(8))
+    cases.append(((2, 1), 8, (cycle, frozenset({(0,)}))))
+    # one color class each, where vertex order is not the minimum
+    cases.append(((2, 1), 7, (frozenset((x, (x + 1) % 7) for x in range(7)), frozenset())))
+    residues = {1, 2, 4}
+    tournament = frozenset((x, y) for x in range(7) for y in range(7) if (y - x) % 7 in residues)
+    cases.append(((2,), 7, (tournament,)))
+    cases.append(((3,), 7, (frozenset({(0, 1, 1), (1, 2, 2), (3, 4, 5), (5, 4, 3)}),)))
+    cases.append(((2, 1), 7, (frozenset({(0, 1), (1, 0), (2, 2)}), frozenset({(4,), (5,)}))))
+    assert {_discrete(m, rels) for _, m, rels in cases} == {True, False}
+    for arities, m, rels in cases:
+        assert canon.canonical_form(arities, m, rels) == canon.brute_force_form(arities, m, rels)
+
+
+def _digest_structures():
+    """Seeded structures on 0..16 vertices, arities 1-3, with loops and
+    repeated entries; refinement is discrete on about half of them."""
+    rng = random.Random(20261018)
+    out = []
+    for m in range(17):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        for arities in ((1,), (2,), (3,), (2, 1), (3, 2, 1)):
+            rels = []
+            for a in arities:
+                count = rng.randint(0, 2 * m + 2) if m else 0
+                rels.append(frozenset(
+                    tuple(rng.randrange(m) for _ in range(a)) for _ in range(count)
+                ))
+            out.append((arities, m, tuple(rels)))
+        cycle = frozenset((perm[x], perm[(x + 1) % m]) for x in range(m))
+        loops = frozenset((perm[x], perm[x]) for x in range(0, m, 2))
+        triples = frozenset(
+            (perm[x], perm[(x + 1) % m], perm[(x + 1) % m]) for x in range(m)
+        )
+        halves = frozenset(
+            (perm[x], perm[y]) for x in range(m) for y in range(m)
+            if x != y and (x < m // 2) == (y < m // 2)
+        )
+        if m <= 11:  # cycles branch widely: the form puts non-neighbours first
+            out.append(((2,), m, (cycle,)))
+            out.append(((2, 2), m, (cycle, loops)))
+        out.append(((3, 1), m, (triples, frozenset((perm[x],) for x in range(0, m, 3)))))
+        out.append(((2,), m, (halves,)))
+        out.append(((1, 2, 3), m, (frozenset(), frozenset(), frozenset())))
+    return out
+
+
+def test_code_bytes_pinned_beyond_the_sweep_limit():
+    # digest recorded before the discrete shortcut and the once-per-refinement
+    # tuple positions went in: codes, and so type order, must not move
+    structures = _digest_structures()
+    assert sum(_discrete(m, rels) for _, m, rels in structures) == 79
+    assert len(structures) == 160
+    digest = hashlib.sha256()
+    for arities, m, rels in structures:
+        digest.update(canon.canonical_code_bytes(arities, m, rels))
+    assert digest.hexdigest() == (
+        "0777caae8a3f9bd92002aa7a8044b0da3508930da1776cc30df43e1b40719dba"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Differential test against networkx (m up to 40)
+# ---------------------------------------------------------------------------
+
+
+def _relabeled(m, relations, rng):
+    label = list(range(m))
+    rng.shuffle(label)
+    return tuple(frozenset(tuple(label[x] for x in t) for t in rel) for rel in relations)
+
+
+def _random_digraph(rng, m):
+    density = rng.choice((0.02, 0.05, 0.15, 0.5))
+    arcs = {(x, y) for x in range(m) for y in range(m) if rng.random() < density}
+    marks = {(v,) for v in range(m) if rng.random() < 0.3}
+    return frozenset(arcs), frozenset(marks)
+
+
+def _perturbed_digraph(rng, m, relations):
+    arcs, marks = map(set, relations)
+    if rng.random() < 0.25:
+        marks ^= {(rng.randrange(m),)}
+    else:
+        arcs ^= {(rng.randrange(m), rng.randrange(m))}
+    return frozenset(arcs), frozenset(marks)
+
+
+def _nx_digraph(nx, m, relations):
+    arcs, marks = relations
+    g = nx.DiGraph()
+    g.add_nodes_from((v, {"mark": (v,) in marks}) for v in range(m))
+    g.add_edges_from(arcs)
+    return g
+
+
+def _random_ternary(rng, m):
+    count = rng.randint(m // 2, 3 * m)
+    return (frozenset(tuple(rng.randrange(m) for _ in range(3)) for _ in range(count)),)
+
+
+def _perturbed_ternary(rng, m, relations):
+    triples = set(relations[0])
+    if triples and rng.random() < 0.5:
+        triples.remove(rng.choice(sorted(triples)))
+    triples.add(tuple(rng.randrange(m) for _ in range(3)))
+    return (frozenset(triples),)
+
+
+def _nx_incidence(nx, m, relations):
+    """Vertex and tuple nodes; an edge carries the positions the vertex holds."""
+    g = nx.Graph()
+    g.add_nodes_from((("v", x), {"kind": "vertex"}) for x in range(m))
+    for j, t in enumerate(relations[0]):
+        g.add_node(("t", j), kind="tuple")
+        for x in set(t):
+            g.add_edge(("t", j), ("v", x), positions=tuple(q for q, y in enumerate(t) if y == x))
+    return g
+
+
+def _agree_with_networkx(rng, arities, draw, perturb, is_isomorphic, trials, small):
+    """Odd trials draw two structures on at most `small` vertices, so both
+    answers occur; even trials perturb one on up to 40 vertices."""
+    answers = []
+    for trial in range(trials):
+        m = rng.randint(1, small) if trial % 2 else rng.randint(small + 1, 40)
+        rels = draw(rng, m)
+        code = canon.canonical_code_bytes(arities, m, rels)
+        assert canon.canonical_code_bytes(arities, m, _relabeled(m, rels, rng)) == code
+        other = _relabeled(m, perturb(rng, m, rels) if trial % 2 == 0 else draw(rng, m), rng)
+        iso = is_isomorphic(m, rels, other)
+        assert (canon.canonical_code_bytes(arities, m, other) == code) == iso, (m, rels, other)
+        answers.append(iso)
+    return answers
+
+
+def test_digraph_codes_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    mark = nx.algorithms.isomorphism.categorical_node_match("mark", None)
+
+    def is_isomorphic(m, left, right):
+        g, h = _nx_digraph(nx, m, left), _nx_digraph(nx, m, right)
+        # VF2++ orders by labels and degrees; plain VF2 backtracks for more
+        # than a minute over the isolated vertices of some 29-vertex pairs,
+        # so it only cross-checks the small ones
+        iso = nx.vf2pp_is_isomorphic(g, h, node_label="mark")
+        if m <= 6:
+            assert nx.is_isomorphic(g, h, node_match=mark) == iso
+        return iso
+
+    answers = _agree_with_networkx(
+        random.Random(41), (2, 1), _random_digraph, _perturbed_digraph, is_isomorphic, 200, 3
+    )
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_ternary_codes_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    iso_ = nx.algorithms.isomorphism
+    kind = iso_.categorical_node_match("kind", None)
+    positions = iso_.categorical_edge_match("positions", None)
+
+    def is_isomorphic(m, left, right):
+        return nx.is_isomorphic(
+            _nx_incidence(nx, m, left), _nx_incidence(nx, m, right),
+            node_match=kind, edge_match=positions,
+        )
+
+    answers = _agree_with_networkx(
+        random.Random(43), (3,), _random_ternary, _perturbed_ternary, is_isomorphic, 120, 3
+    )
+    assert 0 < sum(answers) < len(answers)
+
+
+def _symmetric_arcs(edges):
+    edges = list(edges)
+    return frozenset(edges) | frozenset((y, x) for x, y in edges)
+
+
+def test_rook_graph_and_shrikhande_graph_codes_differ():
+    # both strongly regular (16, 6, 2, 2): refinement leaves one class
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    rook = _symmetric_arcs(
+        (index[x], index[y]) for x in cells for y in cells
+        if x != y and (x[0] == y[0] or x[1] == y[1])
+    )
+    steps = {(0, 1), (1, 0), (1, 1)}
+    shrikhande = _symmetric_arcs(
+        (index[(a, b)], index[((a + da) % 4, (b + db) % 4)])
+        for a, b in cells for da, db in steps
+    )
+    assert len(rook) == len(shrikhande) == 96
+    assert len(set(canon.refined_colors(16, (rook,)))) == 1
+    assert len(set(canon.refined_colors(16, (shrikhande,)))) == 1
+    assert canon.canonical_code_bytes((2,), 16, (rook,)) != canon.canonical_code_bytes(
+        (2,), 16, (shrikhande,)
+    )
+    nx = pytest.importorskip("networkx")
+    assert not nx.is_isomorphic(nx.DiGraph(list(rook)), nx.DiGraph(list(shrikhande)))
+
+
+def test_paley13_code_invariant_under_relabelings():
+    squares = {x * x % 13 for x in range(1, 13)}
+    paley = frozenset((x, y) for x in range(13) for y in range(13) if (x - y) % 13 in squares)
+    code = canon.canonical_code_bytes((2,), 13, (paley,))
+    rng = random.Random(13)
+    for _ in range(10):
+        assert canon.canonical_code_bytes((2,), 13, _relabeled(13, (paley,), rng)) == code
+    # one edge flipped both ways: no longer vertex-transitive, a different code
+    x, y = next(iter(paley))
+    assert canon.canonical_code_bytes((2,), 13, (paley - {(x, y), (y, x)},)) != code

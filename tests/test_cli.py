@@ -249,6 +249,9 @@ def test_cli_input_errors(capsys, tmp_path):
     bad.write_text("structure\ndomain 2\nrelation edge 2\n0 9\nend\n")
     code, _, err = run_cli(["profile", str(bad)], capsys)
     assert code == 2 and "line 4" in err
+    bad.write_text("structure\ndomain 2\nrelation e -1\nend\n")
+    code, _, err = run_cli(["profile", str(bad)], capsys)
+    assert code == 2 and "line 3: arity must be positive" in err, err
 
 
 
@@ -317,6 +320,7 @@ def _input_file(rule):
     ("fpart arc\n0 1\nend", "line 8"),
     ("fpart mark\n0 0\nend", "line 8"),
     ("symbols arc 2 arc 2 mark 1", "line 2: duplicate symbol names"),
+    ("symbols arc 0 mark 1", "line 2: arity must be positive"),
     (LEXSUM_HEAD.removesuffix("end\n"), "line 6: blocks not closed by 'end'"),
     (LEXSUM_HEAD.replace("index-arcs\nend\n", "index-arcs\n"),
      "line 4: index-arcs not closed by 'end'"),
