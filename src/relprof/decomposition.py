@@ -1,11 +1,16 @@
 """Monomorphic parts, the coarsest decomposition, and leading monomials.
 
 A subset B is a monomorphic part when restriction types depend only on how
-many elements are taken inside B.  Any two admissible subsets are connected
-by single-element swaps inside B, and isomorphism is transitive, so the
-swap test is equivalent to the full pairwise definition (the full oracle is
-kept for tests).  Unions of largest parts give the coarsest decomposition;
-every block-wise monomorphic partition refines it.
+many elements are taken inside B.  One pair relation carries everything:
+x ~ y when R|F+x and R|F+y are isomorphic for every F avoiding x and y.  B
+is a part exactly when x ~ y for every pair of B: swapping b for b' in a
+subset S is the pair test of {b, b'} at F = S-b, any two admissible subsets
+are connected by such swaps, and isomorphism is transitive (the full
+pairwise definition is kept as a test oracle).  The sets F are visited
+smallest first, so a failing pair usually stops early, and restriction codes
+come from a lazy memo keyed by vertex bitmask.  Unions of largest parts give
+the coarsest decomposition; every block-wise monomorphic partition refines
+it.
 
 For presented structures, blocks come from the presentation slots.  The
 grouping is recovered from the coarsest decomposition of a window
@@ -65,48 +70,39 @@ class Decomposition:
 
 
 class _SubsetCodes:
-    """Per-structure cache of restriction codes, keyed by frozen subsets."""
+    """Lazy per-structure memo of restriction codes, keyed by vertex bitmask."""
 
     def __init__(self, struct: RelStruct):
         self.struct = struct
         self.codes = {}
 
-    def code(self, subset: frozenset) -> bytes:
-        got = self.codes.get(subset)
+    def code(self, mask: int) -> bytes:
+        got = self.codes.get(mask)
         if got is None:
-            got = canonical_code(restrict(self.struct, subset))
-            self.codes[subset] = got
+            vertices = [v for v in range(self.struct.domain_size) if mask >> v & 1]
+            got = canonical_code(restrict(self.struct, vertices))
+            self.codes[mask] = got
         return got
+
+    def equivalent(self, x: int, y: int) -> bool:
+        """x ~ y: R|F+x and R|F+y are isomorphic for every F avoiding x, y."""
+        bx, by = 1 << x, 1 << y
+        others = [1 << v for v in range(self.struct.domain_size) if v != x and v != y]
+        for r in range(len(others) + 1):
+            for combo in itertools.combinations(others, r):
+                f = sum(combo)
+                if self.code(f | bx) != self.code(f | by):
+                    return False
+        return True
 
 
 def is_monomorphic_part(struct: RelStruct, block, _cache: _SubsetCodes | None = None) -> bool:
-    """Swap test: replacing one chosen block element by an unchosen one must
-    preserve the restriction type, for every subset of the domain."""
-    block = frozenset(block)
-    if len(block) <= 1:
-        return True
+    """Pair test: x ~ y for every two elements x, y of the block."""
+    block = sorted(set(block))
+    if block and not (0 <= block[0] and block[-1] < struct.domain_size):
+        raise IndexError(f"block {block} not within domain of size {struct.domain_size}")
     cache = _cache or _SubsetCodes(struct)
-    universe = range(struct.domain_size)
-    for subset in _subsets_meeting(universe, block):
-        inside = subset & block
-        outside_block = block - subset
-        if not inside or not outside_block:
-            continue
-        base = cache.code(subset)
-        for b in inside:
-            for bp in outside_block:
-                if cache.code(subset - {b} | {bp}) != base:
-                    return False
-    return True
-
-
-def _subsets_meeting(universe, block):
-    elems = list(universe)
-    for r in range(1, len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            s = frozenset(combo)
-            if s & block:
-                yield s
+    return all(cache.equivalent(x, y) for x, y in itertools.combinations(block, 2))
 
 
 def is_monomorphic_part_oracle(struct: RelStruct, block) -> bool:
@@ -128,7 +124,7 @@ def is_monomorphic_part_oracle(struct: RelStruct, block) -> bool:
 
 
 def largest_monomorphic_part(struct: RelStruct, x: int, _cache=None) -> frozenset:
-    """{x} plus every y such that {x, y} is a monomorphic part.
+    """{x} plus every y with x ~ y.
 
     Subsets of monomorphic parts are parts, so y lies in some part
     containing x exactly when the pair {x, y} is one; the union of all parts
@@ -137,11 +133,7 @@ def largest_monomorphic_part(struct: RelStruct, x: int, _cache=None) -> frozense
     if not 0 <= x < struct.domain_size:
         raise IndexError(f"vertex {x} out of range")
     cache = _cache or _SubsetCodes(struct)
-    members = {x}
-    for y in struct.domain:
-        if y != x and is_monomorphic_part(struct, {x, y}, cache):
-            members.add(y)
-    return frozenset(members)
+    return frozenset(y for y in struct.domain if y == x or cache.equivalent(x, y))
 
 
 def canonical_decomposition(struct: RelStruct) -> Decomposition:
@@ -163,7 +155,7 @@ def canonical_decomposition(struct: RelStruct) -> Decomposition:
         )
     for part in parts:
         if not is_monomorphic_part(struct, part, cache):
-            raise AssertionError(f"computed part {sorted(part)} fails the swap test")
+            raise AssertionError(f"computed part {sorted(part)} fails the pair test")
     blocks = tuple(
         (tuple(sorted(p)), len(p)) for p in sorted(parts, key=min)
     )

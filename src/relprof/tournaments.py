@@ -2,8 +2,11 @@
 
 A tournament's profile growth is either polynomial (exactly when it is a
 lexicographic sum of acyclic tournaments over a finite tournament, i.e. has
-finitely many acyclic components) or at least exponential.  Lexicographic
-sum presentations are classified structurally from their block kinds; for
+finitely many acyclic components) or at least exponential.  Acyclic
+components come from autonomous closures: y shares x's component exactly
+when the smallest autonomous set holding both is acyclic, so finding them
+takes pair closures, not a scan of all vertex subsets.  Lexicographic sum
+presentations are classified structurally from their block kinds; for
 multichain presentations the acyclic components of growing window
 truncations decide the matter, with the window evidence attached to the
 report (the published list of twelve obstruction tournaments is not
@@ -75,35 +78,50 @@ def _is_acyclic(struct: RelStruct, subset) -> bool:
     return seen == len(subset)
 
 
+def _autonomous_closure(struct: RelStruct, members) -> set:
+    """The smallest autonomous set containing the members: keep adding each
+    outside vertex that tells two members apart."""
+    arcs = struct.relations[0]
+    closure = set(members)
+    grew = True
+    while grew:
+        grew = False
+        for z in struct.domain:
+            if z not in closure and len({((z, a) in arcs, (a, z) in arcs) for a in closure}) > 1:
+                closure.add(z)
+                grew = True
+    return closure
+
+
 def acyclic_components(struct: RelStruct) -> tuple:
     """The maximal acyclic autonomous subsets; they partition the vertices.
 
-    Each vertex's component is the union of all acyclic autonomous sets
-    containing it; the union is re-verified to be acyclic and autonomous and
-    the family to be a partition, since anything else would contradict the
-    partition property and indicates a bug.
+    Autonomous sets are closed under intersection, so an acyclic autonomous
+    set holds both x and y exactly when the autonomous closure of {x, y} is
+    acyclic; x's component is x plus every such y.  Each component is
+    re-verified to be acyclic and autonomous and the family to be a
+    partition, since anything else would contradict the partition property
+    and indicates a bug.
     """
     if not is_tournament(struct):
         raise ValueError("acyclic components are defined for tournaments")
     m = struct.domain_size
-    good = []
-    for r in range(1, m + 1):
-        for subset in itertools.combinations(range(m), r):
-            if _is_acyclic(struct, subset) and is_autonomous(struct, subset):
-                good.append(frozenset(subset))
     components = []
     seen = set()
     for x in range(m):
         if x in seen:
             continue
-        union = frozenset().union(*(s for s in good if x in s)) or frozenset({x})
-        if not (_is_acyclic(struct, union) and is_autonomous(struct, union)):
+        component = frozenset(
+            y for y in range(m)
+            if y == x or _is_acyclic(struct, _autonomous_closure(struct, {x, y}))
+        )
+        if not (_is_acyclic(struct, component) and is_autonomous(struct, component)):
             raise AssertionError(
                 f"union of acyclic autonomous sets through {x} is not one itself; "
                 "contradicts the component partition property"
             )
-        components.append(union)
-        seen |= union
+        components.append(component)
+        seen |= component
     if sum(len(c) for c in components) != m:
         raise AssertionError("acyclic components failed to partition the vertex set")
     return tuple(tuple(sorted(c)) for c in components)

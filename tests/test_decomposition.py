@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,10 +21,13 @@ from relprof.decomposition import (
 from relprof.presentations import (
     ACYCLIC,
     CLIQUE,
+    INDEPENDENT,
     OMEGA,
     LexSumPresentation,
     enumerate_age,
     lexsum_tournament_fixture,
+    realize_composition,
+    slow_profile_structure,
     sum_of_cliques,
 )
 from relprof.structures import (
@@ -34,6 +38,7 @@ from relprof.structures import (
     digraph,
     disjoint_union,
     independent_graph,
+    make_struct,
     path_graph,
 )
 
@@ -93,6 +98,74 @@ def test_subset_closure_of_parts():
                 if is_monomorphic_part(s, block):
                     for sub in itertools.combinations(block, max(r - 1, 0)):
                         assert is_monomorphic_part(s, sub)
+
+
+def relabel(struct, perm):
+    return make_struct(
+        struct.signature.arities,
+        struct.domain_size,
+        [[tuple(perm[x] for x in t) for t in rel] for rel in struct.relations],
+    )
+
+
+def shuffled_lexsum_truncation(rng, m):
+    """A random lexsum over a random index digraph, truncated to m vertices
+    and relabelled; each block takes at least one vertex."""
+    k = rng.randint(1, min(m, 4))
+    arcs = [(i, j) for i in range(k) for j in range(k) if i != j and rng.random() < 0.5]
+    kinds = [rng.choice((ACYCLIC, CLIQUE, INDEPENDENT)) for _ in range(k)]
+    pres = LexSumPresentation(digraph(k, arcs), tuple((kind, OMEGA) for kind in kinds))
+    counts = [1] * k
+    for _ in range(m - k):
+        counts[rng.randrange(k)] += 1
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return relabel(realize_composition(pres, counts), perm)
+
+
+def marked_lexsum(rng, m):
+    """A shuffled lexsum truncation with a random unary mark on top."""
+    base = shuffled_lexsum_truncation(rng, m)
+    marks = {(v,) for v in range(m) if rng.random() < 0.5}
+    return make_struct((2, 1), m, [base.relations[0], marks])
+
+
+def oracle_structures():
+    rng = random.Random(14)
+    structs = [shuffled_lexsum_truncation(rng, rng.randint(4, 8)) for _ in range(8)]
+    structs += [marked_lexsum(rng, rng.randint(4, 7)) for _ in range(4)]
+    structs.append(slow_profile_structure([1, 1, 2, 2, 3, 3, 3, 3], 7))
+    return rng, structs
+
+
+def test_is_monomorphic_part_rejects_vertices_out_of_range():
+    p = path_graph(3)
+    for block in ({99, 100}, {-1, -2}, {0, 99}, {-1}, {3}):
+        with pytest.raises(IndexError):
+            is_monomorphic_part(p, block)
+
+
+def test_pair_test_matches_full_oracle_on_seeded_structures():
+    rng, structs = oracle_structures()
+    for s in structs:
+        m = s.domain_size
+        blocks = [set(pair) for pair in itertools.combinations(range(m), 2)]
+        blocks += [{v for v in range(m) if rng.random() < 0.5} for _ in range(10)]
+        blocks += [set(members) for members, _ in canonical_decomposition(s).blocks]
+        for block in blocks:
+            assert is_monomorphic_part(s, block) == is_monomorphic_part_oracle(s, block), (
+                s, sorted(block))
+
+
+def test_canonical_decomposition_invariant_under_relabelling():
+    rng, structs = oracle_structures()
+    for s in structs:
+        perm = list(range(s.domain_size))
+        rng.shuffle(perm)
+        blocks = {frozenset(perm[v] for v in members) for members, _ in
+                  canonical_decomposition(s).blocks}
+        moved = canonical_decomposition(relabel(s, perm))
+        assert {frozenset(members) for members, _ in moved.blocks} == blocks, s
 
 
 def test_largest_part_acyclic_tournament():

@@ -1,10 +1,13 @@
 """The README's fast CLI commands, pinned byte for byte, a zero-divisor
-search whose counts pin the search path, and the profile of a committed
-ternary structure, which pins the finite subset walk.
+search whose counts pin the search path, the profile of a committed
+ternary structure, which pins the finite subset walk, and the tournament
+and decomposition reports of a committed shuffled lexicographic sum, which
+pin the acyclic components and the pair test.
 
 Each command runs in a fresh interpreter under two ``PYTHONHASHSEED``
-values; both stdouts must equal the file in ``tests/golden/``.  To re-record
-a file after an intended output change, run the command with
+values, from the repository root; both stdouts must equal the file in
+``tests/golden/``.  To re-record a file after an intended output change, run
+the command from the repository root with
 ``PYTHONPATH=src python3 -m relprof.cli ... > tests/golden/<name>.txt``.
 """
 
@@ -41,6 +44,9 @@ COMMANDS = {
     "profile-ternary10": [
         "profile", str(ROOT / "tests" / "data" / "ternary10.txt"), "--max-n", "10",
     ],
+    # the source path is echoed on stdout, so it is given relative to the root
+    "tournament-c3-lexsum12": ["tournament", "tests/data/c3-lexsum12.txt"],
+    "decompose-c3-lexsum12": ["decompose", "tests/data/c3-lexsum12.txt"],
 }
 
 
@@ -51,7 +57,7 @@ def _stdout(argv, hashseed):
     )
     done = subprocess.run(
         [sys.executable, "-m", "relprof.cli", *argv],
-        env=env, capture_output=True, check=False,
+        env=env, cwd=ROOT, capture_output=True, check=False,
     )
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout

@@ -2,16 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relprof import profiles
 from relprof.presentations import (
+    BLOCK_KINDS,
     CLIQUE,
+    COMPARATORS,
     OMEGA,
     LexSumPresentation,
     colored_dense_chain,
     half_complete_bipartite,
     kernel_probe,
     lexsum_tournament_fixture,
+    multichain,
     product_of,
     reflexive_chain,
     slow_profile_structure,
@@ -245,6 +249,60 @@ def test_profile_presented_matches_brute_oracle():
     for pres in fixtures:
         for n in range(5):
             assert profile_presented(pres, n) == brute_profile_presented(pres, n)
+
+
+def _subsets_of(elements):
+    elements = list(elements)
+    return st.sets(st.sampled_from(elements)) if elements else st.just(set())
+
+
+@st.composite
+def small_lexsums(draw):
+    """An index digraph on 1-3 vertices with blocks of any kind, omega or finite."""
+    k = draw(st.integers(1, 3))
+    arcs = draw(_subsets_of((i, j) for i in range(k) for j in range(k) if i != j))
+    blocks = tuple(
+        (draw(st.sampled_from(BLOCK_KINDS)), draw(st.sampled_from((OMEGA, 1, 2))))
+        for _ in range(k)
+    )
+    return LexSumPresentation(digraph(k, arcs), blocks)
+
+
+@st.composite
+def small_multichains(draw):
+    """One binary symbol, maybe a unary one, a finite part of at most one
+    element and one or two slices, with arbitrary rule tables."""
+    arities = draw(st.sampled_from(((2,), (2, 1), (1, 2))))
+    f_size = draw(st.integers(0, 1))
+    v_size = draw(st.integers(1, 2))
+    f_elts, slices = range(f_size), range(v_size)
+    f_rels = [
+        draw(_subsets_of(itertools.product(f_elts, repeat=arity))) for arity in arities
+    ]
+    unary, vv, fv, vf = {}, {}, {}, {}
+    for sym, arity in enumerate(arities):
+        if arity == 1:
+            unary[sym] = draw(_subsets_of(slices))
+            continue
+        vv[sym] = draw(_subsets_of(itertools.product(slices, slices, COMPARATORS)))
+        fv[sym] = draw(_subsets_of(itertools.product(f_elts, slices)))
+        vf[sym] = draw(_subsets_of(itertools.product(slices, f_elts)))
+    return multichain(arities, make_struct(arities, f_size, f_rels), v_size,
+                      unary, vv, fv, vf)
+
+
+@settings(derandomize=True, database=None, max_examples=75, deadline=None)
+@given(small_lexsums())
+def test_random_lexsum_profile_matches_brute_oracle(pres):
+    for n in range(5):
+        assert profile_presented(pres, n) == brute_profile_presented(pres, n), n
+
+
+@settings(derandomize=True, database=None, max_examples=75, deadline=None)
+@given(small_multichains())
+def test_random_multichain_profile_matches_brute_oracle(pres):
+    for n in range(5):
+        assert profile_presented(pres, n) == brute_profile_presented(pres, n), n
 
 
 def test_profile_presented_matches_pairwise_dedup_oracle():

@@ -23,6 +23,7 @@ from relprof.tournaments import (
     EXPONENTIAL,
     FINITE,
     POLYNOMIAL,
+    _is_acyclic,
     acyclic_components,
     classify,
     is_tournament,
@@ -73,13 +74,62 @@ def test_acyclic_components_maximality_exhaustive():
     tournaments += [random_tournament(7, rng) for _ in range(5)]
     for t in tournaments:
         comps = acyclic_components(t)
-        from relprof.tournaments import _is_acyclic
-
         for c in comps:
             assert _is_acyclic(t, c) and is_autonomous(t, c)
         for a, b in itertools.combinations(comps, 2):
             union = set(a) | set(b)
             assert not (_is_acyclic(t, union) and is_autonomous(t, union)), (t, a, b)
+
+
+def acyclic_components_oracle(t):
+    """The 2^m definition: each vertex's component is the union of every
+    acyclic autonomous subset holding it."""
+    m = t.domain_size
+    good = [
+        set(subset)
+        for r in range(1, m + 1)
+        for subset in itertools.combinations(range(m), r)
+        if _is_acyclic(t, subset) and is_autonomous(t, subset)
+    ]
+    components = {frozenset().union(*(s for s in good if x in s)) for x in range(m)}
+    return tuple(sorted(tuple(sorted(c)) for c in components))
+
+
+def shuffled_lexsum_of_chains(index, sizes, rng):
+    """Acyclic blocks of the given sizes over an index tournament, vertices
+    shuffled; returns the tournament and its blocks as sorted tuples."""
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append([label[v] for v in range(start, start + size)])
+        start += size
+    arcs = set()
+    for block in blocks:
+        arcs |= {(u, v) for i, u in enumerate(block) for v in block[i + 1:]}
+    for i, j in index.relations[0]:
+        arcs |= {(u, v) for u in blocks[i] for v in blocks[j]}
+    return digraph(len(label), arcs), sorted(tuple(sorted(b)) for b in blocks)
+
+
+def test_acyclic_components_match_subset_oracle():
+    rng = random.Random(14)
+    tournaments = [random_tournament(rng.randint(1, 9), rng) for _ in range(30)]
+    for _ in range(15):
+        k = rng.randint(1, 4)
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        while sum(sizes) > 9:
+            sizes.pop()
+        t, _ = shuffled_lexsum_of_chains(random_tournament(len(sizes), rng), sizes, rng)
+        tournaments.append(t)
+    for t in tournaments:
+        assert acyclic_components(t) == acyclic_components_oracle(t), t
+
+
+def test_acyclic_components_forty_vertex_lexsum():
+    t, blocks = shuffled_lexsum_of_chains(cyclic_tournament_3(), (17, 13, 10), random.Random(5))
+    assert t.domain_size == 40
+    assert sorted(acyclic_components(t)) == blocks
 
 
 def test_classify_finite():
