@@ -75,6 +75,7 @@ class _SubsetCodes:
     def __init__(self, struct: RelStruct):
         self.struct = struct
         self.codes = {}
+        self.pairs = {}  # (x, y) with x < y -> x ~ y
 
     def code(self, mask: int) -> bytes:
         got = self.codes.get(mask)
@@ -85,7 +86,15 @@ class _SubsetCodes:
         return got
 
     def equivalent(self, x: int, y: int) -> bool:
-        """x ~ y: R|F+x and R|F+y are isomorphic for every F avoiding x, y."""
+        """x ~ y: R|F+x and R|F+y are isomorphic for every F avoiding x, y.
+        Each unordered pair is walked once."""
+        pair = (x, y) if x < y else (y, x)
+        got = self.pairs.get(pair)
+        if got is None:
+            got = self.pairs[pair] = self._walk(*pair)
+        return got
+
+    def _walk(self, x: int, y: int) -> bool:
         bx, by = 1 << x, 1 << y
         others = [1 << v for v in range(self.struct.domain_size) if v != x and v != y]
         for r in range(len(others) + 1):

@@ -15,14 +15,22 @@ signatures:
   clique, independent set, chain, reflexive clique, antichain) of finite or
   infinite size.  Finite restrictions are encoded by size compositions.
 
-Ages are enumerated exactly: realize every word (or composition) of total
-size n, deduplicate by canonical code.
+Ages are enumerated exactly.  A lexicographic sum realizes every
+composition of total size n and deduplicates by canonical code.  A
+multichain does the same with its words while they are no more than the
+candidates of the prefix sweep (``_PrefixSweep``); past that, level n is
+read from the sweep, which keeps one prefix per type of its realization
+with each element marked by its interface to later positions, and extends
+the prefixes kept at smaller levels by one letter.  Both engines give the
+same codes; which realization represents a type is not fixed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import threading
 from dataclasses import dataclass
 
 from .structures import (
@@ -340,13 +348,19 @@ def compositions_of_size(pres, n: int):
 def enumerate_age(pres, n: int):
     """Isomorphism types of the n-element restrictions, as (code -> representative).
 
-    Returned mapping is ordered by canonical code; representatives are the
-    first realization found in enumeration order.
+    The mapping is ordered by canonical code.  A representative is some
+    realization of its type (a word's realization for a multichain, a
+    composition's for a lexicographic sum); which one is not part of the
+    contract, only its isomorphism type is.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if isinstance(pres, MultichainPresentation):
-        raws = (_realized_relations(pres, w) for w in words_of_size(pres, n))
+        level = _sweep_of(pres).level(n)
+        if level is None:
+            raws = (_realized_relations(pres, w) for w in words_of_size(pres, n))
+        else:
+            raws = ((n, rels) for rels, _ in level)
         signature = pres.signature
     elif isinstance(pres, LexSumPresentation):
         raws = (
@@ -367,6 +381,168 @@ def enumerate_age(pres, n: int):
         if code not in by_code:
             by_code[code] = struct
     return dict(sorted(by_code.items()))
+
+
+# ---------------------------------------------------------------------------
+# Prefix sweep for multichain ages
+# ---------------------------------------------------------------------------
+
+
+class _PrefixSweep:
+    """The types of a multichain presentation's restrictions, level by level.
+
+    A *state* is a prefix of a word: an F subset plus letters at positions
+    0..p-1, held as its realization (relations in ``realize``'s element
+    order) and the interface class of each element.  The interface of a
+    placed element is the set of (slice y, symbol, direction) through which
+    it relates to any element (y, j) at a later position j; for a slice
+    element x it comes from the '<' rules (x, y) and the '>' rules (y, x),
+    for an F element from its fv and vf rules.  Extending a state appends
+    one letter at a new last position, so every element already placed
+    meets the new ones through its interface alone.  Two states whose
+    realizations are isomorphic by a map that keeps each element's class
+    therefore have isomorphic completions by every suffix, and one of them
+    is kept.  Level n is built from the F subsets of size n and the kept
+    states of levels n - v..n - 1, extended by letters of the missing size.
+    """
+
+    def __init__(self, pres: MultichainPresentation):
+        self.pres = pres
+        arities = pres.signature.arities
+        v, f = pres.v_size, pres.f_size
+        slice_faces = [set() for _ in range(v)]
+        f_faces = [set() for _ in range(f)]
+        for s, arity in enumerate(arities):
+            if arity != 2:
+                continue
+            for x, y, cmp in pres.vv_true[s]:
+                if cmp == "<":  # (x, i) -> (y, j) for i < j
+                    slice_faces[x].add((y, s, 0))
+                elif cmp == ">":  # (x, i) -> (y, j) for i > j
+                    slice_faces[y].add((x, s, 1))
+            for a, y in pres.fv_true[s] or ():
+                f_faces[a].add((y, s, 0))
+            for y, a in pres.vf_true[s] or ():
+                f_faces[a].add((y, s, 1))
+        faces = [frozenset(face) for face in slice_faces + f_faces]
+        interfaces = sorted(set(faces), key=sorted)
+        class_of = [interfaces.index(face) for face in faces]
+        slice_class, self.f_class = class_of[:v], class_of[v:]
+        # letters by size, each size in bitmask order, as (classes of the new
+        # elements, per symbol the tuples among them, per placed class and
+        # symbol the new indices it points to and those pointing to it)
+        self.letters = [[] for _ in range(v + 1)]
+        for mask in range(1, 1 << v):
+            xs = [x for x in range(v) if mask >> x & 1]
+            inner, cross = [], [[] for _ in interfaces]
+            for s, arity in enumerate(arities):
+                if arity == 1:
+                    inner.append([(k,) for k, x in enumerate(xs) if x in pres.unary_slices[s]])
+                    for per_class in cross:
+                        per_class.append(((), ()))
+                    continue
+                vv = pres.vv_true[s]
+                inner.append([(k, l) for k, x in enumerate(xs) for l, y in enumerate(xs)
+                              if (x, y, "=") in vv])
+                for per_class, face in zip(cross, interfaces):
+                    per_class.append((
+                        tuple(k for k, x in enumerate(xs) if (x, s, 0) in face),
+                        tuple(k for k, x in enumerate(xs) if (x, s, 1) in face),
+                    ))
+            classes = tuple(slice_class[x] for x in xs)
+            self.letters[len(xs)].append((classes, inner, cross))
+        self.levels = []  # level -> candidates
+        self.states = []  # level -> candidates kept, one per marked type
+        self.lock = threading.Lock()  # levels are appended in order, one caller at a time
+
+    def level(self, n: int):
+        """Level n's candidates, or None when the words of size n are no more
+        than they are and should be walked instead."""
+        with self.lock:
+            if self.word_count(n) <= self.candidate_count(n):
+                return None
+            return self.candidates(n)
+
+    def word_count(self, n: int) -> int:
+        """W(n): the words of total size n, in closed form."""
+        v, f = self.pres.v_size, self.pres.f_size
+        letters = [1]  # letter sequences of each total size
+        for t in range(1, n + 1):
+            letters.append(sum(math.comb(v, j) * letters[t - j] for j in range(1, min(v, t) + 1)))
+        return sum(math.comb(f, a) * letters[n - a] for a in range(min(f, n) + 1))
+
+    def candidate_count(self, n: int) -> int:
+        """E(n): the F roots of size n plus one child per kept state and letter."""
+        v, f = self.pres.v_size, self.pres.f_size
+        return math.comb(f, n) + sum(
+            len(self._states(n - j)) * math.comb(v, j) for j in range(1, min(v, n) + 1)
+        )
+
+    def candidates(self, n: int) -> list:
+        """Level n's (relations, classes): the F roots of size n, then each kept
+        state of level n - j extended by each letter of size j; duplicates dropped."""
+        while len(self.levels) <= n:
+            level = len(self.levels)
+            found = dict.fromkeys(self._roots(level))
+            for j in range(1, min(self.pres.v_size, level) + 1):
+                for rels, classes in self._states(level - j):
+                    for letter in self.letters[j]:
+                        found.setdefault(self._extend(rels, classes, letter))
+            self.levels.append(list(found))
+        return self.levels[n]
+
+    def _roots(self, n: int):
+        """The states with no letter: the F subsets of size n in bitmask order."""
+        f = self.pres.f_size
+        for mask in range(1 << f):
+            subset = [a for a in range(f) if mask >> a & 1]
+            if len(subset) == n:
+                rels = restrict(self.pres.finite_part, subset).relations
+                yield rels, tuple(self.f_class[a] for a in subset)
+
+    def _extend(self, rels: tuple, classes: tuple, letter) -> tuple:
+        """The child state after one letter at a new last position."""
+        new_classes, inner, cross = letter
+        base = len(classes)
+        out = []
+        for s, rel in enumerate(rels):
+            added = [tuple(base + k for k in t) for t in inner[s]]
+            for i, c in enumerate(classes):
+                outs, ins = cross[c][s]
+                added += [(i, base + k) for k in outs]
+                added += [(base + k, i) for k in ins]
+            out.append(rel.union(added) if added else rel)
+        return tuple(out), classes + new_classes
+
+    def _states(self, n: int) -> list:
+        """Level n's candidates, the first one per key: the interface classes
+        present and the code of the realization with one unary mark per
+        class.  With at most one class a mark tells nothing, so the unmarked
+        code serves; it is also the candidate's age code."""
+        while len(self.states) <= n:
+            level = len(self.states)
+            sig = self.pres.signature
+            kept = {}
+            for rels, classes in self.candidates(level):
+                present = sorted(set(classes))
+                if len(present) > 1:
+                    marks = tuple(
+                        frozenset((i,) for i, c in enumerate(classes) if c == mark)
+                        for mark in present
+                    )
+                    marked = Signature(sig.arities + (1,) * len(present))
+                    struct = RelStruct(marked, level, rels + marks)
+                else:
+                    struct = RelStruct(sig, level, rels)
+                kept.setdefault((tuple(present), canonical_code(struct)), (rels, classes))
+            self.states.append(list(kept.values()))
+        return self.states[n]
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep_of(pres: MultichainPresentation) -> _PrefixSweep:
+    """One sweep per presentation, so levels built for one request serve the next."""
+    return _PrefixSweep(pres)
 
 
 # ---------------------------------------------------------------------------

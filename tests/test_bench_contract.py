@@ -1,8 +1,9 @@
 """The names the traced benchmark looks up in relprof still exist.
 
-``bench/tracing.py`` finds the functions it wraps by attribute and
+``bench/tracing.py`` finds the functions it wraps by attribute,
 ``bench/worker.py`` reads the hits and misses of two ``lru_cache`` functions,
-so a renamed or un-cached function would otherwise fail only a whole
+and a traced run requires calls through the import sites it expects, so a
+renamed, un-cached or bypassed function would otherwise fail only a whole
 benchmark run.  ``bench/`` is read here, never changed.
 """
 
@@ -53,12 +54,12 @@ def test_worker_caches_expose_cache_info(name):
     assert info.hits >= 0 and info.misses >= 0
 
 
-def test_traced_worker_runs_a_cli_case():
+def _traced_worker(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    case = json.dumps({"argv": ["tournament", "C3omega"], "trace": True})
+    case = json.dumps({"argv": argv, "trace": True})
     done = subprocess.run(
         [sys.executable, str(BENCH / "worker.py"), case],
         env=env, capture_output=True, check=False, text=True,
@@ -67,4 +68,18 @@ def test_traced_worker_runs_a_cli_case():
     result = json.loads(done.stdout)
     assert "error" not in result, result["error"]
     assert result["exit"] == 0
+    return result
+
+
+def test_traced_worker_runs_a_cli_case():
+    result = _traced_worker(["tournament", "C3omega"])
     assert result["trace"]["functions"]
+
+
+def test_traced_multichain_profile_reaches_the_word_and_age_sites():
+    # a traced sparse-sweep run fails when an import site it expects records
+    # no call; a multichain profile must still walk words at its smallest sizes
+    result = _traced_worker(["profile", "C3omega", "--max-n", "4"])
+    sites = result["trace"]["sites"]
+    for site in ("presentations.words_of_size", "profiles.enumerate_age"):
+        assert sites.get(site, 0) > 0, site

@@ -7,6 +7,7 @@ from relprof.decomposition import (
     AddLayerReport,
     Decomposition,
     Monomial,
+    _SubsetCodes,
     canonical_decomposition,
     is_monomorphic_part,
     is_monomorphic_part_oracle,
@@ -198,6 +199,22 @@ def test_canonical_decomposition_two_block_graph():
         tuple(range(6)),
         tuple(range(6, 12)),
     }
+
+
+def test_canonical_decomposition_walks_each_pair_once(monkeypatch):
+    walked = []
+    walk = _SubsetCodes._walk
+
+    def counting(self, x, y):
+        walked.append((x, y))
+        return walk(self, x, y)
+
+    monkeypatch.setattr(_SubsetCodes, "_walk", counting)
+    cliques = disjoint_union(disjoint_union(clique_graph(6), clique_graph(4)), clique_graph(3))
+    d = canonical_decomposition(cliques)
+    assert [members for members, _ in d.blocks] == [
+        tuple(range(6)), tuple(range(6, 10)), tuple(range(10, 13))]
+    assert len(walked) == len(set(walked)) == 47
 
 
 def test_canonical_decomposition_path_is_discrete():

@@ -2,7 +2,10 @@
 search whose counts pin the search path, the profile of a committed
 ternary structure, which pins the finite subset walk, and the tournament
 and decomposition reports of a committed shuffled lexicographic sum, which
-pin the acyclic components and the pair test.
+pin the acyclic components and the pair test.  Two multichain windows past
+the word path's reach, C3omega to n = 14 and ``interval-chain:2`` to
+n = 12, were written from their closed forms (a(n) = a(n-1) + a(n-3) and
+C(n+2, 2)), not recorded, and must not be re-recorded.
 
 Each command runs in a fresh interpreter under two ``PYTHONHASHSEED``
 values, from the repository root; both stdouts must equal the file in
@@ -28,6 +31,10 @@ COMMANDS = {
     "series-C3omega": [
         "series", "C3omega", "--max-n", "7", "--denominator-poly", "1,-1,0,-1",
     ],
+    "series-C3omega-14": [
+        "series", "C3omega", "--max-n", "14", "--denominator-poly", "1,-1,0,-1",
+    ],
+    "profile-interval-chain-2": ["profile", "interval-chain:2", "--max-n", "12"],
     "decompose-two-cliques": ["decompose", "two-cliques"],
     "algebra-colored-chain-2-e-regular": [
         "algebra", "colored-chain:2", "--check", "e-regular", "--max-degree", "6",

@@ -1,3 +1,7 @@
+import math
+import sys
+import threading
+
 import pytest
 
 from relprof.presentations import (
@@ -6,6 +10,7 @@ from relprof.presentations import (
     OMEGA,
     LexSumPresentation,
     Word,
+    _PrefixSweep,
     colored_dense_chain,
     enumerate_age,
     half_complete_bipartite,
@@ -21,6 +26,7 @@ from relprof.presentations import (
     words_of_size,
 )
 from relprof.structures import (
+    RelStruct,
     acyclic_tournament,
     are_isomorphic,
     are_isomorphic_brute_force,
@@ -31,6 +37,7 @@ from relprof.structures import (
     make_struct,
     restrict,
 )
+from relprof.series import RationalForm, expand
 
 
 def test_word_validation():
@@ -136,16 +143,97 @@ def test_lexsum_block_subsets_are_monomorphic():
 def test_tournament_fixture_t3_equals_lexsum_form():
     multi = tournament_fixtures("T3")
     lex = lexsum_tournament_fixture("T3")
-    for n in range(6):
-        assert set(enumerate_age(multi, n)) == set(enumerate_age(lex, n))
+    for n in range(13):
+        assert set(enumerate_age(multi, n)) == set(enumerate_age(lex, n)), n
 
 
 def test_tournament_fixture_t1_t2_match_lexsum():
     for name in ("omega", "T1", "T2"):
         multi = tournament_fixtures(name)
         lex = lexsum_tournament_fixture(name)
-        for n in range(6):
+        for n in range(13):
             assert set(enumerate_age(multi, n)) == set(enumerate_age(lex, n)), (name, n)
+
+
+MULTICHAIN_FIXTURES = [
+    *(tournament_fixtures(name) for name in ("omega", "T1", "T2", "T3", "C3omega")),
+    half_complete_bipartite(),
+    half_complete_bipartite(tilde=True),
+    colored_dense_chain(2),
+    colored_dense_chain(3),
+    interval_division_chain(2),
+    product_of(reflexive_chain(3)),
+]
+
+
+@pytest.mark.parametrize("pres", MULTICHAIN_FIXTURES, ids=lambda pres: pres.name)
+def test_prefix_sweep_matches_word_realizations(pres):
+    # the word path realizes every word; the sweep merges prefixes by their
+    # interface-marked types and must reach exactly the same codes
+    sweep = _PrefixSweep(pres)
+    for n in range(7):
+        words = {canonical_code(realize(pres, w)) for w in words_of_size(pres, n)}
+        swept = {canonical_code(RelStruct(pres.signature, n, rels))
+                 for rels, _ in sweep.candidates(n)}
+        assert swept == words, n
+        assert set(enumerate_age(pres, n)) == words, n
+
+
+def test_prefix_sweep_shared_by_threads_builds_each_level_once():
+    def codes(sweep, n):
+        level = sweep.level(n)
+        return None if level is None else {
+            canonical_code(RelStruct(sweep.pres.signature, n, rels)) for rels, _ in level}
+
+    pres = half_complete_bipartite()
+    alone = _PrefixSweep(pres)
+    expected = [codes(alone, n) for n in range(8)]
+    shared = _PrefixSweep(pres)
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [codes(shared, n) for n in range(8)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+    assert len(shared.levels) == len(alone.levels) and len(shared.states) == len(alone.states)
+
+
+def _c3omega_values(window):
+    values = [1, 1, 1]
+    while len(values) <= window:
+        values.append(values[-1] + values[-3])
+    return values
+
+
+# criterion 04's rational form
+_HALF_BIPARTITE = RationalForm((1, -2, -1, 3, -1), denominator_poly=(1, -3, 0, 6, -4))
+
+
+@pytest.mark.parametrize("pres, expected", [
+    pytest.param(tournament_fixtures("C3omega"), _c3omega_values(16), id="C3omega"),
+    pytest.param(interval_division_chain(2), [math.comb(n + 2, 2) for n in range(15)],
+                 id="interval-chain:2"),
+    pytest.param(product_of(reflexive_chain(3)), [1 + math.comb(n, 2) for n in range(11)],
+                 id="chain-product:3"),
+    pytest.param(half_complete_bipartite(), list(expand(_HALF_BIPARTITE, 10).coeffs),
+                 id="half-bipartite"),
+    pytest.param(half_complete_bipartite(tilde=True), [1] + [2 ** (n - 1) for n in range(1, 11)],
+                 id="half-bipartite-tilde"),
+    pytest.param(colored_dense_chain(3), [3 ** n for n in range(9)], id="colored-chain:3"),
+])
+def test_multichain_closed_forms_past_the_word_windows(pres, expected):
+    assert [len(enumerate_age(pres, n)) for n in range(len(expected))] == expected
 
 
 def test_unknown_fixture_rejected():

@@ -11,6 +11,7 @@ from relprof.presentations import (
     COMPARATORS,
     OMEGA,
     LexSumPresentation,
+    _PrefixSweep,
     colored_dense_chain,
     half_complete_bipartite,
     kernel_probe,
@@ -41,6 +42,7 @@ from relprof.profiles import (
     subset_codes,
 )
 from relprof.structures import (
+    RelStruct,
     canonical_code,
     clique_graph,
     digraph,
@@ -270,11 +272,11 @@ def small_lexsums(draw):
 
 @st.composite
 def small_multichains(draw):
-    """One binary symbol, maybe a unary one, a finite part of at most one
-    element and one or two slices, with arbitrary rule tables."""
-    arities = draw(st.sampled_from(((2,), (2, 1), (1, 2))))
-    f_size = draw(st.integers(0, 1))
-    v_size = draw(st.integers(1, 2))
+    """One or two binary symbols, maybe a unary one, a finite part of at most
+    two elements and one to three slices, with arbitrary rule tables."""
+    arities = draw(st.sampled_from(((2,), (2, 1), (1, 2), (2, 2))))
+    f_size = draw(st.integers(0, 2))
+    v_size = draw(st.integers(1, 3))
     f_elts, slices = range(f_size), range(v_size)
     f_rels = [
         draw(_subsets_of(itertools.product(f_elts, repeat=arity))) for arity in arities
@@ -301,8 +303,13 @@ def test_random_lexsum_profile_matches_brute_oracle(pres):
 @settings(derandomize=True, database=None, max_examples=75, deadline=None)
 @given(small_multichains())
 def test_random_multichain_profile_matches_brute_oracle(pres):
+    sweep = _PrefixSweep(pres)
     for n in range(5):
-        assert profile_presented(pres, n) == brute_profile_presented(pres, n), n
+        brute = brute_profile_presented(pres, n)
+        assert profile_presented(pres, n) == brute, n
+        swept = {canonical_code(RelStruct(pres.signature, n, rels))
+                 for rels, _ in sweep.candidates(n)}
+        assert len(swept) == brute, n
 
 
 def test_profile_presented_matches_pairwise_dedup_oracle():
