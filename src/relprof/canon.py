@@ -25,7 +25,9 @@ empty signatures).  When refinement is discrete (every color class a
 singleton, as for a transitive tournament) exactly one ordering sorts the
 vertices by color, so the form is that ordering's staged serialization and
 no search runs.  A discrete coloring is also stable, so refinement stops as
-soon as it reaches one.
+soon as it reaches one.  ``canonical_order`` returns the form together with
+a minimizing ordering, for callers that extend a structure from its
+canonical labelling (the subset walk of ``profiles``).
 
 ``brute_force_form`` recomputes the same minimum by a plain sweep over all
 m! orderings and serves as the independent oracle for small domains; both
@@ -142,14 +144,22 @@ def _orbit(v, generators):
 
 def canonical_form(arities, m, relations):
     """The minimal (colors, staged) serialization: equal iff isomorphic."""
+    return canonical_order(arities, m, relations)[0]
+
+
+def canonical_order(arities, m, relations):
+    """The canonical form with a minimizing ordering: ``order[v]`` is vertex
+    v's position, so relabelling by ``order`` gives the form's staged
+    relations and color sequence."""
     arities = tuple(arities)
     if m == 0:
-        return ordered_form(arities, 0, relations, [])
+        return ordered_form(arities, 0, relations, []), ()
 
     colors = refined_colors(m, relations)
     if len(set(colors)) == m:
         # discrete: the colors themselves are the only color-sorted ordering
-        return (arities, m, tuple(range(m)), staged_relations(m, relations, colors))
+        form = (arities, m, tuple(range(m)), staged_relations(m, relations, colors))
+        return form, tuple(colors)
     color_seq = tuple(sorted(colors))
     by_color = defaultdict(list)
     for v, c in enumerate(colors):
@@ -234,8 +244,16 @@ def canonical_form(arities, m, relations):
                     done |= _orbit(v, fixing)
 
     search(0, 0)
-    return (arities, m, color_seq, tuple(best))
+    order = [0] * m
+    for p, v in enumerate(best_chosen):
+        order[v] = p
+    return (arities, m, color_seq, tuple(best)), tuple(order)
+
+
+def form_bytes(form) -> bytes:
+    """The code of a canonical form: equal iff the forms are equal."""
+    return repr(form).encode()
 
 
 def canonical_code_bytes(arities, m, relations):
-    return repr(canonical_form(arities, m, relations)).encode()
+    return form_bytes(canonical_form(arities, m, relations))

@@ -108,10 +108,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    degree = args.max_degree
+    if degree < 0:
+        raise InputError("max-degree must be non-negative")
     source = _load(args.input)
     if isinstance(source, RelStruct):
         raise InputError("algebra checks expect a presentation source")
-    degree = args.max_degree
     label = _source_label(args.input, source)
     if args.check == "e-regular":
         basis = AgeBasis.build(source, degree + 1, name=label)

@@ -12,17 +12,31 @@ enumeration.  A finite structure takes one of two paths:
   n = 8 keys about 6,000 states instead of visiting 5.8 million subsets;
 * otherwise the subset walk, depth first over all n-subsets in
   lexicographic order, building the relabelled relations one vertex at a time.
-  The same walk gives ``subset_codes`` (n-subset bitmask -> code), which serves
-  the algebra's split tables, e-matrices and isomorphy partitions and the type
-  indicators of the incidence lab.
+  Each node carries its code and a canonical order (subset index -> position
+  in a minimizing ordering, from ``canon.canonical_order``).  A child
+  S = S' + t, t largest, is keyed by code(S') and t's tuples relabelled into
+  the parent's canonical positions, t placed last.  The key is exact: two
+  subsets with one key relabel to the same structure, so one canonical order
+  composed with the inverse of the other (t to t) is an isomorphism.  A memo
+  per structure, shared by every level, maps a key to the child's code and
+  the map from key coordinates to canonical positions, so canon runs once
+  per key (McKay's canonical augmentation, J. Algorithms 26, 1998): on
+  G(16, 1/2) at n <= 7, 5,196 canon calls instead of 16,624, one per
+  distinct restriction.  The first subset per code is kept, so each
+  representative is still the least n-subset of its type.  The same walk
+  without codes (``_restrictions``) gives ``subset_codes`` (n-subset bitmask ->
+  ``canonical_code``), which serves the algebra's split tables, e-matrices
+  and isomorphy partitions and the type indicators of the incidence lab.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
+from .canon import canonical_order, form_bytes
 from .presentations import MultichainPresentation, enumerate_age, realize, words_of_size
 from .series import TruncatedSeries
 from .structures import RelStruct, Signature, canonical_code
@@ -69,6 +83,11 @@ def _extend(rels: tuple, added: list, position, inside: int) -> tuple:
     return tuple(out)
 
 
+def _joined(rels: tuple, added: list) -> tuple:
+    """The relations with each symbol's list of new relabelled tuples added."""
+    return tuple(rel.union(new) if new else rel for rel, new in zip(rels, added))
+
+
 def _restrictions(struct: RelStruct, n: int):
     """(vertex bitmask, relabelled relations) of every n-subset, depth first in
     lexicographic order, building the relations one vertex at a time."""
@@ -88,14 +107,61 @@ def _restrictions(struct: RelStruct, n: int):
     return walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
 
 
+@functools.lru_cache(maxsize=64)
+def _extension_memo(struct: RelStruct) -> dict:
+    """One extension memo per structure, so every level's walk reads the keys
+    of the levels before it.  It needs no lock: any stored map is a valid
+    isomorphism, so concurrent writes of one key are all correct."""
+    return {}
+
+
 def _subset_age(struct: RelStruct, n: int) -> dict:
-    """Types of the n-restrictions by the subset walk.  Raw duplicates skip
-    canon, and the first subset per code is kept, so each type's
+    """Types of the n-restrictions by the subset walk, reading each type from
+    its parent's code and canonical order plus the new vertex's tuples (see
+    the module docstring).  The first subset per code is kept, so each type's
     representative is its least n-subset."""
+    sig = struct.signature
+    arities = sig.arities
+    m = struct.domain_size
+    back = _tuples_by_last(struct)
+    memo = _extension_memo(struct)
+    position = [0] * m  # vertex -> index in the current subset
+    empty = tuple(frozenset() for _ in arities)
+    root = form_bytes(canonical_order(arities, 0, empty)[0])
     by_code = {}
-    for rels in dict.fromkeys(rels for _, rels in _restrictions(struct, n)):
-        r = RelStruct(struct.signature, n, rels)
-        by_code.setdefault(canonical_code(r), r)
+
+    def walk(start, depth, inside, rels, code, order):
+        # order: subset index -> canonical position; the new vertex goes last
+        ext = order + (depth,)
+        leaf = depth + 1 == n
+        for t in range(start, m - n + depth + 1):
+            position[t] = depth
+            inner = inside | 1 << t
+            added, key = [], [code]
+            for tuples in back[t]:
+                new = [tuple([position[x] for x in tup])
+                       for tup, mask in tuples if mask & inner == mask]
+                added.append(new)
+                key.append(tuple(sorted([tuple([ext[i] for i in p]) for p in new])))
+            key = tuple(key)
+            hit = memo.get(key)
+            if hit is None:
+                form, found = canonical_order(arities, depth + 1, _joined(rels, added))
+                lam = [0] * (depth + 1)  # key coordinate -> canonical position
+                for k, p in zip(ext, found):
+                    lam[k] = p
+                hit = memo.setdefault(key, (form_bytes(form), tuple(lam)))
+            child_code, lam = hit
+            if not leaf:
+                walk(t + 1, depth + 1, inner, _joined(rels, added), child_code,
+                     tuple([lam[k] for k in ext]))
+            elif child_code not in by_code:
+                by_code[child_code] = RelStruct(sig, n, _joined(rels, added))
+
+    if n == 0:
+        by_code[root] = RelStruct(sig, 0, empty)
+    else:
+        walk(0, 0, 0, empty, root, ())
     return dict(sorted(by_code.items()))
 
 
@@ -205,7 +271,12 @@ def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, signatures
 
 
 def age_of_finite(struct: RelStruct, n: int) -> dict:
-    """Types of the n-element restrictions as (code -> representative)."""
+    """Types of the n-element restrictions as (code -> representative), in
+    code order.  On the subset walk each code is read through the extension
+    key of the module docstring (parent code plus the new vertex's tuples in
+    the parent's canonical positions), exact because equal keys relabel to one
+    structure; a representative is the lexicographically least n-subset of
+    its type, on either path."""
     if not 0 <= n <= struct.domain_size:
         raise ValueError(f"n={n} outside 0..{struct.domain_size}")
     narrow = max(struct.signature.arities, default=0) <= 2

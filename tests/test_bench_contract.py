@@ -83,3 +83,21 @@ def test_traced_multichain_profile_reaches_the_word_and_age_sites():
     sites = result["trace"]["sites"]
     for site in ("presentations.words_of_size", "profiles.enumerate_age"):
         assert sites.get(site, 0) > 0, site
+
+
+def test_traced_algebra_reaches_the_subset_code_site():
+    # subset_codes is the only traffic through profiles.canonical_code that an
+    # algebra-lab run expects
+    result = _traced_worker(
+        ["algebra", "colored-chain:2", "--check", "e-regular", "--max-degree", "3"])
+    assert result["trace"]["sites"].get("profiles.canonical_code", 0) > 0
+
+
+def test_traced_finite_profile_reaches_the_refinement_site():
+    # the subset walk searches through canon.canonical_order, which a traced
+    # run sees only at canon.refined_colors
+    result = _traced_worker(
+        ["profile", str(ROOT / "tests" / "data" / "ternary10.txt"), "--max-n", "5"])
+    sites = result["trace"]["sites"]
+    for site in ("canon.refined_colors", "profiles.age_of_finite"):
+        assert sites.get(site, 0) > 0, site

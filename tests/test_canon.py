@@ -77,10 +77,10 @@ def _discrete(m, relations):
     return len(set(canon.refined_colors(m, relations))) == m
 
 
-def test_search_agrees_with_sweep_up_to_eight_vertices():
-    # the sweep's limit: dense digraphs with loops and a mark (refinement
-    # discrete, so the form comes from the color order alone) and symmetric
-    # ones whose ties the search must break
+def _sweep_limit_cases():
+    """The sweep's limit: dense digraphs with loops and a mark (refinement
+    discrete, so the form comes from the color order alone) and symmetric
+    ones whose ties the search must break."""
     rng = random.Random(13)
     cases = []
     for m in (7, 8):
@@ -95,6 +95,11 @@ def test_search_agrees_with_sweep_up_to_eight_vertices():
     cases.append(((2,), 7, (tournament,)))
     cases.append(((3,), 7, (frozenset({(0, 1, 1), (1, 2, 2), (3, 4, 5), (5, 4, 3)}),)))
     cases.append(((2, 1), 7, (frozenset({(0, 1), (1, 0), (2, 2)}), frozenset({(4,), (5,)}))))
+    return cases
+
+
+def test_search_agrees_with_sweep_up_to_eight_vertices():
+    cases = _sweep_limit_cases()
     assert {_discrete(m, rels) for _, m, rels in cases} == {True, False}
     for arities, m, rels in cases:
         assert canon.canonical_form(arities, m, rels) == canon.brute_force_form(arities, m, rels)
@@ -146,6 +151,17 @@ def test_code_bytes_pinned_beyond_the_sweep_limit():
     assert digest.hexdigest() == (
         "0777caae8a3f9bd92002aa7a8044b0da3508930da1776cc30df43e1b40719dba"
     )
+
+
+def test_canonical_order_relabels_to_the_form():
+    # relabelling by the returned order gives back the form's color sequence
+    # and staged relations, on the search path and the discrete one
+    cases = _digest_structures() + _sweep_limit_cases()
+    for arities, m, rels in cases:
+        form, order = canon.canonical_order(arities, m, rels)
+        assert sorted(order) == list(range(m))
+        colors = canon.refined_colors(m, rels)
+        assert canon.ordered_form(arities, m, rels, colors, order) == form, (arities, m)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,15 @@ def test_cli_algebra_checks(capsys):
     )
 
 
+@pytest.mark.parametrize("check", ["e-regular", "zero-divisors", "tournament-identity"])
+def test_cli_algebra_negative_degree_is_input_error(capsys, check):
+    code, out, err = run_cli(
+        ["algebra", "T2", "--check", check, "--max-degree", "-1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "max-degree must be non-negative" in err
+
+
 def test_cli_incidence(capsys):
     code, out, _ = run_cli(["incidence", "--m", "5", "--n", "2", "--k", "1"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,81 @@ def test_subset_walk_matches_restrict_oracle():
             assert list(codes) == [sum(1 << v for v in subset) for subset in subsets]
             assert list(codes.values()) == [canonical_code(restrict(s, x)) for x in subsets], \
                 (trial, n)
+
+
+def _least_subset_oracle(struct, n):
+    """code -> restriction to the first n-subset of that code, read from
+    subset_codes (lexicographic subset order, one canonical code per subset)."""
+    by_code = {}
+    for mask, code in subset_codes(struct, n).items():
+        if code not in by_code:
+            by_code[code] = restrict(struct, [v for v in struct.domain if mask >> v & 1])
+    return dict(sorted(by_code.items()))
+
+
+def _relabeled(struct, rng):
+    label = list(struct.domain)
+    rng.shuffle(label)
+    return make_struct(struct.signature.arities, struct.domain_size,
+                       [{tuple(label[x] for x in t) for t in rel} for rel in struct.relations])
+
+
+def _memo_walk_structure(kind, rng, m):
+    pairs = list(itertools.combinations(range(m), 2))
+    if kind == "graph":
+        return graph_from_edges(m, [e for e in pairs if rng.random() < 0.5])
+    if kind == "tournament":
+        return digraph(m, [(u, w) if rng.random() < 0.5 else (w, u) for u, w in pairs])
+    if kind == "digraph-loops-mark":
+        arcs = {(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)}
+        return make_struct((2, 1), m, [arcs, {(v,) for v in range(m) if rng.random() < 0.4}])
+    # ternary, each tuple drawn from one to three vertices: (x, x, y) and (x, x, x) occur
+    triples = set()
+    for _ in range(3 * m):
+        pool = rng.sample(range(m), rng.randint(1, 3))
+        triples.add(tuple(rng.choice(pool) for _ in range(3)))
+    return make_struct((3,), m, [triples])
+
+
+@pytest.mark.parametrize("kind", ["graph", "tournament", "digraph-loops-mark", "ternary"])
+def test_memo_walk_matches_subset_codes(kind):
+    # the extension memo against one canonical code per subset: same codes in
+    # the same order and the same least-subset representatives, on seeded
+    # relabellings, every n, and with the memo shared across levels
+    rng = random.Random(f"memo-walk:{kind}")
+    for m in (4, 6, 8, 9, 10, 12):
+        base = _memo_walk_structure(kind, rng, m)
+        copies = [_relabeled(base, rng) for _ in range(2 if m < 12 else 1)]
+        for n in range(m + 1):
+            ages = [_subset_age(s, n) for s in copies]
+            assert list(ages[0].items()) == list(_least_subset_oracle(copies[0], n).items()), \
+                (m, n)
+            # a relabelled copy has the same types, each with its own representative
+            assert all(list(age) == list(ages[0]) for age in ages), (m, n)
+        for s in copies[1:]:
+            assert all(canonical_code(r) == code for code, r in _subset_age(s, m // 2).items())
+
+
+def test_memo_walk_is_shared_by_concurrent_profiles():
+    rng = random.Random(20261019)
+    g = _memo_walk_structure("graph", rng, 12)
+    assert interface_width(g) > SWEEP_MAX_WIDTH  # on the subset walk
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        barrier.wait()
+        results[i] = profile_sequence(g, 8).coeffs
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    expected = tuple(len(set(subset_codes(g, n).values())) for n in range(9))
+    assert results == [expected, expected]
+    for n in range(9):
+        assert age_of_finite(g, n) == _least_subset_oracle(g, n), n
 
 
 def _random_narrow_structure(rng, m):
