@@ -6,11 +6,22 @@ x ~ y when R|F+x and R|F+y are isomorphic for every F avoiding x and y.  B
 is a part exactly when x ~ y for every pair of B: swapping b for b' in a
 subset S is the pair test of {b, b'} at F = S-b, any two admissible subsets
 are connected by such swaps, and isomorphism is transitive (the full
-pairwise definition is kept as a test oracle).  The sets F are visited
-smallest first, so a failing pair usually stops early, and restriction codes
-come from a lazy memo keyed by vertex bitmask.  Unions of largest parts give
-the coarsest decomposition; every block-wise monomorphic partition refines
-it.
+pairwise definition is kept as a test oracle).
+
+Many passing pairs need no restriction at all.  x and y are swap twins when
+the map sending x to y and fixing every other vertex carries R|(V-y) onto
+R|(V-x), i.e. per symbol {t[x->y] : t in R, y not in t} equals
+{t in R : x not in t}.  For any F avoiding x and y that map restricts to an
+isomorphism R|F+x -> R|F+y, so twins satisfy x ~ y; the rule speaks of
+whole tuples, so loops, unary symbols, repeated entries and any arity need
+no special case.  Only tuples through x or y can differ between the two
+sides, so twins are found from per-vertex incidence sets, and a union-find
+over twin pairs gives classes that each lie inside one ~-class.  Since
+x ~ root(x), the pair test of x and y is the walk of their class roots,
+run once per root pair.  A walk visits the sets F smallest first, so a
+failing pair usually stops early, and restriction codes come from a lazy
+memo keyed by vertex bitmask.  Unions of largest parts give the coarsest
+decomposition; every block-wise monomorphic partition refines it.
 
 For presented structures, blocks come from the presentation slots.  The
 grouping is recovered from the coarsest decomposition of a window
@@ -70,12 +81,14 @@ class Decomposition:
 
 
 class _SubsetCodes:
-    """Lazy per-structure memo of restriction codes, keyed by vertex bitmask."""
+    """Lazy per-structure memo of restriction codes, keyed by vertex bitmask,
+    and of the swap-twin classes, found on the first pair test."""
 
     def __init__(self, struct: RelStruct):
         self.struct = struct
         self.codes = {}
         self.pairs = {}  # (x, y) with x < y -> x ~ y
+        self.root = None  # vertex -> least vertex of its swap-twin class
 
     def code(self, mask: int) -> bytes:
         got = self.codes.get(mask)
@@ -87,12 +100,51 @@ class _SubsetCodes:
 
     def equivalent(self, x: int, y: int) -> bool:
         """x ~ y: R|F+x and R|F+y are isomorphic for every F avoiding x, y.
-        Each unordered pair is walked once."""
+        Swap twins pass with no walk; otherwise the class roots are walked,
+        each unordered root pair once (x ~ root(x), and ~ is transitive)."""
+        if self.root is None:
+            self.root = self._twin_roots()
+        x, y = self.root[x], self.root[y]
+        if x == y:
+            return True
         pair = (x, y) if x < y else (y, x)
         got = self.pairs.get(pair)
         if got is None:
             got = self.pairs[pair] = self._walk(*pair)
         return got
+
+    def _twin_roots(self) -> list:
+        """Union-find over swap twins (see the module docstring): per symbol
+        the tuples through x but not y, x marked, must equal those through y
+        but not x, y marked.  Tuples through both count for each, so twins
+        have equal degrees, which is checked first."""
+        m = self.struct.domain_size
+        marked = []  # per symbol: vertex -> {t with v replaced by -1 : v in t}
+        for rel in self.struct.relations:
+            through = [set() for _ in range(m)]
+            for t in rel:
+                for v in set(t):
+                    through[v].add(tuple(-1 if u == v else u for u in t))
+            marked.append(through)
+        root = list(range(m))
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        for x in range(m):
+            for y in range(x + 1, m):
+                rx, ry = find(x), find(y)
+                if rx != ry and all(
+                    len(through[x]) == len(through[y])
+                    and {t for t in through[x] if y not in t}
+                    == {t for t in through[y] if x not in t}
+                    for through in marked
+                ):
+                    root[max(rx, ry)] = min(rx, ry)
+        return [find(v) for v in range(m)]
 
     def _walk(self, x: int, y: int) -> bool:
         bx, by = 1 << x, 1 << y
@@ -195,8 +247,15 @@ def presentation_decomposition(pres: LexSumPresentation, window: int = 4) -> Dec
     coarsest part fuse into one block (this covers both the 2-element
     autonomous index subsets the structure theorem warns about and finite
     slots fusing with each other).  A coarsest part must never split a
-    slot's copies; that would contradict slot monomorphy.
+    slot's copies; that would contradict slot monomorphy.  The window must
+    be at least 2: with one copy per omega slot no part can show two copies
+    of a slot.
     """
+    if window < 2:
+        raise ValueError(
+            f"truncation window {window} is below 2: each omega slot needs "
+            "two copies for its block to be seen"
+        )
     index_has_pair = any(
         is_autonomous(pres.index, {i, j})
         for i, j in itertools.combinations(range(pres.index.domain_size), 2)

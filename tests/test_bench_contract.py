@@ -101,3 +101,13 @@ def test_traced_finite_profile_reaches_the_refinement_site():
     sites = result["trace"]["sites"]
     for site in ("canon.refined_colors", "profiles.age_of_finite"):
         assert sites.get(site, 0) > 0, site
+
+
+def test_traced_decompose_reaches_the_pair_test_sites():
+    # a traced algebra-lab run fails when an import site it expects records no
+    # call; a structure of several swap-twin classes still walks its root pairs
+    result = _traced_worker(["decompose", str(ROOT / "tests" / "data" / "c3-lexsum12.txt")])
+    sites = result["trace"]["sites"]
+    for site in ("decomposition.restrict", "decomposition.canonical_code",
+                 "decomposition.is_monomorphic_part", "cli.canonical_decomposition"):
+        assert sites.get(site, 0) > 0, site

@@ -19,6 +19,7 @@ from relprof.decomposition import (
     presentation_decomposition,
     verify_addlayer,
 )
+from relprof.fileformat import builtin
 from relprof.presentations import (
     ACYCLIC,
     CLIQUE,
@@ -139,6 +140,103 @@ def oracle_structures():
     return rng, structs
 
 
+def blown_up_structure(rng):
+    """A seeded random structure on at most 9 vertices, drawn so that swap
+    twins occur: each vertex belongs to a class, and whether a tuple holds
+    depends on its classes and the order pattern of its entries within a
+    class (equal entries included, so loops and repeated entries occur),
+    with a little noise on top.  Transposing two adjacent class members then
+    preserves every tuple that does not contain both, and the vertices are
+    relabelled at random."""
+    arities = rng.choice(((1,), (2,), (2, 1), (3,), (2, 3)))
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    while sum(sizes) > 9:
+        sizes.pop()
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    m = len(cls)
+    relations = []
+    for arity in arities:
+        holds = {}
+        rel = set()
+        for t in itertools.product(range(m), repeat=arity):
+            pattern = tuple(
+                (a > b) - (a < b) if cls[a] == cls[b] else None
+                for a, b in itertools.combinations(t, 2)
+            )
+            key = (tuple(cls[v] for v in t), pattern)
+            if key not in holds:
+                holds[key] = rng.random() < 0.5
+            if holds[key] != (rng.random() < 0.03):
+                rel.add(t)
+        relations.append(rel)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return relabel(make_struct(arities, m, relations), perm)
+
+
+def walked_partition(s):
+    """Classes of ~ with every pair walked and no twin certificate."""
+    cache = _SubsetCodes(s)
+    classes = []
+    for x in range(s.domain_size):
+        for members in classes:
+            if cache._walk(min(members), x):
+                members.add(x)
+                break
+        else:
+            classes.append({x})
+    return {frozenset(members) for members in classes}
+
+
+def test_canonical_decomposition_matches_the_twin_free_walk():
+    rng = random.Random(18)
+    nontrivial = 0
+    for _ in range(60):
+        s = blown_up_structure(rng)
+        blocks = {frozenset(members) for members, _ in canonical_decomposition(s).blocks}
+        assert blocks == walked_partition(s), s
+        nontrivial += any(len(b) > 1 for b in blocks)
+        for block in blocks:
+            assert is_monomorphic_part_oracle(s, block), (s, sorted(block))
+        firsts = sorted(min(b) for b in blocks)
+        for x, y in itertools.combinations(firsts, 2):
+            assert not is_monomorphic_part_oracle(s, {x, y}), (s, x, y)
+    assert nontrivial >= 20
+
+
+def test_twin_certified_pairs_pass_the_walk():
+    rng = random.Random(81)
+    certified = 0
+    for _ in range(60):
+        s = blown_up_structure(rng)
+        cache = _SubsetCodes(s)
+        root = cache._twin_roots()
+        for x, y in itertools.combinations(range(s.domain_size), 2):
+            if root[x] == root[y]:
+                certified += 1
+                assert cache._walk(x, y), (s, x, y)
+    assert certified >= 50
+
+
+def test_swap_twin_classes_of_known_structures():
+    def classes(s):
+        root = _SubsetCodes(s)._twin_roots()
+        return sorted(sorted(v for v in s.domain if root[v] == r) for r in set(root))
+
+    # adjacent elements of a chain are twins, and so are all members of a clique
+    assert classes(acyclic_tournament(5)) == [[0, 1, 2, 3, 4]]
+    assert classes(disjoint_union(clique_graph(3), independent_graph(2))) == [[0, 1, 2], [3, 4]]
+    # a loop or a unary mark tells vertices apart; the 3-cycle has no twins
+    looped = make_struct((2,), 3, [{(0, 0), (1, 1)}])
+    assert classes(looped) == [[0, 1], [2]]
+    marked = make_struct((2, 1), 3, [{(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}, {(1,)}])
+    assert classes(marked) == [[0, 2], [1]]
+    assert classes(cyclic_tournament_3()) == [[0], [1], [2]]
+    # a repeated entry marks both occurrences of the moved vertex
+    ternary = make_struct((3,), 3, [{(0, 0, 2), (1, 1, 2)}])
+    assert classes(ternary) == [[0, 1], [2]]
+
+
 def test_is_monomorphic_part_rejects_vertices_out_of_range():
     p = path_graph(3)
     for block in ({99, 100}, {-1, -2}, {0, 99}, {-1}, {3}):
@@ -214,7 +312,19 @@ def test_canonical_decomposition_walks_each_pair_once(monkeypatch):
     d = canonical_decomposition(cliques)
     assert [members for members, _ in d.blocks] == [
         tuple(range(6)), tuple(range(6, 10)), tuple(range(10, 13))]
-    assert len(walked) == len(set(walked)) == 47
+    # the cliques are swap-twin classes, so only their least vertices are walked
+    assert walked == [(0, 6), (0, 10), (6, 10)]
+    assert len(walked) == len(set(walked))
+
+
+def test_canonical_decomposition_k20_plus_i20_relabelled():
+    rng = random.Random(20)
+    perm = list(range(40))
+    rng.shuffle(perm)
+    s = relabel(disjoint_union(clique_graph(20), independent_graph(20)), perm)
+    d = canonical_decomposition(s)
+    assert {frozenset(members) for members, _ in d.blocks} == {
+        frozenset(perm[v] for v in range(20)), frozenset(perm[v] for v in range(20, 40))}
 
 
 def test_canonical_decomposition_path_is_discrete():
@@ -280,8 +390,23 @@ def test_presentation_decomposition_agrees_with_truncations():
     for name in ("T1", "T2", "T3"):
         pres = lexsum_tournament_fixture(name)
         decomp = presentation_decomposition(pres, window=3)
-        wide = presentation_decomposition(pres, window=5)
+        wide = presentation_decomposition(pres, window=8)
         assert [sorted(g) for g, _ in decomp.blocks] == [sorted(g) for g, _ in wide.blocks]
+        assert wide == presentation_decomposition(pres)
+
+
+def test_presentation_decomposition_window_two_equals_four():
+    for name in ("omega", "T1", "T2", "T3", "two-cliques", "three-cliques"):
+        pres = builtin(name)
+        assert presentation_decomposition(pres, window=2) == presentation_decomposition(
+            pres, window=4), name
+
+
+@pytest.mark.parametrize("window", [0, 1, -1])
+def test_presentation_decomposition_rejects_windows_below_two(window):
+    for name in ("T1", "T3", "two-cliques"):
+        with pytest.raises(ValueError, match="below 2"):
+            presentation_decomposition(builtin(name), window=window)
 
 
 def test_predict_growth_degree():
