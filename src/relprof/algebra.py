@@ -179,6 +179,8 @@ def multiply(basis: AgeBasis, left: AlgebraElement, right: AlgebraElement) -> Al
 
 
 def power(basis: AgeBasis, element: AlgebraElement, exponent: int) -> AlgebraElement:
+    if exponent < 0:
+        raise ValueError(f"exponent must be non-negative, got {exponent}")
     out = unit_element()
     for _ in range(exponent):
         out = multiply(basis, out, element)
@@ -192,6 +194,8 @@ def power(basis: AgeBasis, element: AlgebraElement, exponent: int) -> AlgebraEle
 
 def e_matrix(basis: AgeBasis, degree: int):
     """Matrix of u -> e*u from degree to degree+1 (rows: targets)."""
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     if degree + 1 > basis.max_degree:
         raise DegreeOverflowError("degree + 1 exceeds the basis window")
     cols = basis.codes(degree)

@@ -29,17 +29,14 @@ soon as it reaches one.  ``canonical_order`` returns the form together with
 a minimizing ordering, for callers that extend a structure from its
 canonical labelling (the subset walk of ``profiles``).
 
-``brute_force_form`` recomputes the same minimum by a plain sweep over all
-m! orderings and serves as the independent oracle for small domains; both
-paths agree exactly, which is tested.
+The tests recompute the same minimum by a plain sweep over all m!
+orderings (``brute_force_form`` in ``tests/oracles.py``) and require both
+to agree exactly on small domains.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
-
-PERMUTATION_SWEEP_LIMIT = 8
 
 
 def staged_relations(m, relations, labeling=None):
@@ -52,30 +49,6 @@ def staged_relations(m, relations, labeling=None):
         for t in rel:
             stages[max(t)][ri].append(t)
     return tuple(tuple(tuple(sorted(sym)) for sym in stage) for stage in stages)
-
-
-def ordered_form(arities, m, relations, colors, labeling=None):
-    if labeling is None:
-        color_seq = tuple(colors)
-    else:
-        inverse = [0] * m
-        for v, pos in enumerate(labeling):
-            inverse[pos] = v
-        color_seq = tuple(colors[inverse[p]] for p in range(m))
-    return (tuple(arities), m, color_seq, staged_relations(m, relations, labeling))
-
-
-def brute_force_form(arities, m, relations):
-    """Minimal (colors, staged) serialization over all m! orderings."""
-    if m > PERMUTATION_SWEEP_LIMIT:
-        raise ValueError(f"permutation sweep limited to m <= {PERMUTATION_SWEEP_LIMIT}, got {m}")
-    colors = refined_colors(m, relations)
-    best = None
-    for perm in itertools.permutations(range(m)):
-        form = ordered_form(arities, m, relations, colors, perm)
-        if best is None or form < best:
-            best = form
-    return best if best is not None else ordered_form(arities, 0, relations, [])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +126,7 @@ def canonical_order(arities, m, relations):
     relations and color sequence."""
     arities = tuple(arities)
     if m == 0:
-        return ordered_form(arities, 0, relations, []), ()
+        return (arities, 0, (), ()), ()
 
     colors = refined_colors(m, relations)
     if len(set(colors)) == m:

@@ -59,6 +59,17 @@ def _sequence(spec, args):
     return source, profile_sequence(source, max_n, name=_source_label(spec, source))
 
 
+def _integers(flag, text):
+    """The comma-separated integers of a flag's value."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise InputError(f"{flag} entries must be integers, got {entry!r}") from None
+    return tuple(values)
+
+
 def cmd_profile(args) -> int:
     source, seq = _sequence(args.input, args)
     if args.format == "record":
@@ -73,13 +84,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_series(args) -> int:
-    source, seq = _sequence(args.input, args)
+    exponents = poly = None
     if args.denominator:
-        exponents = tuple(int(x) for x in args.denominator.split(","))
-        fit = fit_rational(seq, denominator_exponents=exponents)
+        exponents = _integers("--denominator", args.denominator)
     else:
-        poly = tuple(int(x) for x in args.denominator_poly.split(","))
-        fit = fit_rational(seq, denominator_poly=poly)
+        poly = _integers("--denominator-poly", args.denominator_poly)
+    source, seq = _sequence(args.input, args)
+    fit = fit_rational(seq, denominator_exponents=exponents, denominator_poly=poly)
     print(f"source={seq.source} window={seq.window}")
     print("phi=" + ",".join(str(v) for v in seq.coeffs))
     if not fit.success:

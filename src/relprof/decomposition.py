@@ -6,7 +6,7 @@ x ~ y when R|F+x and R|F+y are isomorphic for every F avoiding x and y.  B
 is a part exactly when x ~ y for every pair of B: swapping b for b' in a
 subset S is the pair test of {b, b'} at F = S-b, any two admissible subsets
 are connected by such swaps, and isomorphism is transitive (the full
-pairwise definition is kept as a test oracle).
+pairwise definition is kept as a test oracle in ``tests/oracles.py``).
 
 Many passing pairs need no restriction at all.  x and y are swap twins when
 the map sending x to y and fixing every other vertex carries R|(V-y) onto
@@ -164,24 +164,6 @@ def is_monomorphic_part(struct: RelStruct, block, _cache: _SubsetCodes | None = 
         raise IndexError(f"block {block} not within domain of size {struct.domain_size}")
     cache = _cache or _SubsetCodes(struct)
     return all(cache.equivalent(x, y) for x, y in itertools.combinations(block, 2))
-
-
-def is_monomorphic_part_oracle(struct: RelStruct, block) -> bool:
-    """Full definition, no swap shortcut: all pairs A, A' with A-B = A'-B."""
-    block = frozenset(block)
-    m = struct.domain_size
-    outside = [v for v in range(m) if v not in block]
-    inside = sorted(block)
-    for out_r in range(len(outside) + 1):
-        for out_choice in itertools.combinations(outside, out_r):
-            for in_r in range(1, len(inside) + 1):
-                codes = {
-                    canonical_code(restrict(struct, set(out_choice) | set(in_choice)))
-                    for in_choice in itertools.combinations(inside, in_r)
-                }
-                if len(codes) > 1:
-                    return False
-    return True
 
 
 def largest_monomorphic_part(struct: RelStruct, x: int, _cache=None) -> frozenset:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import rank_bareiss, rank_exact
+from .linalg import rank_exact
 from .profiles import age_of_finite, subset_codes
 from .structures import RelStruct
 
@@ -58,11 +58,6 @@ def build_incidence(m: int, n: int, k: int) -> ExactMatrix:
 def matrix_rank(matrix: ExactMatrix) -> int:
     """Exact rank over the rationals."""
     return rank_exact(matrix.entries)
-
-
-def matrix_rank_alt(matrix: ExactMatrix) -> int:
-    """Second elimination order (first-nonzero pivoting), exact; for cross checks."""
-    return rank_bareiss(matrix.entries, pivot_by_magnitude=False)
 
 
 def inclusion_rank(m: int, n: int, k: int) -> tuple[ExactMatrix, int]:

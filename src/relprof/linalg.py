@@ -67,7 +67,7 @@ def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
     return rank
 
 
-def _echelon(rows, pivot_by_magnitude: bool = True) -> list[int]:
+def _echelon(rows) -> list[int]:
     """Bareiss echelon form of a list of integer rows, in place, returning
     the pivot columns: row i has its pivot at column pivots[i] and the rows
     below the last pivot are zero.  Rows are replaced, never mutated, so
@@ -84,10 +84,7 @@ def _echelon(rows, pivot_by_magnitude: bool = True) -> list[int]:
         candidates = [r for r in range(rank, n_rows) if rows[r][col] != 0]
         if not candidates:
             continue
-        if pivot_by_magnitude:
-            pivot = max(candidates, key=lambda r: abs(rows[r][col]))
-        else:
-            pivot = candidates[0]
+        pivot = max(candidates, key=lambda r: abs(rows[r][col]))
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
         p = rows[rank][col]
@@ -101,9 +98,9 @@ def _echelon(rows, pivot_by_magnitude: bool = True) -> list[int]:
     return pivots
 
 
-def rank_bareiss(matrix, pivot_by_magnitude: bool = True) -> int:
+def rank_bareiss(matrix) -> int:
     """Fraction-free elimination over the integers; always exact."""
-    return len(_echelon(_to_int_rows(matrix), pivot_by_magnitude))
+    return len(_echelon(_to_int_rows(matrix)))
 
 
 def rank_exact(matrix) -> int:

@@ -608,10 +608,14 @@ def kernel_probe(pres, element_class, window: int) -> KernelProbe:
             return KernelProbe("undetected", None, "slice classes repeat along the chain")
         if kind != "F":
             raise ValueError(f"unknown element class {element_class!r}")
+        if not 0 <= which < pres.f_size:
+            raise IndexError(f"F element {which} out of range 0..{pres.f_size - 1}")
         reduced = _without_f_element(pres, which)
     elif isinstance(pres, LexSumPresentation):
         if kind != "block":
             raise ValueError(f"unknown element class {element_class!r}")
+        if not 0 <= which < len(pres.blocks):
+            raise IndexError(f"block {which} out of range 0..{len(pres.blocks) - 1}")
         if pres.blocks[which][1] is OMEGA:
             return KernelProbe("undetected", None, "infinite block, deletion absorbed")
         reduced = _without_one_block_element(pres, which)

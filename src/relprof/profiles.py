@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .canon import canonical_order, form_bytes
-from .presentations import MultichainPresentation, enumerate_age, realize, words_of_size
+from .presentations import enumerate_age
 from .series import TruncatedSeries
 from .structures import RelStruct, Signature, canonical_code
 
@@ -356,28 +356,3 @@ def check_eq10_bound(seq: ProfileSequence, r: int, k: int) -> bool:
     return all(
         seq[n] <= (2 ** r) * math.comb(n + k - 1, k - 1) for n in range(seq.window + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form cross checks (enumeration vs reported series are compared by
-# callers; helpers here only expose both sides)
-# ---------------------------------------------------------------------------
-
-
-def brute_profile_presented(pres, n: int) -> int:
-    """Oracle path: realize every word, deduplicate by pairwise isomorphism."""
-    from .structures import are_isomorphic_brute_force
-
-    reps = []
-    if isinstance(pres, MultichainPresentation):
-        realizations = [realize(pres, w) for w in words_of_size(pres, n)]
-    else:
-        from .presentations import compositions_of_size, realize_composition
-
-        realizations = [
-            realize_composition(pres, c) for c in compositions_of_size(pres, n)
-        ]
-    for struct in realizations:
-        if not any(are_isomorphic_brute_force(struct, r) for r in reps):
-            reps.append(struct)
-    return len(reps)

@@ -96,22 +96,6 @@ def are_isomorphic(left: RelStruct, right: RelStruct) -> bool:
     return canonical_code(left) == canonical_code(right)
 
 
-def are_isomorphic_brute_force(left: RelStruct, right: RelStruct) -> bool:
-    """Independent oracle: exhaust all bijections.  Small domains only."""
-    if left.signature != right.signature:
-        raise ValueError("signature mismatch")
-    m = left.domain_size
-    if m != right.domain_size:
-        return False
-    for perm in itertools.permutations(range(m)):
-        if all(
-            frozenset(tuple(perm[x] for x in t) for t in lrel) == rrel
-            for lrel, rrel in zip(left.relations, right.relations)
-        ):
-            return True
-    return False
-
-
 def is_local_iso(left: RelStruct, right: RelStruct, mapping: dict[int, int]) -> bool:
     """True iff the partial map is an isomorphism between the two restrictions."""
     if left.signature != right.signature:

@@ -1,0 +1,102 @@
+"""Brute-force definitions that the tests compare relprof's fast paths against.
+
+Each function recomputes one of the library's objects straight from its
+definition, by exhaustive search, so it is only usable on small inputs:
+
+* ``brute_force_form`` - the canonical form of ``relprof.canon``, as the
+  minimum over all m! orderings;
+* ``are_isomorphic_brute_force`` - isomorphism by trying every bijection;
+* ``brute_profile_presented`` - a presentation's profile, by realizing every
+  word or composition and deduplicating by pairwise isomorphism;
+* ``is_monomorphic_part_oracle`` - the full pairwise definition of a
+  monomorphic part, without the pair test.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from relprof.canon import refined_colors, staged_relations
+from relprof.presentations import (
+    MultichainPresentation,
+    compositions_of_size,
+    realize,
+    realize_composition,
+    words_of_size,
+)
+from relprof.structures import RelStruct, canonical_code, restrict
+
+PERMUTATION_SWEEP_LIMIT = 8
+
+
+def ordered_form(arities, m, relations, colors, labeling=None):
+    if labeling is None:
+        color_seq = tuple(colors)
+    else:
+        inverse = [0] * m
+        for v, pos in enumerate(labeling):
+            inverse[pos] = v
+        color_seq = tuple(colors[inverse[p]] for p in range(m))
+    return (tuple(arities), m, color_seq, staged_relations(m, relations, labeling))
+
+
+def brute_force_form(arities, m, relations):
+    """Minimal (colors, staged) serialization over all m! orderings."""
+    if m > PERMUTATION_SWEEP_LIMIT:
+        raise ValueError(f"permutation sweep limited to m <= {PERMUTATION_SWEEP_LIMIT}, got {m}")
+    colors = refined_colors(m, relations)
+    best = None
+    for perm in itertools.permutations(range(m)):
+        form = ordered_form(arities, m, relations, colors, perm)
+        if best is None or form < best:
+            best = form
+    return best if best is not None else ordered_form(arities, 0, relations, [])
+
+
+def are_isomorphic_brute_force(left: RelStruct, right: RelStruct) -> bool:
+    """Independent oracle: exhaust all bijections.  Small domains only."""
+    if left.signature != right.signature:
+        raise ValueError("signature mismatch")
+    m = left.domain_size
+    if m != right.domain_size:
+        return False
+    for perm in itertools.permutations(range(m)):
+        if all(
+            frozenset(tuple(perm[x] for x in t) for t in lrel) == rrel
+            for lrel, rrel in zip(left.relations, right.relations)
+        ):
+            return True
+    return False
+
+
+def brute_profile_presented(pres, n: int) -> int:
+    """Oracle path: realize every word, deduplicate by pairwise isomorphism."""
+    reps = []
+    if isinstance(pres, MultichainPresentation):
+        realizations = [realize(pres, w) for w in words_of_size(pres, n)]
+    else:
+        realizations = [
+            realize_composition(pres, c) for c in compositions_of_size(pres, n)
+        ]
+    for struct in realizations:
+        if not any(are_isomorphic_brute_force(struct, r) for r in reps):
+            reps.append(struct)
+    return len(reps)
+
+
+def is_monomorphic_part_oracle(struct: RelStruct, block) -> bool:
+    """Full definition, no swap shortcut: all pairs A, A' with A-B = A'-B."""
+    block = frozenset(block)
+    m = struct.domain_size
+    outside = [v for v in range(m) if v not in block]
+    inside = sorted(block)
+    for out_r in range(len(outside) + 1):
+        for out_choice in itertools.combinations(outside, out_r):
+            for in_r in range(1, len(inside) + 1):
+                codes = {
+                    canonical_code(restrict(struct, set(out_choice) | set(in_choice)))
+                    for in_choice in itertools.combinations(inside, in_r)
+                }
+                if len(codes) > 1:
+                    return False
+    return True

@@ -73,6 +73,16 @@ def test_degree_overflow_refused():
         power(basis, e_element(basis), 4)
 
 
+def test_negative_exponent_and_degree_refused():
+    basis = basis_of(sum_of_cliques(2), 3)
+    assert power(basis, e_element(basis), 0) == unit_element()
+    with pytest.raises(ValueError, match="exponent must be non-negative, got -1"):
+        power(basis, e_element(basis), -1)
+    for call in (e_matrix, e_rank, check_e_regular):
+        with pytest.raises(ValueError, match="degree must be non-negative, got -1"):
+            call(basis, -1)
+
+
 def test_multiply_commutative_and_graded():
     rng = random.Random(2)
     basis = basis_of(colored_dense_chain(2), 5)

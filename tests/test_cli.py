@@ -356,6 +356,17 @@ def test_cli_bad_denominator_is_input_error(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flag, value, bad", [
+    ("--denominator", "1,x", "'x'"),
+    ("--denominator", "1,,2", "''"),
+    ("--denominator-poly", "1,-1,0.5", "'0.5'"),
+])
+def test_cli_bad_denominator_entry_is_named(capsys, flag, value, bad):
+    code, out, err = run_cli(["series", "T2", "--max-n", "8", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} entries must be integers, got {bad}\n", err
+
+
 def test_cli_byte_identical_outputs(capsys):
     outputs = set()
     for _ in range(2):

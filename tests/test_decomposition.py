@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import is_monomorphic_part_oracle
 from relprof.decomposition import (
     AddLayerReport,
     Decomposition,
@@ -10,7 +11,6 @@ from relprof.decomposition import (
     _SubsetCodes,
     canonical_decomposition,
     is_monomorphic_part,
-    is_monomorphic_part_oracle,
     largest_monomorphic_part,
     leading_monomial,
     leading_monomials,

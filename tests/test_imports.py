@@ -34,3 +34,50 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def oracle_leaks(source: str):
+    """Top-level names that read as test oracles (containing ``brute`` or
+    ending in ``_oracle``) and imports of the test oracles: brute-force
+    paths live in tests/oracles.py."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        found += [(node.lineno, name) for name in names
+                  if "brute" in name or name.endswith("_oracle")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.split(".")[0] in ("oracles", "tests")]
+    return found
+
+
+def test_guard_flags_an_oracle_in_the_library():
+    source = (
+        "from oracles import brute_force_form\nimport tests.oracles\n"
+        "from . import oracles\n\n"
+        "def are_equal_brute_force(x):\n    return x\n\n"
+        "def is_part_oracle(x):\n    def brute_inner():\n        pass\n    return x\n\n"
+        "PART_ORACLE = 1\nbrute_limit: int = 8\n"
+    )
+    assert oracle_leaks(source) == [
+        (5, "are_equal_brute_force"), (8, "is_part_oracle"), (14, "brute_limit"),
+        (1, "oracles"), (2, "tests.oracles"), (3, "oracles"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_oracles_in_the_library(path):
+    assert oracle_leaks(path.read_text(encoding="utf-8")) == []

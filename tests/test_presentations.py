@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from oracles import are_isomorphic_brute_force
 from relprof.presentations import (
     ACYCLIC,
     CLIQUE,
@@ -29,7 +30,6 @@ from relprof.structures import (
     RelStruct,
     acyclic_tournament,
     are_isomorphic,
-    are_isomorphic_brute_force,
     canonical_code,
     cyclic_tournament_3,
     digraph,

@@ -5,6 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import brute_profile_presented
 from relprof import profiles
 from relprof.presentations import (
     BLOCK_KINDS,
@@ -30,7 +31,6 @@ from relprof.profiles import (
     _interface_sweep,
     _subset_age,
     age_of_finite,
-    brute_profile_presented,
     check_basic_inequality,
     check_binomial_bound,
     check_eq10_bound,
@@ -560,6 +560,23 @@ def test_kernel_probe_lexsum_twin_block():
 def test_kernel_probe_omega_block():
     pres = lexsum_tournament_fixture("T2")
     assert kernel_probe(pres, ("block", 0), 3).status == "undetected"
+
+
+def test_kernel_probe_rejects_missing_f_element():
+    # half-bipartite has no finite part, so every F element is missing
+    with pytest.raises(IndexError, match="F element 5"):
+        kernel_probe(half_complete_bipartite(), ("F", 5), 4)
+    pres = tournament_fixtures("T2")
+    for which in (-1, pres.f_size):
+        with pytest.raises(IndexError):
+            kernel_probe(pres, ("F", which), 4)
+
+
+def test_kernel_probe_rejects_missing_block():
+    pres = lexsum_tournament_fixture("T3")
+    for which in (-1, len(pres.blocks)):
+        with pytest.raises(IndexError, match=f"block {which}"):
+            kernel_probe(pres, ("block", which), 4)
 
 
 def test_slow_profile_truncation_profiles():

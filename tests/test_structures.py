@@ -3,11 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import are_isomorphic_brute_force
 from relprof.structures import (
     Signature,
     acyclic_tournament,
     are_isomorphic,
-    are_isomorphic_brute_force,
     canonical_code,
     clique_graph,
     cyclic_tournament_3,
