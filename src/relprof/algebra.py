@@ -6,7 +6,11 @@ n-element restrictions.  The product of two types counts, on a
 representative of each result type, the splittings of its domain into a
 piece of the first type and a complement of the second; heredity of the
 isomorphy equivalence makes the count representative-independent (tested,
-not assumed).  All coefficients are exact rationals.
+not assumed).  ``AgeBasis.split_table`` holds these counts keyed by basis
+positions.  ``_mult_matrix`` reads them as the integer matrix of
+multiplication by a homogeneous element, which gives the e-matrices and the
+zero-divisor kernels; ``multiply``, and with it the structure constants,
+reads the same tables.  All coefficients are exact rationals.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class AgeBasis:
                     ages = age_of_finite(source, n)
             else:
                 ages = enumerate_age(source, n)
-            level = sorted(ages.items())
+            level = list(ages.items())  # both engines return code order
             basis.types.append(level)
             for pos, (code, _) in enumerate(level):
                 basis._index[code] = (n, pos)
@@ -68,18 +72,22 @@ class AgeBasis:
         return self._index[code]
 
     def split_table(self, degree: int, part: int):
-        """For each type of the degree: counts of (part-type, complement-type)
-        over all part-sized subsets of a representative."""
+        """For each type of the degree: counts of (part position, complement
+        position), basis positions in degrees part and degree - part, over
+        all part-sized subsets of its representative.  ``multiply`` and
+        ``_mult_matrix`` read every product from these tables."""
         key = (degree, part)
         table = self._split_tables.get(key)
         if table is not None:
             return table
         full = (1 << degree) - 1
+        index = self._index
         table = []
         for _, rep in self.types[degree]:
             left = subset_codes(rep, part)
             right = left if 2 * part == degree else subset_codes(rep, degree - part)
-            table.append(Counter((c, right[full ^ mask]) for mask, c in left.items()))
+            table.append(Counter((index[c][1], index[right[full ^ mask]][1])
+                                 for mask, c in left.items()))
         self._split_tables[key] = table
         return table
 
@@ -142,20 +150,8 @@ def e_element(basis: AgeBasis) -> AlgebraElement:
 
 def structure_constants(basis: AgeBasis, sigma: bytes, tau: bytes) -> dict:
     """Counts of each product type in sigma * tau, as code -> integer."""
-    deg_s, pos_s = basis.index_of(sigma)
-    deg_t, pos_t = basis.index_of(tau)
-    total = deg_s + deg_t
-    if total > basis.max_degree:
-        raise DegreeOverflowError(
-            f"product degree {total} exceeds basis window {basis.max_degree}"
-        )
-    table = basis.split_table(total, deg_s)
-    out = {}
-    for pos_r, counts in enumerate(table):
-        c = counts.get((sigma, tau), 0)
-        if c:
-            out[basis.codes(total)[pos_r]] = c
-    return out
+    product = multiply(basis, type_element(basis, sigma), type_element(basis, tau))
+    return {basis.types[deg][pos][0]: int(c) for (deg, pos), c in product.coeffs}
 
 
 def multiply(basis: AgeBasis, left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
@@ -168,14 +164,31 @@ def multiply(basis: AgeBasis, left: AlgebraElement, right: AlgebraElement) -> Al
                 raise DegreeOverflowError(
                     f"product degree {total} exceeds basis window {basis.max_degree}"
                 )
-            table = basis.split_table(total, deg_l)
-            sigma = basis.codes(deg_l)[pos_l]
-            tau = basis.codes(deg_r)[pos_r]
-            for pos, counts in enumerate(table):
-                c = counts.get((sigma, tau), 0)
+            for pos, counts in enumerate(basis.split_table(total, deg_l)):
+                c = counts.get((pos_l, pos_r), 0)
                 if c:
                     out[(total, pos)] += cl * cr * c
     return AlgebraElement.from_dict(out)
+
+
+def _mult_matrix(basis: AgeBasis, element: AlgebraElement, degree_in: int):
+    """Integer matrix of v -> element*v from degree_in, element homogeneous
+    (rows: types of the product degree, columns: types of degree_in).
+
+    The element is scaled by the lcm of its coefficient denominators, which
+    leaves the kernel unchanged."""
+    (out_deg,) = element.degrees()
+    scale = lcm(*(c.denominator for _, c in element.coeffs))
+    weight = {pos: int(c * scale) for (_, pos), c in element.coeffs}
+    rows = []
+    for counts in basis.split_table(out_deg + degree_in, out_deg):
+        row = [0] * basis.dimension(degree_in)
+        for (sigma, tau), c in counts.items():
+            w = weight.get(sigma)
+            if w:
+                row[tau] += w * c
+        rows.append(row)
+    return rows
 
 
 def power(basis: AgeBasis, element: AlgebraElement, exponent: int) -> AlgebraElement:
@@ -198,16 +211,9 @@ def e_matrix(basis: AgeBasis, degree: int):
         raise ValueError(f"degree must be non-negative, got {degree}")
     if degree + 1 > basis.max_degree:
         raise DegreeOverflowError("degree + 1 exceeds the basis window")
-    cols = basis.codes(degree)
-    col_index = {code: j for j, code in enumerate(cols)}
-    rows = []
-    for _, rep in basis.types[degree + 1]:
-        row = [0] * len(cols)
-        # the degree-subsets of rep are its one-vertex deletions
-        for rest in subset_codes(rep, degree).values():
-            row[col_index[rest]] += 1
-        rows.append(row)
-    return rows
+    e = e_element(basis)
+    # without points no type has a positive degree: the matrix has no rows
+    return _mult_matrix(basis, e, degree) if e.coeffs else []
 
 
 def e_rank(basis: AgeBasis, degree: int) -> int:
@@ -235,29 +241,6 @@ class ZeroDivisorReport:
     @property
     def found(self) -> bool:
         return self.witness is not None
-
-
-def _mult_matrix(basis: AgeBasis, element: AlgebraElement, degree_in: int):
-    """Integer matrix of v -> element*v from degree_in, element homogeneous.
-
-    The element is scaled by the lcm of its coefficient denominators, which
-    leaves the kernel unchanged."""
-    (out_deg,) = element.degrees()
-    total = out_deg + degree_in
-    scale = lcm(*(c.denominator for _, c in element.coeffs))
-    weight = {
-        basis.codes(deg_l)[pos_l]: int(c * scale) for (deg_l, pos_l), c in element.coeffs
-    }
-    col_index = {tau: j for j, tau in enumerate(basis.codes(degree_in))}
-    rows = []
-    for counts in basis.split_table(total, out_deg):
-        row = [0] * len(col_index)
-        for (sigma, tau), c in counts.items():
-            w = weight.get(sigma)
-            if w:
-                row[col_index[tau]] += w * c
-        rows.append(row)
-    return rows
 
 
 def _annihilated(basis: AgeBasis, u: AlgebraElement, b: int):
@@ -290,7 +273,6 @@ def search_zero_divisors(basis: AgeBasis, max_total_degree: int, random_probes: 
     pure = 0
     kernels = 0
     probes = 0
-    witness = None
     for a in range(1, max_total_degree):
         for b in range(1, max_total_degree - a + 1):
             for pos_s in range(basis.dimension(a)):
@@ -312,7 +294,7 @@ def search_zero_divisors(basis: AgeBasis, max_total_degree: int, random_probes: 
                 v = _annihilated(basis, u, b)
                 if v is not None:
                     return ZeroDivisorReport((u, v), pure, kernels, probes)
-    return ZeroDivisorReport(witness, pure, kernels, probes)
+    return ZeroDivisorReport(None, pure, kernels, probes)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def parse_structure(text: str) -> NamedStruct:
         if parts[0] != "relation" or len(parts) != 3:
             raise FormatError(line_no, f"expected 'relation <name> <arity>', got {line!r}")
         name = parts[1]
+        if name in names:
+            raise FormatError(line_no, f"duplicate relation name {name!r}")
         arity = _arity(line_no, parts[2])
         pos += 1
         tuples = set()
@@ -246,10 +248,15 @@ def _parse_multichain(lines):
     fv = {}
     vf = {}
 
-    def symbol(line_no, name):
+    def symbol(line_no, name, rule=None, arity=None):
+        """A declared symbol's index; a rule needs a symbol of its arity."""
         if name not in index:
             raise FormatError(line_no, f"unknown symbol {name!r}")
-        return index[name]
+        s = index[name]
+        if arity is not None and arities[s] != arity:
+            raise FormatError(line_no, f"'{rule}' needs a symbol of arity {arity}, "
+                                       f"{name!r} has arity {arities[s]}")
+        return s
 
     rest = list(it)
     pos = 0
@@ -271,13 +278,13 @@ def _parse_multichain(lines):
         elif parts[0] == "unary":
             if len(parts) < 2:
                 raise FormatError(line_no, "expected 'unary <name> <slice...>'")
-            s = symbol(line_no, parts[1])
+            s = symbol(line_no, parts[1], "unary", 1)
             unary.setdefault(s, set()).update(_int(line_no, x, "slice") for x in parts[2:])
             pos += 1
         elif parts[0] == "vv":
             if len(parts) < 5:
                 raise FormatError(line_no, "expected 'vv <name> <x> <y> <cmp...>'")
-            s = symbol(line_no, parts[1])
+            s = symbol(line_no, parts[1], "vv", 2)
             x, y = (_int(line_no, t, "slice") for t in parts[2:4])
             for cmp in parts[4:]:
                 if cmp not in ("<", "=", ">"):
@@ -288,7 +295,7 @@ def _parse_multichain(lines):
             if len(parts) != 4:
                 shape = "<f-elt> <slice>" if parts[0] == "fv" else "<slice> <f-elt>"
                 raise FormatError(line_no, f"expected '{parts[0]} <name> {shape}'")
-            s = symbol(line_no, parts[1])
+            s = symbol(line_no, parts[1], parts[0], 2)
             rules = fv if parts[0] == "fv" else vf
             fields = ("F element", "slice") if parts[0] == "fv" else ("slice", "F element")
             rules.setdefault(s, set()).add(

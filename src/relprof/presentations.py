@@ -127,13 +127,19 @@ class MultichainPresentation:
 
 
 def multichain(arities, f_struct, v_size, unary_slices=None, vv=None, fv=None, vf=None, name=""):
-    """Convenience constructor with per-symbol dicts of truthy rules."""
+    """Convenience constructor with per-symbol dicts of truthy rules; a rule
+    key must be a symbol of the rule's arity (1 for unary_slices, else 2)."""
     arities = tuple(arities)
     n = len(arities)
     unary_slices = dict(unary_slices or {})
     vv = dict(vv or {})
     fv = dict(fv or {})
     vf = dict(vf or {})
+    for rule, rules, arity in (("unary_slices", unary_slices, 1), ("vv", vv, 2),
+                               ("fv", fv, 2), ("vf", vf, 2)):
+        for s in rules:
+            if s not in range(n) or arities[s] != arity:
+                raise ValueError(f"{rule} rule for {s!r}: not a symbol of arity {arity}")
     return MultichainPresentation(
         Signature(arities),
         f_struct,

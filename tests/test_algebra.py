@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -114,8 +115,21 @@ def test_multiply_associative_small():
         assert left == right
 
 
+def _recounted_splits(basis, rep, part):
+    """(part position, complement position) counts over the part-subsets of
+    rep, recounted with restrict and canonical_code."""
+    domain = range(rep.domain_size)
+    counts = Counter()
+    for subset in itertools.combinations(domain, part):
+        left = canonical_code(restrict(rep, subset))
+        right = canonical_code(restrict(rep, [v for v in domain if v not in subset]))
+        counts[(basis.index_of(left)[1], basis.index_of(right)[1])] += 1
+    return counts
+
+
 def test_structure_constants_representative_independent():
-    # recount the splittings on alternative representatives of each type
+    # recount the splittings on alternative representatives of each type:
+    # every composition of T2, and every subset of a seeded 7-vertex graph
     from relprof.presentations import compositions_of_size, realize_composition
 
     pres = lexsum_tournament_fixture("T2")
@@ -124,16 +138,19 @@ def test_structure_constants_representative_independent():
     table = basis.split_table(degree, part)
     for comp in compositions_of_size(pres, degree):
         rep = realize_composition(pres, comp)
-        code = canonical_code(rep)
-        pos = basis.index_of(code)[1]
-        expected = table[pos]
-        counts = {}
-        domain = range(rep.domain_size)
-        for subset in itertools.combinations(domain, part):
-            left = canonical_code(restrict(rep, subset))
-            right = canonical_code(restrict(rep, [v for v in domain if v not in subset]))
-            counts[(left, right)] = counts.get((left, right), 0) + 1
-        assert counts == dict(expected), comp
+        pos = basis.index_of(canonical_code(rep))[1]
+        assert _recounted_splits(basis, rep, part) == table[pos], comp
+    rng = random.Random(7)
+    edges = [e for e in itertools.combinations(range(7), 2) if rng.random() < 0.5]
+    graph = graph_from_edges(7, edges)
+    basis = AgeBasis.build(graph, 7)
+    for degree in range(8):
+        for subset in itertools.combinations(range(7), degree):
+            rep = restrict(graph, subset)
+            pos = basis.index_of(canonical_code(rep))[1]
+            for part in range(degree + 1):
+                table = basis.split_table(degree, part)
+                assert _recounted_splits(basis, rep, part) == table[pos], (subset, part)
 
 
 def test_e_matrix_entries_match_restrict_oracle():
@@ -214,6 +231,9 @@ def test_e_regular_small_fixtures():
 def test_e_regular_degree_zero():
     basis = basis_of(sum_of_cliques(2), 1)
     assert check_e_regular(basis, 0)
+    # the empty structure has no points: e is zero and degree 1 has no types
+    basis = AgeBasis.build(make_struct((2,), 0, [[]]), 2)
+    assert e_matrix(basis, 0) == [] and not check_e_regular(basis, 0)
 
 
 def test_e_rank_equals_profile():

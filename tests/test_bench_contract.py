@@ -87,10 +87,12 @@ def test_traced_multichain_profile_reaches_the_word_and_age_sites():
 
 def test_traced_algebra_reaches_the_subset_code_site():
     # subset_codes is the only traffic through profiles.canonical_code that an
-    # algebra-lab run expects
+    # algebra-lab run expects; e_matrix reads its counts from the split table
     result = _traced_worker(
         ["algebra", "colored-chain:2", "--check", "e-regular", "--max-degree", "3"])
-    assert result["trace"]["sites"].get("profiles.canonical_code", 0) > 0
+    sites = result["trace"]["sites"]
+    for site in ("profiles.canonical_code", "algebra.e_matrix", "algebra.AgeBasis.split_table"):
+        assert sites.get(site, 0) > 0, site
 
 
 def test_traced_finite_profile_reaches_the_refinement_site():

@@ -261,6 +261,10 @@ def test_cli_input_errors(capsys, tmp_path):
     bad.write_text("structure\ndomain 2\nrelation e -1\nend\n")
     code, _, err = run_cli(["profile", str(bad)], capsys)
     assert code == 2 and "line 3: arity must be positive" in err, err
+    bad.write_text("structure\ndomain 2\nrelation edge 2\nend\nrelation edge 2\n0 1\nend\n")
+    code, out, err = run_cli(["show", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert "line 5: duplicate relation name 'edge'" in err, err
 
 
 
@@ -329,6 +333,10 @@ def _input_file(rule):
     ("fpart arc\n0 1\nend", "line 8"),
     ("fpart mark\n0 0\nend", "line 8"),
     ("symbols arc 2 arc 2 mark 1", "line 2: duplicate symbol names"),
+    ("vv mark 0 1 <", "line 7: 'vv' needs a symbol of arity 2, 'mark' has arity 1"),
+    ("fv mark 0 1", "line 7: 'fv' needs a symbol of arity 2, 'mark' has arity 1"),
+    ("vf mark 1 0", "line 7: 'vf' needs a symbol of arity 2, 'mark' has arity 1"),
+    ("unary arc 1", "line 7: 'unary' needs a symbol of arity 1, 'arc' has arity 2"),
     ("symbols arc 0 mark 1", "line 2: arity must be positive"),
     (LEXSUM_HEAD.removesuffix("end\n"), "line 6: blocks not closed by 'end'"),
     (LEXSUM_HEAD.replace("index-arcs\nend\n", "index-arcs\n"),

@@ -13,10 +13,12 @@ from relprof.presentations import (
     Word,
     _PrefixSweep,
     colored_dense_chain,
+    empty_finite_part,
     enumerate_age,
     half_complete_bipartite,
     interval_division_chain,
     lexsum_tournament_fixture,
+    multichain,
     product_of,
     realize,
     realize_composition,
@@ -312,6 +314,22 @@ def test_lexsum_validation():
         LexSumPresentation(digraph(2, []), ((ACYCLIC, OMEGA),))
     with pytest.raises(ValueError):
         LexSumPresentation(digraph(1, []), ((CLIQUE, 0),))
+
+
+@pytest.mark.parametrize("rules, message", [
+    ({"vv": {1: {(0, 0, "<")}}}, "vv rule for 1: not a symbol of arity 2"),
+    ({"vv": {3: {(0, 0, "<")}}}, "vv rule for 3: not a symbol of arity 2"),
+    ({"fv": {1: set()}}, "fv rule for 1: not a symbol of arity 2"),
+    ({"vf": {1: set()}}, "vf rule for 1: not a symbol of arity 2"),
+    ({"unary_slices": {0: {0}}}, "unary_slices rule for 0: not a symbol of arity 1"),
+])
+def test_multichain_rejects_rules_for_a_symbol_of_another_arity(rules, message):
+    # a rule keyed by a unary symbol, a binary one or no symbol at all would
+    # otherwise be dropped without a word
+    arities = (2, 1)
+    base = {"unary_slices": {1: {0}}, "vv": {0: {(0, 0, "<")}}}
+    with pytest.raises(ValueError, match=message):
+        multichain(arities, empty_finite_part(arities), 1, **{**base, **rules})
 
 
 def test_slow_profile_structure_shapes():
