@@ -7,10 +7,11 @@ representative of each result type, the splittings of its domain into a
 piece of the first type and a complement of the second; heredity of the
 isomorphy equivalence makes the count representative-independent (tested,
 not assumed).  ``AgeBasis.split_table`` holds these counts keyed by basis
-positions.  ``_mult_matrix`` reads them as the integer matrix of
-multiplication by a homogeneous element, which gives the e-matrices and the
-zero-divisor kernels; ``multiply``, and with it the structure constants,
-reads the same tables.  All coefficients are exact rationals.
+positions, as index arrays per type of the part.  ``_mult_matrix`` adds
+them up into the integer array of multiplication by a homogeneous element,
+which gives the e-matrices and the zero-divisor kernels; ``multiply``, and
+with it the structure constants, reads the same tables.  All coefficients
+are exact rationals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+
+import numpy as np
 
 from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
@@ -72,24 +75,43 @@ class AgeBasis:
         return self._index[code]
 
     def split_table(self, degree: int, part: int):
-        """For each type of the degree: counts of (part position, complement
-        position), basis positions in degrees part and degree - part, over
-        all part-sized subsets of its representative.  ``multiply`` and
+        """Per type sigma of degree part: the arrays (rho, tau, count) of its
+        splittings, as basis positions.  The representative of the
+        degree's type rho has count part-sized subsets of type sigma whose
+        complement has type tau of degree - part; only non-zero counts are
+        stored.  The same two subset walks give the table of the
+        complementary part, so both are stored at once.  ``multiply`` and
         ``_mult_matrix`` read every product from these tables."""
-        key = (degree, part)
-        table = self._split_tables.get(key)
+        table = self._split_tables.get((degree, part))
         if table is not None:
             return table
         full = (1 << degree) - 1
         index = self._index
-        table = []
+        sigma, tau = [], []
         for _, rep in self.types[degree]:
             left = subset_codes(rep, part)
             right = left if 2 * part == degree else subset_codes(rep, degree - part)
-            table.append(Counter((index[c][1], index[right[full ^ mask]][1])
-                                 for mask, c in left.items()))
-        self._split_tables[key] = table
+            for mask, code in left.items():
+                sigma.append(index[code][1])
+                tau.append(index[right[full ^ mask]][1])
+        dims = (self.dimension(part), self.dimension(degree), self.dimension(degree - part))
+        sigma, tau = np.array(sigma, dtype=np.int64), np.array(tau, dtype=np.int64)
+        rho = np.repeat(np.arange(dims[1], dtype=np.int64), comb(degree, part))
+        if 2 * part != degree:
+            self._split_tables[(degree, degree - part)] = _grouped(tau, rho, sigma, dims[::-1])
+        table = self._split_tables[(degree, part)] = _grouped(sigma, rho, tau, dims)
         return table
+
+
+def _grouped(first, rho, second, dims):
+    """Counts of each (first, rho, second) triple, split by first: per value
+    of first, the arrays (rho, second, count) in increasing order."""
+    n_first, n_rho, n_second = dims
+    keys, counts = np.unique((first * n_rho + rho) * n_second + second, return_counts=True)
+    first, rest = np.divmod(keys, n_rho * n_second)
+    rho, second = np.divmod(rest, n_second)
+    bounds = np.searchsorted(first, np.arange(n_first + 1)).tolist()
+    return [(rho[lo:hi], second[lo:hi], counts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -164,31 +186,34 @@ def multiply(basis: AgeBasis, left: AlgebraElement, right: AlgebraElement) -> Al
                 raise DegreeOverflowError(
                     f"product degree {total} exceeds basis window {basis.max_degree}"
                 )
-            for pos, counts in enumerate(basis.split_table(total, deg_l)):
-                c = counts.get((pos_l, pos_r), 0)
-                if c:
-                    out[(total, pos)] += cl * cr * c
+            rho, tau, count = basis.split_table(total, deg_l)[pos_l]
+            hit = tau == pos_r
+            for pos, c in zip(rho[hit].tolist(), count[hit].tolist()):
+                out[(total, pos)] += cl * cr * c
     return AlgebraElement.from_dict(out)
 
 
 def _mult_matrix(basis: AgeBasis, element: AlgebraElement, degree_in: int):
-    """Integer matrix of v -> element*v from degree_in, element homogeneous
+    """Integer array of v -> element*v from degree_in, element homogeneous
     (rows: types of the product degree, columns: types of degree_in).
 
     The element is scaled by the lcm of its coefficient denominators, which
-    leaves the kernel unchanged."""
+    leaves the kernel unchanged.  Each type in its support adds its weight
+    times its split counts; the array is int64 unless an entry could leave
+    int64, and then holds Python ints."""
     (out_deg,) = element.degrees()
     scale = lcm(*(c.denominator for _, c in element.coeffs))
-    weight = {pos: int(c * scale) for (_, pos), c in element.coeffs}
-    rows = []
-    for counts in basis.split_table(out_deg + degree_in, out_deg):
-        row = [0] * basis.dimension(degree_in)
-        for (sigma, tau), c in counts.items():
-            w = weight.get(sigma)
-            if w:
-                row[tau] += w * c
-        rows.append(row)
-    return rows
+    weights = [(pos, int(c * scale)) for (_, pos), c in element.coeffs]
+    total = out_deg + degree_in
+    table = basis.split_table(total, out_deg)
+    # an entry is at most sum |w| * C(total, out_deg); beyond int64 it stays a Python int
+    bound = sum(abs(w) for _, w in weights) * comb(total, out_deg)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    matrix = np.zeros((basis.dimension(total), basis.dimension(degree_in)), dtype=dtype)
+    for sigma, w in weights:
+        rho, tau, count = table[sigma]
+        matrix[rho, tau] += w * count.astype(dtype, copy=False)
+    return matrix
 
 
 def power(basis: AgeBasis, element: AlgebraElement, exponent: int) -> AlgebraElement:
@@ -212,8 +237,9 @@ def e_matrix(basis: AgeBasis, degree: int):
     if degree + 1 > basis.max_degree:
         raise DegreeOverflowError("degree + 1 exceeds the basis window")
     e = e_element(basis)
-    # without points no type has a positive degree: the matrix has no rows
-    return _mult_matrix(basis, e, degree) if e.coeffs else []
+    if not e.coeffs:  # without points no type has a positive degree: no rows
+        return np.zeros((0, basis.dimension(degree)), dtype=np.int64)
+    return _mult_matrix(basis, e, degree)
 
 
 def e_rank(basis: AgeBasis, degree: int) -> int:
@@ -247,7 +273,7 @@ def _annihilated(basis: AgeBasis, u: AlgebraElement, b: int):
     """A non-zero v of degree b with u * v = 0, or None.  When the product
     degree has no types, every product is zero and v is the first type."""
     matrix = _mult_matrix(basis, u, b)
-    if not matrix:
+    if not len(matrix):
         kernel = [(Fraction(1),)] if basis.dimension(b) else []
     else:
         kernel = nullspace(matrix)

@@ -5,7 +5,10 @@ columns by the (n+k)-element subsets, entry 1 exactly at inclusions.  When
 2n+k <= m the matrix has full row rank over the rationals, which is what
 forces profiles to satisfy phi(n) <= phi(n+k) on large enough domains; both
 the rank fact and the profile argument are reproduced computationally here.
-Subsets are indexed colexicographically for reproducible dumps.
+Subsets are indexed colexicographically for reproducible dumps.  A matrix
+is kept as a numpy array, built in one broadcast over subset bitmasks and
+ranked as it is; its rows become Python tuples only when read through
+``ExactMatrix.entries`` or dumped.
 """
 
 from __future__ import annotations
@@ -13,26 +16,31 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import rank_exact
 from .profiles import age_of_finite, subset_codes
 from .structures import RelStruct
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactMatrix:
-    entries: tuple  # tuple of row tuples, exact integers/Fractions
+    array: np.ndarray  # 2-d integer array, rows by columns
     row_labels: tuple
     col_labels: tuple
 
     def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row labels inconsistent")
-        if self.entries and any(len(r) != len(self.col_labels) for r in self.entries):
-            raise ValueError("column labels inconsistent")
+        if self.array.shape != self.shape:
+            raise ValueError(f"labels of shape {self.shape} for a {self.array.shape} matrix")
 
     @property
     def shape(self):
         return (len(self.row_labels), len(self.col_labels))
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of Python ints."""
+        return tuple(map(tuple, self.array.tolist()))
 
 
 def colex_subsets(m: int, size: int):
@@ -42,22 +50,26 @@ def colex_subsets(m: int, size: int):
     return subsets
 
 
+def _masks(subsets, m: int) -> np.ndarray:
+    """Vertex bitmasks of the subsets, as int64 while they fit."""
+    return np.array([sum(1 << v for v in s) for s in subsets],
+                    dtype=np.int64 if m < 63 else object)
+
+
 def build_incidence(m: int, n: int, k: int) -> ExactMatrix:
     """The 0/1 inclusion matrix between n-subsets and (n+k)-subsets of {0..m-1}."""
     if n < 0 or k < 0 or n + k > m:
         raise ValueError(f"need 0 <= n, 0 <= k, n+k <= m; got m={m} n={n} k={k}")
     rows = colex_subsets(m, n)
     cols = colex_subsets(m, n + k)
-    col_sets = [frozenset(c) for c in cols]
-    entries = tuple(
-        tuple(1 if col >= frozenset(row) else 0 for col in col_sets) for row in rows
-    )
-    return ExactMatrix(entries, tuple(rows), tuple(cols))
+    row_masks = _masks(rows, m)[:, None]
+    inclusion = (_masks(cols, m)[None, :] & row_masks) == row_masks
+    return ExactMatrix(inclusion.astype(np.uint8), tuple(rows), tuple(cols))
 
 
 def matrix_rank(matrix: ExactMatrix) -> int:
     """Exact rank over the rationals."""
-    return rank_exact(matrix.entries)
+    return rank_exact(matrix.array)
 
 
 def inclusion_rank(m: int, n: int, k: int) -> tuple[ExactMatrix, int]:
@@ -77,8 +89,8 @@ def verify_kantor(m: int, n: int, k: int) -> bool:
 
 def dump_matrix(matrix: ExactMatrix, m: int, n: int, k: int) -> str:
     lines = [f"{m} {n} {k} {len(matrix.row_labels)} {len(matrix.col_labels)}"]
-    for row in matrix.entries:
-        lines.append(" ".join(str(x) for x in row))
+    for row in matrix.array.tolist():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -88,10 +100,10 @@ def type_indicator_matrix(struct: RelStruct, n: int) -> ExactMatrix:
     types = sorted(set(codes.values()))  # the codes of age_of_finite, in its order
     index = {code: i for i, code in enumerate(types)}
     cols = colex_subsets(struct.domain_size, n)
-    entries = [[0] * len(cols) for _ in types]
+    array = np.zeros((len(types), len(cols)), dtype=np.uint8)
     for j, subset in enumerate(cols):
-        entries[index[codes[sum(1 << v for v in subset)]]][j] = 1
-    return ExactMatrix(tuple(map(tuple, entries)), tuple(types), tuple(cols))
+        array[index[codes[sum(1 << v for v in subset)]], j] = 1
+    return ExactMatrix(array, tuple(types), tuple(cols))
 
 
 def profile_inequality_via_incidence(struct: RelStruct, n: int, k: int) -> bool:
@@ -106,11 +118,8 @@ def profile_inequality_via_incidence(struct: RelStruct, n: int, k: int) -> bool:
     if m < 2 * n + k:
         raise ValueError(f"need domain size >= {2 * n + k}, got {m}")
     indicator = type_indicator_matrix(struct, n)
-    inclusion_cols = list(zip(*build_incidence(m, n, k).entries))
-    product = [
-        [sum(a * b for a, b in zip(row, col)) for col in inclusion_cols]
-        for row in indicator.entries
-    ]
+    inclusion = build_incidence(m, n, k).array
+    product = indicator.array.astype(np.int64) @ inclusion.astype(np.int64)
     phi_n = len(indicator.row_labels)
     if rank_exact(product) != phi_n:
         return False

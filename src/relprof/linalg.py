@@ -6,6 +6,17 @@ never exceeds the rational rank, so whenever elimination mod p yields full
 rank min(rows, cols) the rational rank is pinned exactly without any
 big-integer work.  Matrices with rational entries are scaled row-wise to
 integers first (rank and kernel preserving).
+
+Every routine takes a list of rows or a numpy array.  ``rank_mod_p`` keeps
+an integer array as it is and eliminates on int64: each step updates only
+the rows below the pivot with a non-zero entry in the pivot column, right
+of that column, and reduces mod p only the pivot column and the pivot row.
+The rest of the active block is left unreduced, since every update
+subtracts a product of two residues, at most (p-1)**2; after
+``_deferred_steps(p)`` = 2**63 // (p-1)**2 updates (about 2.3 million for
+``MOD_PRIME``) the whole block is reduced again, so no entry leaves int64.
+Bareiss and the back-substitution run on Python ints, from ``tolist()``
+for an array.
 """
 
 from __future__ import annotations
@@ -15,10 +26,13 @@ from math import gcd
 
 import numpy as np
 
-MOD_PRIME = 2_000_003  # p**2 * cols stays well inside int64
+MOD_PRIME = 2_000_003
+_INT64_SPAN = 2 ** 63  # an int64 holds [-2**63, 2**63)
 
 
 def _to_int_rows(matrix):
+    if isinstance(matrix, np.ndarray):
+        matrix = matrix.tolist()
     rows = []
     for row in matrix:
         if all(type(x) is int for x in row):
@@ -37,33 +51,58 @@ def _to_int_rows(matrix):
     return rows
 
 
-def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
-    """Rank over GF(p): a lower bound for the rational rank."""
+def _deferred_steps(p: int) -> int:
+    """Updates a block of residues takes before an entry could leave int64."""
+    if p < 2 or (p - 1) ** 2 >= _INT64_SPAN:
+        raise ValueError(f"modulus must satisfy 2 <= p and (p-1)**2 < 2**63, got {p}")
+    return _INT64_SPAN // (p - 1) ** 2
+
+
+def _residues(matrix, p: int) -> np.ndarray:
+    """The matrix mod p as a 2-d int64 array of entries in [0, p)."""
+    if isinstance(matrix, np.ndarray) and np.can_cast(matrix.dtype, np.int64):
+        return matrix.astype(np.int64) % p
     rows = _to_int_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
+    shape = (len(rows), len(rows[0]) if rows else 0)
     try:
-        a = np.array(rows, dtype=np.int64) % p
+        return np.array(rows, dtype=np.int64).reshape(shape) % p
     except OverflowError:  # entries beyond int64: reduce them exactly first
-        a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+        return np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(shape)
+
+
+def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
+    """Rank over GF(p), p a prime with (p-1)**2 < 2**63: a lower bound for
+    the rational rank."""
+    period = _deferred_steps(p)
+    a = _residues(matrix, p)
     n_rows, n_cols = a.shape
     rank = 0
+    pending = 0  # updates since the active block was last reduced
     for col in range(n_cols):
         if rank == n_rows:
             break
-        pivot_rows = np.nonzero(a[rank:, col])[0]
+        column = a[rank:, col]
+        column %= p
+        pivot_rows = np.flatnonzero(column)
         if pivot_rows.size == 0:
             continue
         pivot = rank + int(pivot_rows[0])
         if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        factors = a[rank + 1:, col].copy()
-        nz = np.nonzero(factors)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - factors[nz, None] * a[rank]) % p
+            a[[rank, pivot], col:] = a[[pivot, rank], col:]
+        row = a[rank, col + 1:]
+        row %= p
+        row *= pow(int(a[rank, col]), -1, p)
+        row %= p
+        factors = a[rank + 1:, col]
         rank += 1
+        nz = np.flatnonzero(factors)
+        if nz.size == 0:
+            continue
+        if pending == period:
+            a[rank:, col + 1:] %= p
+            pending = 0
+        a[rank + nz, col + 1:] -= factors[nz, None] * row
+        pending += 1
     return rank
 
 
@@ -106,7 +145,7 @@ def rank_bareiss(matrix) -> int:
 def rank_exact(matrix) -> int:
     """Exact rational rank: modular certificate first, Bareiss otherwise."""
     modular = rank_mod_p(matrix)
-    if not matrix or modular == min(len(matrix), len(matrix[0])):
+    if not len(matrix) or modular == min(len(matrix), len(matrix[0])):
         return modular  # rank_p <= rank_Q <= min(rows, cols) forces equality
     return rank_bareiss(matrix)
 
@@ -119,7 +158,7 @@ def nullspace(matrix):
     the mod-p certificate alone; otherwise one Bareiss echelon is solved
     back to front for each free column.
     """
-    if not matrix or rank_mod_p(matrix) == len(matrix[0]):
+    if not len(matrix) or rank_mod_p(matrix) == len(matrix[0]):
         return []
     a = _to_int_rows(matrix)  # row scaling leaves the kernel unchanged
     pivots = _echelon(a)

@@ -9,12 +9,17 @@ definition, by exhaustive search, so it is only usable on small inputs:
 * ``brute_profile_presented`` - a presentation's profile, by realizing every
   word or composition and deduplicating by pairwise isomorphism;
 * ``is_monomorphic_part_oracle`` - the full pairwise definition of a
-  monomorphic part, without the pair test.
+  monomorphic part, without the pair test;
+* ``rank_mod_p_oracle`` - the rank over GF(p) by textbook Gauss-Jordan
+  elimination on Python ints, reducing every entry at every step;
+* ``split_counter_rows`` - the age algebra's split counts as one Counter of
+  (part position, complement position) per type, from ``subset_codes``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from relprof.canon import refined_colors, staged_relations
 from relprof.presentations import (
@@ -24,6 +29,7 @@ from relprof.presentations import (
     realize_composition,
     words_of_size,
 )
+from relprof.profiles import subset_codes
 from relprof.structures import RelStruct, canonical_code, restrict
 
 PERMUTATION_SWEEP_LIMIT = 8
@@ -100,3 +106,35 @@ def is_monomorphic_part_oracle(struct: RelStruct, block) -> bool:
                 if len(codes) > 1:
                     return False
     return True
+
+
+def rank_mod_p_oracle(matrix, p: int) -> int:
+    """Rank over GF(p) of a matrix of Python ints, p prime, any entry size."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def split_counter_rows(basis, degree: int, part: int) -> list:
+    """Per type of the degree: Counter of (part position, complement
+    position) over the part-subsets of its representative."""
+    full = (1 << degree) - 1
+    rows = []
+    for _, rep in basis.types[degree]:
+        left = subset_codes(rep, part)
+        right = subset_codes(rep, degree - part)
+        rows.append(Counter((basis.index_of(code)[1], basis.index_of(right[full ^ mask])[1])
+                            for mask, code in left.items()))
+    return rows

@@ -27,6 +27,7 @@ from relprof.algebra import (
 )
 from relprof.presentations import (
     colored_dense_chain,
+    half_complete_bipartite,
     lexsum_tournament_fixture,
     product_of,
     reflexive_chain,
@@ -34,6 +35,7 @@ from relprof.presentations import (
     tournament_fixtures,
 )
 from relprof.linalg import nullspace, rank_bareiss
+from oracles import split_counter_rows
 from relprof.profiles import profile_presented
 from relprof.structures import (
     acyclic_tournament,
@@ -127,6 +129,17 @@ def _recounted_splits(basis, rep, part):
     return counts
 
 
+def _splits_of(table, pos):
+    """The split table's (part position, complement position) counts for the
+    type at pos of the product degree."""
+    counts = Counter()
+    for sigma, (rho, tau, count) in enumerate(table):
+        for r, t, c in zip(rho.tolist(), tau.tolist(), count.tolist()):
+            if r == pos:
+                counts[(sigma, t)] += c
+    return counts
+
+
 def test_structure_constants_representative_independent():
     # recount the splittings on alternative representatives of each type:
     # every composition of T2, and every subset of a seeded 7-vertex graph
@@ -139,7 +152,7 @@ def test_structure_constants_representative_independent():
     for comp in compositions_of_size(pres, degree):
         rep = realize_composition(pres, comp)
         pos = basis.index_of(canonical_code(rep))[1]
-        assert _recounted_splits(basis, rep, part) == table[pos], comp
+        assert _recounted_splits(basis, rep, part) == _splits_of(table, pos), comp
     rng = random.Random(7)
     edges = [e for e in itertools.combinations(range(7), 2) if rng.random() < 0.5]
     graph = graph_from_edges(7, edges)
@@ -150,7 +163,7 @@ def test_structure_constants_representative_independent():
             pos = basis.index_of(canonical_code(rep))[1]
             for part in range(degree + 1):
                 table = basis.split_table(degree, part)
-                assert _recounted_splits(basis, rep, part) == table[pos], (subset, part)
+                assert _recounted_splits(basis, rep, part) == _splits_of(table, pos), (subset, part)
 
 
 def test_e_matrix_entries_match_restrict_oracle():
@@ -173,7 +186,7 @@ def test_e_matrix_entries_match_restrict_oracle():
                     rest = restrict(rep, [v for v in rep.domain if v != x])
                     row[col_index[canonical_code(rest)]] += 1
                 expected.append(row)
-            assert e_matrix(basis, degree) == expected, (basis.source_name, degree)
+            assert e_matrix(basis, degree).tolist() == expected, (basis.source_name, degree)
 
 
 def test_e_element_contents():
@@ -233,7 +246,7 @@ def test_e_regular_degree_zero():
     assert check_e_regular(basis, 0)
     # the empty structure has no points: e is zero and degree 1 has no types
     basis = AgeBasis.build(make_struct((2,), 0, [[]]), 2)
-    assert e_matrix(basis, 0) == [] and not check_e_regular(basis, 0)
+    assert e_matrix(basis, 0).tolist() == [] and not check_e_regular(basis, 0)
 
 
 def test_e_rank_equals_profile():
@@ -284,7 +297,7 @@ def test_mult_matrix_is_scaled_integer_product():
     # fractional weights: the matrix is lcm(2, 3) = 6 times the product's columns
     basis = basis_of(colored_dense_chain(2), 4)
     u = AlgebraElement.from_dict({(2, 0): Fraction(1, 2), (2, 3): Fraction(-2, 3)})
-    matrix = _mult_matrix(basis, u, 2)
+    matrix = _mult_matrix(basis, u, 2).tolist()
     assert len(matrix) == basis.dimension(4)
     assert all(type(x) is int for row in matrix for x in row)
     for j in range(basis.dimension(2)):
@@ -292,6 +305,51 @@ def test_mult_matrix_is_scaled_integer_product():
         column = [row[j] for row in matrix]
         assert column == [6 * product.get((4, r), 0) for r in range(basis.dimension(4))]
         assert any(column)
+
+
+def _counter_row_product(rows, weights, n_cols):
+    """sum_sigma w_sigma T[sigma] from the Counter rows of a split table."""
+    out = []
+    for counts in rows:
+        row = [0] * n_cols
+        for (sigma, tau), c in counts.items():
+            row[tau] += weights.get(sigma, 0) * c
+        out.append(row)
+    return out
+
+
+def test_split_arrays_match_counter_rows():
+    # every (t, a) of two bases: pure types and seeded Fraction-weighted probes
+    rng = random.Random(17)
+    for pres, top in ((half_complete_bipartite(), 7), (colored_dense_chain(2), 6)):
+        basis = basis_of(pres, top)
+        for t in range(top + 1):
+            for a in range(t + 1):
+                rows = split_counter_rows(basis, t, a)
+                dim_a, dim_b = basis.dimension(a), basis.dimension(t - a)
+                probes = [{pos: Fraction(1)} for pos in range(dim_a)]
+                for _ in range(3):
+                    support = rng.sample(range(dim_a), k=min(dim_a, rng.randint(1, 3)))
+                    probes.append({pos: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                                   for pos in support})
+                for coeffs in probes:
+                    u = AlgebraElement.from_dict({(a, pos): c for pos, c in coeffs.items()})
+                    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+                    weights = {pos: int(c * scale) for pos, c in coeffs.items()}
+                    matrix = _mult_matrix(basis, u, t - a)
+                    assert matrix.shape == (basis.dimension(t), dim_b)
+                    assert matrix.tolist() == _counter_row_product(rows, weights, dim_b), \
+                        (pres.name, t, a, coeffs)
+
+
+def test_mult_matrix_keeps_entries_beyond_int64_exact():
+    basis = basis_of(colored_dense_chain(2), 4)
+    big = 2 ** 70 + 1
+    u = AlgebraElement.from_dict({(2, 0): big, (2, 3): -big + 2})
+    rows = split_counter_rows(basis, 4, 2)
+    matrix = _mult_matrix(basis, u, 2)
+    assert matrix.tolist() == _counter_row_product(rows, {0: big, 3: -big + 2}, 4)
+    assert nullspace(matrix) == nullspace(matrix.tolist())
 
 
 def test_mult_matrix_kernel_vectors_annihilate_with_non_unit_weights():

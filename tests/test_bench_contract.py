@@ -113,3 +113,15 @@ def test_traced_decompose_reaches_the_pair_test_sites():
     for site in ("decomposition.restrict", "decomposition.canonical_code",
                  "decomposition.is_monomorphic_part", "cli.canonical_decomposition"):
         assert sites.get(site, 0) > 0, site
+
+
+def test_traced_exact_rank_runs_reach_the_linalg_sites():
+    # a traced algebra-lab run fails when an import site it expects records no
+    # call; an incidence rank and every zero-divisor query still go through them
+    result = _traced_worker(["incidence", "--m", "6", "--n", "2", "--k", "1"])
+    sites = result["trace"]["sites"]
+    for site in ("incidence.rank_exact", "linalg.rank_mod_p"):
+        assert sites.get(site, 0) > 0, site
+    result = _traced_worker(
+        ["algebra", "colored-chain:2", "--check", "zero-divisors", "--max-degree", "3"])
+    assert result["trace"]["sites"].get("algebra.nullspace", 0) > 0

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relprof.incidence import (
@@ -13,8 +14,9 @@ from relprof.incidence import (
     type_indicator_matrix,
     verify_kantor,
 )
-from relprof.linalg import nullspace, rank_bareiss, rank_exact, rank_mod_p
+from relprof.linalg import MOD_PRIME, nullspace, rank_bareiss, rank_exact, rank_mod_p
 from relprof.structures import graph_from_edges, path_graph
+from oracles import rank_mod_p_oracle
 
 
 def test_colex_order():
@@ -29,6 +31,28 @@ def test_build_incidence_shapes():
     row = build_incidence(4, 0, 2)
     assert row.shape == (1, 6)
     assert all(x == 1 for x in row.entries[0])
+
+
+def test_build_incidence_matches_frozenset_definition():
+    for m in range(8):
+        for n in range(m + 1):
+            for k in range(m - n + 1):
+                mat = build_incidence(m, n, k)
+                want = tuple(
+                    tuple(1 if frozenset(col) >= frozenset(row) else 0 for col in mat.col_labels)
+                    for row in mat.row_labels
+                )
+                assert mat.array.dtype == np.uint8
+                assert mat.entries == want, (m, n, k)
+                assert all(type(x) is int for row in mat.entries for x in row)
+
+
+def test_build_incidence_beyond_int64_masks():
+    # from m = 63 on, subset bitmasks no longer fit int64 and stay Python ints
+    mat = build_incidence(64, 1, 1)
+    assert mat.shape == (64, 2016)
+    assert mat.array.sum(axis=1).tolist() == [63] * 64
+    assert matrix_rank(mat) == 64
 
 
 def test_build_incidence_validation():
@@ -166,6 +190,68 @@ def test_modular_rank_beyond_int64():
     assert rank_mod_p([[big, 1], [1, big]]) == 2
     assert rank_exact([[big, 2 * big], [1, 2]]) == 1
     assert nullspace([[big, 2 * big], [1, 2]]) == [(Fraction(-2), Fraction(1))]
+
+
+def test_rank_mod_p_rejects_moduli_outside_int64():
+    # (p-1)**2 must fit below 2**63, or a single update could overflow
+    edge = math.isqrt(2 ** 63 - 1) + 1  # the largest p with (p-1)**2 < 2**63
+    assert rank_mod_p([[1, 0], [0, 1]], edge) == 2
+    assert rank_mod_p([[1, 2], [3, 4]], 3_037_000_493) == 2  # the largest such prime
+    for p in (-7, 0, 1, edge + 1, 4_294_967_311):
+        with pytest.raises(ValueError):
+            rank_mod_p([[1, 2], [3, 4]], p)
+
+
+def _seeded_matrices(rng, bound):
+    """Random matrices with negative entries, some rank-deficient: a row is
+    replaced by an integer combination of two others."""
+    for _ in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.6:
+            a, b, c = rng.sample(range(rows), 3)
+            fa, fb = rng.randint(-4, 4), rng.randint(-4, 4)
+            m[c] = [fa * x + fb * y for x, y in zip(m[a], m[b])]
+        yield m
+
+
+def test_rank_mod_p_matches_elimination_oracle():
+    # p = 2**31 - 1 allows two updates between block reductions, so the
+    # periodic reduction runs; entries beyond int64 take the exact-reduction path
+    rng = random.Random(31)
+    primes = (2, 3, 5, 7919, MOD_PRIME, 2 ** 31 - 1)
+    deficient = 0
+    for bound in (1, 9, 2 ** 40, 2 ** 70):
+        for m in _seeded_matrices(rng, bound):
+            for p in primes:
+                want = rank_mod_p_oracle(m, p)
+                assert rank_mod_p(m, p) == want, (m, p)
+                if bound < 2 ** 63:
+                    assert rank_mod_p(np.array(m, dtype=np.int64), p) == want, (m, p)
+                else:
+                    assert rank_mod_p(np.array(m, dtype=object), p) == want, (m, p)
+            assert rank_mod_p(m) == rank_mod_p_oracle(m, MOD_PRIME)
+            assert rank_exact(m) == rank_bareiss(m) == rank_exact(np.array(m, dtype=object))
+            deficient += rank_bareiss(m) < min(len(m), len(m[0]))
+    assert deficient > 20
+
+
+def test_rank_mod_p_periodic_reduction_on_dense_matrices():
+    # wide dense matrices of rank 12 < rows: an entry takes up to 15 updates
+    # before its column is reduced, so without the periodic block reduction
+    # int64 would overflow and leave a dependent row non-zero
+    rng = random.Random(5)
+    for p in (2 ** 31 - 1, 3_037_000_493):
+        for _ in range(10):
+            m = [[rng.randrange(p) for _ in range(40)] for _ in range(12)]
+            for _ in range(4):
+                f, g = rng.randrange(p), rng.randrange(p)
+                m.append([f * x + g * y for x, y in zip(*rng.sample(m, 2))])
+            rng.shuffle(m)
+            want = rank_mod_p_oracle(m, p)
+            assert want == 12
+            residues = np.array([[x % p for x in row] for row in m], dtype=np.int64)
+            assert rank_mod_p(residues, p) == want
 
 
 def test_modular_rank_is_lower_bound():
