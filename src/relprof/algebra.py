@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
-from .profiles import age_of_finite, subset_codes
+from .profiles import _codes_by_size, age_of_finite, subset_codes
 from .structures import RelStruct
 
 
@@ -79,7 +79,8 @@ class AgeBasis:
         splittings, as basis positions.  The representative of the
         degree's type rho has count part-sized subsets of type sigma whose
         complement has type tau of degree - part; only non-zero counts are
-        stored.  The same two subset walks give the table of the
+        stored.  The same two subset walks, which share the
+        representative's tuples by largest vertex, give the table of the
         complementary part, so both are stored at once.  ``multiply`` and
         ``_mult_matrix`` read every product from these tables."""
         table = self._split_tables.get((degree, part))
@@ -88,9 +89,10 @@ class AgeBasis:
         full = (1 << degree) - 1
         index = self._index
         sigma, tau = [], []
+        sizes = (part,) if 2 * part == degree else (part, degree - part)
         for _, rep in self.types[degree]:
-            left = subset_codes(rep, part)
-            right = left if 2 * part == degree else subset_codes(rep, degree - part)
+            codes = _codes_by_size(rep, sizes)
+            left, right = codes[0], codes[-1]
             for mask, code in left.items():
                 sigma.append(index[code][1])
                 tau.append(index[right[full ^ mask]][1])

@@ -88,11 +88,11 @@ def _joined(rels: tuple, added: list) -> tuple:
     return tuple(rel.union(new) if new else rel for rel, new in zip(rels, added))
 
 
-def _restrictions(struct: RelStruct, n: int):
+def _restrictions(struct: RelStruct, n: int, back: list):
     """(vertex bitmask, relabelled relations) of every n-subset, depth first in
-    lexicographic order, building the relations one vertex at a time."""
+    lexicographic order, building the relations one vertex at a time from
+    ``back``, the structure's ``_tuples_by_last``."""
     m = struct.domain_size
-    back = _tuples_by_last(struct)
     position = [0] * m  # vertex -> index in the current subset
 
     def walk(start, depth, inside, rels):
@@ -168,9 +168,15 @@ def _subset_age(struct: RelStruct, n: int) -> dict:
 def subset_codes(struct: RelStruct, n: int) -> dict[int, bytes]:
     """Vertex bitmask -> canonical code of the restriction, for every n-subset
     in lexicographic order."""
+    return _codes_by_size(struct, (n,))[0]
+
+
+def _codes_by_size(struct: RelStruct, sizes) -> list:
+    """``subset_codes`` at each size, with one ``_tuples_by_last`` for all."""
     sig = struct.signature
-    return {mask: canonical_code(RelStruct(sig, n, rels))
-            for mask, rels in _restrictions(struct, n)}
+    back = _tuples_by_last(struct)
+    return [{mask: canonical_code(RelStruct(sig, n, rels))
+             for mask, rels in _restrictions(struct, n, back)} for n in sizes]
 
 
 def interface_width(struct: RelStruct) -> int:

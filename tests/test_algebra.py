@@ -166,6 +166,27 @@ def test_structure_constants_representative_independent():
                 assert _recounted_splits(basis, rep, part) == _splits_of(table, pos), (subset, part)
 
 
+def test_split_table_reads_each_representative_tuples_once(monkeypatch):
+    # both walks of a representative, its parts and their complements, share
+    # one _tuples_by_last; a table of part = degree / 2 walks once
+    from relprof import profiles
+
+    calls = Counter()
+    original = profiles._tuples_by_last
+
+    def counted(struct):
+        calls[struct] += 1
+        return original(struct)
+
+    basis = basis_of(colored_dense_chain(2), 5)
+    monkeypatch.setattr(profiles, "_tuples_by_last", counted)
+    for degree, part in ((5, 1), (4, 2), (5, 3)):
+        calls.clear()
+        basis.split_table(degree, part)
+        reps = [rep for _, rep in basis.types[degree]]
+        assert calls == Counter(reps), (degree, part)
+
+
 def test_e_matrix_entries_match_restrict_oracle():
     # entry (r, c): the number of vertices of type r's representative whose
     # deletion leaves a restriction of type c

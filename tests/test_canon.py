@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from relprof.structures import (
     acyclic_tournament,
     canonical_code,
     clique_graph,
+    disjoint_union,
     independent_graph,
     make_struct,
     path_graph,
@@ -50,6 +53,15 @@ def test_highly_symmetric_structures_terminate_quickly():
         canonical_code(clique_graph(n))
         canonical_code(independent_graph(n))
         canonical_code(make_struct((), n, []))
+    # twins seed the search with their transpositions: with automorphisms
+    # found only at leaves, 3.K_16 took about 5 s and one triple among 29
+    # isolated vertices about 0.5 s; both now take a few milliseconds
+    start = time.process_time()
+    three_cliques = disjoint_union(disjoint_union(clique_graph(16), clique_graph(16)),
+                                   clique_graph(16))
+    canon.canonical_code_bytes((2,), 48, three_cliques.relations)
+    canon.canonical_code_bytes((3,), 32, (frozenset({(0, 1, 2)}),))
+    assert time.process_time() - start < 2.0
 
 
 def test_clique_codes_differ_by_size():
@@ -316,3 +328,230 @@ def test_paley13_code_invariant_under_relabelings():
     # one edge flipped both ways: no longer vertex-transitive, a different code
     x, y = next(iter(paley))
     assert canon.canonical_code_bytes((2,), 13, (paley - {(x, y), (y, x)},)) != code
+
+
+# ---------------------------------------------------------------------------
+# Twin transpositions beyond the sweep limit (m up to 40)
+# ---------------------------------------------------------------------------
+
+
+def _blown_up(rng, arities, base_m, base_rels, sizes=None):
+    """Each base vertex becomes 2-4 twins (``sizes`` when given) that share
+    its tuples; on a binary symbol the twins of one vertex also form a clique
+    or an independent set."""
+    sizes = sizes or [rng.randint(2, 4) for _ in range(base_m)]
+    members, m = [], 0
+    for k in sizes:
+        members.append(range(m, m + k))
+        m += k
+    rels = []
+    for arity, rel in zip(arities, base_rels):
+        out = {t for b in rel for t in itertools.product(*(members[x] for x in b))}
+        if arity == 2:
+            for group in members:
+                if rng.random() < 0.5:
+                    out |= {(x, y) for x in group for y in group if x != y}
+        rels.append(frozenset(out))
+    return m, tuple(rels), sizes
+
+
+def _base_digraph(rng, kind):
+    """A G(6, 1/2), or a tournament on 6 vertices, with a few loops and a unary mark."""
+    pairs = itertools.combinations(range(6), 2)
+    if kind == "graph":
+        arcs = {a for x, y in pairs if rng.random() < 0.5 for a in ((x, y), (y, x))}
+    else:
+        arcs = {(x, y) if rng.random() < 0.5 else (y, x) for x, y in pairs}
+    arcs |= {(v, v) for v in range(6) if rng.random() < 0.2}
+    return (frozenset(arcs), frozenset((v,) for v in range(6) if rng.random() < 0.3))
+
+
+def _cliques(sizes, looped=(), marked=()):
+    """Disjoint cliques of the given sizes; clique i gets loops if i is in
+    ``looped`` and the unary mark if i is in ``marked``."""
+    arcs, marks, start = set(), set(), 0
+    for i, r in enumerate(sizes):
+        block = range(start, start + r)
+        arcs |= {(x, y) for x in block for y in block if x != y or i in looped}
+        marks |= {(x,) for x in block if i in marked}
+        start += r
+    return start, (frozenset(arcs), frozenset(marks))
+
+
+def _complete_bipartite(a, b, marked_side=False):
+    arcs = {e for x in range(a) for y in range(a, a + b) for e in ((x, y), (y, x))}
+    return a + b, (frozenset(arcs), frozenset((x,) for x in range(a) if marked_side))
+
+
+def _twin_rich_digraphs(rng):
+    """(m, relations, partner) triples of signature (2, 1), m <= 40: blown-up
+    G(6, 1/2) and tournaments, m.K_r and K_{a,b}, with loops and a unary
+    mark; the partner is a structure on the same m that may or may not be
+    isomorphic."""
+    cases = []
+    for kind in ("graph", "tournament") * 4:
+        base = _base_digraph(rng, kind)
+        m, rels, sizes = _blown_up(rng, (2, 1), 6, base)
+        shuffled = sizes[:]
+        rng.shuffle(shuffled)
+        cases.append((m, rels, _blown_up(random.Random(rng.random()), (2, 1), 6, base, shuffled)[1]))
+        cases.append((m, rels, _perturbed_digraph(rng, m, rels)))
+    for sizes in ((10,) * 4, (5,) * 8, (8,) * 5, (13, 13, 14)):
+        m, rels = _cliques(sizes)
+        cases.append((m, rels, _perturbed_digraph(rng, m, rels)))
+        cases.append((m, _cliques(sizes, looped=(0,))[1], _cliques(sizes, looped=(1,))[1]))
+        cases.append((m, _cliques(sizes, marked=(0,))[1], _cliques(sizes, looped=(0,))[1]))
+    cases.append((40, _cliques((12, 12, 16), marked=(0,))[1], _cliques((12, 12, 16), marked=(1,))[1]))
+    for a, b in ((20, 20), (13, 27), (3, 37)):
+        m, rels = _complete_bipartite(a, b)
+        cases.append((m, rels, _perturbed_digraph(rng, m, rels)))
+        cases.append((m, _complete_bipartite(a, b, True)[1], _complete_bipartite(b, a, True)[1]))
+    return cases
+
+
+def test_twin_rich_digraph_codes_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(22)
+    answers = []
+    for m, rels, partner in _twin_rich_digraphs(rng):
+        # vertices 0 and 1 are twins: copies of one base vertex, or one clique or side
+        assert m <= 40 and canon._pair_search(m, rels, [-1] * m)[1](0, 1)
+        code = canon.canonical_code_bytes((2, 1), m, rels)
+        for _ in range(2):
+            assert canon.canonical_code_bytes((2, 1), m, _relabeled(m, rels, rng)) == code
+        other = _relabeled(m, partner, rng)
+        iso = nx.vf2pp_is_isomorphic(_nx_digraph(nx, m, rels), _nx_digraph(nx, m, other),
+                                     node_label="mark")
+        assert (canon.canonical_code_bytes((2, 1), m, other) == code) == iso, (m, rels, other)
+        answers.append(iso)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_twin_rich_ternary_codes_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    iso_ = nx.algorithms.isomorphism
+    kind = iso_.categorical_node_match("kind", None)
+    positions = iso_.categorical_edge_match("positions", None)
+    rng = random.Random(23)
+    answers = []
+    for _ in range(8):
+        base = (frozenset(tuple(rng.randrange(5) for _ in range(3)) for _ in range(4)),)
+        m, rels, sizes = _blown_up(rng, (3,), 5, base)
+        shuffled = sizes[:]
+        rng.shuffle(shuffled)
+        code = canon.canonical_code_bytes((3,), m, rels)
+        assert canon.canonical_code_bytes((3,), m, _relabeled(m, rels, rng)) == code
+        for partner in (_blown_up(rng, (3,), 5, base, shuffled)[1],
+                        _perturbed_ternary(rng, m, rels)):
+            other = _relabeled(m, partner, rng)
+            iso = nx.is_isomorphic(_nx_incidence(nx, m, rels), _nx_incidence(nx, m, other),
+                                   node_match=kind, edge_match=positions)
+            assert (canon.canonical_code_bytes((3,), m, other) == code) == iso, (m, rels, other)
+            answers.append(iso)
+    assert 0 < sum(answers) < len(answers)
+
+
+# ---------------------------------------------------------------------------
+# The integer path for arities <= 2 against the generic one
+# ---------------------------------------------------------------------------
+
+
+def _reference_initial_colors(m, relations):
+    """Per vertex, the sorted ((symbol, position), count) items, numbered in order."""
+    per_vertex = [Counter() for _ in range(m)]
+    for ri, rel in enumerate(relations):
+        for t in rel:
+            for p, x in enumerate(t):
+                per_vertex[x][(ri, p)] += 1
+    sigs = [tuple(sorted(c.items())) for c in per_vertex]
+    ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return [ids[sig] for sig in sigs]
+
+
+def _reference_staged(m, relations, labeling=None):
+    """Per stage p, per symbol, the sorted relabeled tuples whose largest entry is p."""
+    stages = [[[] for _ in relations] for _ in range(m)]
+    for ri, rel in enumerate(relations):
+        for t in rel:
+            if labeling is not None:
+                t = tuple(labeling[x] for x in t)
+            stages[max(t)][ri].append(t)
+    return tuple(tuple(tuple(sorted(sym)) for sym in stage) for stage in stages)
+
+
+def _random_narrow(rng, m):
+    """Arities <= 2 with several symbols, loops and unary marks; the arcs of
+    some symbols are symmetric, so refinement often leaves ties."""
+    arities = rng.choice(((2,), (2, 1), (1, 2, 2), (2, 2, 1, 1), (1,)))
+    rels = []
+    for arity in arities:
+        if arity == 1:
+            rels.append(frozenset((v,) for v in range(m) if rng.random() < 0.3))
+            continue
+        density = rng.choice((0.03, 0.1, 0.3, 0.6))
+        arcs = {(x, y) for x in range(m) for y in range(m) if rng.random() < density}
+        if rng.random() < 0.5:
+            arcs |= {(y, x) for x, y in arcs}
+        rels.append(frozenset(arcs))
+    return arities, tuple(rels)
+
+
+def test_integer_refinement_matches_tuple_refinement():
+    rng = random.Random(31)
+    ties = 0
+    for trial in range(150):
+        m = rng.randint(1, 40) if trial % 3 else rng.randint(1, 8)
+        arities, rels = _random_narrow(rng, m)
+        if trial % 3 == 0:  # twins: blow up a small base
+            m, rels, _ = _blown_up(rng, arities, m, rels)
+        colors = canon.refined_colors(m, rels)
+        assert colors == canon._refine_tuples(m, rels, canon._initial_colors(m, rels))
+        ties += len(set(colors)) < m
+    assert ties > 50
+
+
+def test_initial_colors_and_stages_match_reference():
+    rng = random.Random(37)
+    for _ in range(150):
+        m = rng.randint(1, 40)
+        if rng.random() < 0.3:
+            arities = (3, 1)
+            rels = (frozenset(tuple(rng.randrange(m) for _ in range(3)) for _ in range(2 * m)),
+                    frozenset((v,) for v in range(m) if rng.random() < 0.3))
+        else:
+            arities, rels = _random_narrow(rng, m)
+        assert canon._initial_colors(m, rels) == _reference_initial_colors(m, rels)
+        labeling = list(range(m))
+        rng.shuffle(labeling)
+        assert canon.staged_relations(m, rels) == _reference_staged(m, rels)
+        assert canon.staged_relations(m, rels, labeling) == _reference_staged(m, rels, labeling)
+    assert canon.staged_relations(3, ()) == _reference_staged(3, ()) == ((), (), ())
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def test_integer_stages_and_twin_tests_order_like_tuple_ones():
+    # on every partial placement, the integer stages rank the candidates for
+    # the next position exactly as the relabeled tuples do, and both twin
+    # tests agree on every pair
+    rng = random.Random(41)
+    for _ in range(120):
+        m = rng.randint(2, 12)
+        _, rels = _random_narrow(rng, m)
+        placed = rng.sample(range(m), rng.randint(0, m - 1))
+        assigned = [-1] * m
+        for p, v in enumerate(placed):
+            assigned[v] = p
+        pair_stage, pair_swappable = canon._pair_search(m, rels, assigned)
+        tuple_stage, tuple_swappable = canon._tuple_search(m, rels, assigned)
+        p = len(placed)
+        free = [v for v in range(m) if assigned[v] < 0]
+        pairs = {v: pair_stage(v, p) for v in free}
+        tuples = {v: tuple_stage(v, p) for v in free}
+        for u in free:
+            for v in free:
+                assert _sign(pairs[u], pairs[v]) == _sign(tuples[u], tuples[v])
+        for x, y in itertools.combinations(range(m), 2):
+            assert pair_swappable(x, y) == tuple_swappable(x, y)

@@ -110,6 +110,15 @@ def test_cli_profile_builtin_t3(capsys):
     assert values == [1, 1, 1, 2, 2, 3, 5, 6, 8, 11, 13, 16]
 
 
+def test_cli_profile_three_cliques_reaches_sixteen(capsys):
+    # partitions of n into at most 3 parts: round((n + 3)^2 / 12); the
+    # realizations are unions of cliques, whose twins seed canon's search
+    code, out, _ = run_cli(["profile", "three-cliques", "--max-n", "16"], capsys)
+    assert code == 0
+    values = [int(line.split("\t")[1]) for line in out.strip().splitlines()[1:]]
+    assert values == [round((n + 3) ** 2 / 12) for n in range(17)]
+
+
 def test_cli_profile_colored_chain(capsys):
     code, out, _ = run_cli(["profile", "colored-chain:2", "--max-n", "5"], capsys)
     assert code == 0

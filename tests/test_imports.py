@@ -5,6 +5,9 @@ traced benchmark rebinds every such copy and fails when one records no call.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,20 @@ def test_guard_flags_an_oracle_in_the_library():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_oracles_in_the_library(path):
     assert oracle_leaks(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # numpy is the only runtime dependency: every command pays for importing
+    # the CLI, which must not pull in networkx, hypothesis or scipy
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import relprof.cli\n"
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "relprof" in loaded
+    assert {name for name in loaded
+            if name != "relprof" and name not in sys.stdlib_module_names} == {"numpy"}
