@@ -7,7 +7,10 @@ representative of each result type, the splittings of its domain into a
 piece of the first type and a complement of the second; heredity of the
 isomorphy equivalence makes the count representative-independent (tested,
 not assumed).  ``AgeBasis.split_table`` holds these counts keyed by basis
-positions, as index arrays per type of the part.  ``_mult_matrix`` adds
+positions, as index arrays per type of the part.  A basis built on a finite
+structure whose levels came from the subset walk keeps the walk's record of
+subset codes, and reads both sides of every split from it; other bases walk
+each representative's subsets.  ``_mult_matrix`` adds
 them up into the integer array of multiplication by a homogeneous element,
 which gives the e-matrices and the zero-divisor kernels; ``multiply``, and
 with it the structure constants, reads the same tables.  All coefficients
@@ -27,7 +30,7 @@ import numpy as np
 
 from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
-from .profiles import _codes_by_size, age_of_finite, subset_codes
+from .profiles import _codes_by_size, _walked_codes, age_of_finite, subset_codes
 from .structures import RelStruct
 
 
@@ -44,22 +47,34 @@ class AgeBasis:
     types: list = field(default_factory=list)  # per degree: list[(code, rep)]
     _index: dict = field(default_factory=dict)  # code -> (degree, position)
     _split_tables: dict = field(default_factory=dict)
+    # degree -> (source bitmask of each type's representative, by position,
+    # and the subset walk's bitmask -> code), for a finite source on the walk
+    _walked: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, source, max_degree: int, name: str = "") -> "AgeBasis":
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be non-negative, got {max_degree}")
         basis = cls(name or getattr(source, "name", "") or "age", max_degree)
         for n in range(max_degree + 1):
+            walked = None
             if isinstance(source, RelStruct):
                 if n > source.domain_size:
                     ages = {}
                 else:
                     ages = age_of_finite(source, n)
+                    walked = _walked_codes(source, n)
             else:
                 ages = enumerate_age(source, n)
             level = list(ages.items())  # both engines return code order
             basis.types.append(level)
             for pos, (code, _) in enumerate(level):
                 basis._index[code] = (n, pos)
+            if walked is not None:
+                first = {}  # the first mask per code is the representative
+                for mask, code in walked.items():
+                    first.setdefault(code, mask)
+                basis._walked[n] = ([first[code] for code, _ in level], walked)
         return basis
 
     def dimension(self, degree: int) -> int:
@@ -79,23 +94,44 @@ class AgeBasis:
         splittings, as basis positions.  The representative of the
         degree's type rho has count part-sized subsets of type sigma whose
         complement has type tau of degree - part; only non-zero counts are
-        stored.  The same two subset walks, which share the
-        representative's tuples by largest vertex, give the table of the
-        complementary part, so both are stored at once.  ``multiply`` and
-        ``_mult_matrix`` read every product from these tables."""
+        stored.  On a finite source whose levels came from the subset walk,
+        every representative is a subset of the source, so both sides of
+        each split are read from the walk's record of codes, with no canon
+        call and no walk.  Otherwise two subset walks of each
+        representative, which share its tuples by largest vertex, give the
+        codes.  Either way the table of the complementary part comes with
+        it, so both are stored at once.  ``multiply`` and ``_mult_matrix``
+        read every product from these tables."""
         table = self._split_tables.get((degree, part))
         if table is not None:
             return table
-        full = (1 << degree) - 1
+        if degree < 0:
+            raise ValueError(f"degree must be non-negative, got {degree}")
+        if degree > self.max_degree:
+            raise DegreeOverflowError(
+                f"degree {degree} exceeds basis window {self.max_degree}")
+        if not 0 <= part <= degree:
+            raise ValueError(f"part {part} outside 0..{degree}")
         index = self._index
         sigma, tau = [], []
-        sizes = (part,) if 2 * part == degree else (part, degree - part)
-        for _, rep in self.types[degree]:
-            codes = _codes_by_size(rep, sizes)
-            left, right = codes[0], codes[-1]
-            for mask, code in left.items():
-                sigma.append(index[code][1])
-                tau.append(index[right[full ^ mask]][1])
+        walked = self._walked
+        if degree in walked and part in walked and degree - part in walked:
+            left, right = walked[part][1], walked[degree - part][1]
+            for whole in walked[degree][0]:
+                bits = [1 << v for v in range(whole.bit_length()) if whole >> v & 1]
+                for chosen in itertools.combinations(bits, part):
+                    mask = sum(chosen)
+                    sigma.append(index[left[mask]][1])
+                    tau.append(index[right[whole ^ mask]][1])
+        else:
+            full = (1 << degree) - 1
+            sizes = (part,) if 2 * part == degree else (part, degree - part)
+            for _, rep in self.types[degree]:
+                codes = _codes_by_size(rep, sizes)
+                left, right = codes[0], codes[-1]
+                for mask, code in left.items():
+                    sigma.append(index[code][1])
+                    tau.append(index[right[full ^ mask]][1])
         dims = (self.dimension(part), self.dimension(degree), self.dimension(degree - part))
         sigma, tau = np.array(sigma, dtype=np.int64), np.array(tau, dtype=np.int64)
         rho = np.repeat(np.arange(dims[1], dtype=np.int64), comb(degree, part))

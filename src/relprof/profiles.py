@@ -23,10 +23,13 @@ enumeration.  A finite structure takes one of two paths:
   per key (McKay's canonical augmentation, J. Algorithms 26, 1998): on
   G(16, 1/2) at n <= 7, 5,196 canon calls instead of 16,624, one per
   distinct restriction.  The first subset per code is kept, so each
-  representative is still the least n-subset of its type.  The same walk
-  without codes (``_restrictions``) gives ``subset_codes`` (n-subset bitmask ->
-  ``canonical_code``), which serves the algebra's split tables, e-matrices
-  and isomorphy partitions and the type indicators of the incidence lab.
+  representative is still the least n-subset of its type.  Beside the memo
+  the walk keeps a record per level, n-subset bitmask -> code in walk order,
+  published once the level's walk is done; the algebra's split tables of a
+  finite basis read every split from it (``_walked_codes``).  The same walk
+  without codes (``_restrictions``) gives ``subset_codes`` (n-subset bitmask
+  -> ``canonical_code``), which serves the split tables of every other
+  basis, isomorphy partitions and the type indicators of the incidence lab.
 """
 
 from __future__ import annotations
@@ -108,11 +111,14 @@ def _restrictions(struct: RelStruct, n: int, back: list):
 
 
 @functools.lru_cache(maxsize=64)
-def _extension_memo(struct: RelStruct) -> dict:
+def _extension_memo(struct: RelStruct) -> tuple:
     """One extension memo per structure, so every level's walk reads the keys
-    of the levels before it.  It needs no lock: any stored map is a valid
-    isomorphism, so concurrent writes of one key are all correct."""
-    return {}
+    of the levels before it, and beside it the walk's record: level n ->
+    (n-subset bitmask -> code, in walk order).  Neither needs a lock: any
+    stored map is a valid isomorphism, so concurrent writes of one key are
+    all correct, and a level's record is published whole, once its walk is
+    done."""
+    return {}, {}
 
 
 def _subset_age(struct: RelStruct, n: int) -> dict:
@@ -124,11 +130,12 @@ def _subset_age(struct: RelStruct, n: int) -> dict:
     arities = sig.arities
     m = struct.domain_size
     back = _tuples_by_last(struct)
-    memo = _extension_memo(struct)
+    memo, record = _extension_memo(struct)
     position = [0] * m  # vertex -> index in the current subset
     empty = tuple(frozenset() for _ in arities)
     root = form_bytes(canonical_order(arities, 0, empty)[0])
     by_code = {}
+    codes = {}  # n-subset bitmask -> code, in walk order
 
     def walk(start, depth, inside, rels, code, order):
         # order: subset index -> canonical position; the new vertex goes last
@@ -155,14 +162,28 @@ def _subset_age(struct: RelStruct, n: int) -> dict:
             if not leaf:
                 walk(t + 1, depth + 1, inner, _joined(rels, added), child_code,
                      tuple([lam[k] for k in ext]))
-            elif child_code not in by_code:
+                continue
+            codes[inner] = child_code
+            if child_code not in by_code:
                 by_code[child_code] = RelStruct(sig, n, _joined(rels, added))
 
     if n == 0:
+        codes[0] = root
         by_code[root] = RelStruct(sig, 0, empty)
     else:
         walk(0, 0, 0, empty, root, ())
+    record[n] = codes
     return dict(sorted(by_code.items()))
+
+
+def _walked_codes(struct: RelStruct, n: int):
+    """The subset walk's record of level n (n-subset bitmask -> code, in walk
+    order, so the first mask per code is its type's least n-subset), or None
+    when ``age_of_finite`` takes the interface sweep for this structure or
+    the record is gone with its cache entry."""
+    if _sweeps(struct):
+        return None
+    return _extension_memo(struct)[1].get(n)
 
 
 def subset_codes(struct: RelStruct, n: int) -> dict[int, bytes]:
@@ -285,10 +306,15 @@ def age_of_finite(struct: RelStruct, n: int) -> dict:
     its type, on either path."""
     if not 0 <= n <= struct.domain_size:
         raise ValueError(f"n={n} outside 0..{struct.domain_size}")
-    narrow = max(struct.signature.arities, default=0) <= 2
-    if narrow and interface_width(struct) <= SWEEP_MAX_WIDTH:
+    if _sweeps(struct):
         return _interface_sweep(struct, n)
     return _subset_age(struct, n)
+
+
+def _sweeps(struct: RelStruct) -> bool:
+    """Whether ``age_of_finite`` takes the interface sweep for the structure."""
+    narrow = max(struct.signature.arities, default=0) <= 2
+    return narrow and interface_width(struct) <= SWEEP_MAX_WIDTH
 
 
 def profile_finite(struct: RelStruct, n: int) -> int:

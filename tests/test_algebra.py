@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -36,11 +37,13 @@ from relprof.presentations import (
 )
 from relprof.linalg import nullspace, rank_bareiss
 from oracles import split_counter_rows
+from relprof import profiles
 from relprof.profiles import profile_presented
 from relprof.structures import (
     acyclic_tournament,
     canonical_code,
     clique_graph,
+    digraph,
     graph_from_edges,
     make_struct,
     path_graph,
@@ -433,3 +436,107 @@ def test_e_rank_agrees_with_bareiss_when_dimension_drops():
     assert drops
     for n in range(8):
         assert e_rank(basis, n) == rank_bareiss(e_matrix(basis, n)), n
+
+
+@pytest.mark.parametrize("degree, part, error", [
+    (3, 5, ValueError),  # part above the degree
+    (3, -1, ValueError),  # negative part
+    (6, 2, DegreeOverflowError),  # degree above the window
+    (-1, 0, ValueError),  # negative degree
+])
+def test_split_table_refuses_degrees_outside_the_window(degree, part, error):
+    basis = AgeBasis.build(path_graph(6), 4)
+    with pytest.raises(error):
+        basis.split_table(degree, part)
+
+
+def test_build_refuses_a_negative_max_degree():
+    with pytest.raises(ValueError, match="max_degree must be non-negative, got -1"):
+        AgeBasis.build(path_graph(6), -1)
+
+
+def _table_rows(basis, degree, part):
+    """A split table as per-type Counters of (part position, complement
+    position), the form of ``split_counter_rows``."""
+    rows = [Counter() for _ in range(basis.dimension(degree))]
+    for sigma, (rho, tau, count) in enumerate(basis.split_table(degree, part)):
+        for r, t, c in zip(rho.tolist(), tau.tolist(), count.tolist()):
+            rows[r][(sigma, t)] += c
+    return rows
+
+
+def _assert_tables_match_oracle(basis, top):
+    for t in range(top + 1):
+        for a in range(t + 1):
+            assert _table_rows(basis, t, a) == split_counter_rows(basis, t, a), \
+                (basis.source_name, t, a)
+
+
+def _walk_structure(kind, rng, m):
+    pairs = list(itertools.combinations(range(m), 2))
+    if kind == "graph":
+        return graph_from_edges(m, [e for e in pairs if rng.random() < 0.5])
+    if kind == "tournament":
+        return digraph(m, [(u, w) if rng.random() < 0.5 else (w, u) for u, w in pairs])
+    if kind == "loops-mark":
+        arcs = {(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)}
+        arcs |= {(v, v) for v in range(m) if rng.random() < 0.3}
+        return make_struct((2, 1), m, [arcs, {(v,) for v in range(m) if rng.random() < 0.4}])
+    return make_struct((3,), m, [{t for t in itertools.combinations(range(m), 3)
+                                  if rng.random() < 0.5}])
+
+
+@pytest.mark.parametrize("kind, m", [
+    ("graph", 10), ("graph", 7), ("tournament", 10), ("loops-mark", 10), ("ternary", 10),
+])
+def test_split_tables_from_the_walk_record_match_the_oracle(kind, m):
+    # every table of a finite basis on the subset walk, read from the walk's
+    # record of codes, against recounted splittings of each representative
+    source = _walk_structure(kind, random.Random(f"split-record:{kind}:{m}"), m)
+    basis = AgeBasis.build(source, m, name=f"{kind}{m}")
+    assert sorted(basis._walked) == list(range(m + 1))  # the record path
+    _assert_tables_match_oracle(basis, m)
+
+
+def test_split_tables_of_a_sweep_source_take_the_representative_walks():
+    # a path has interface width 1, so its levels come from the vertex sweep
+    basis = AgeBasis.build(path_graph(6), 6)
+    assert not basis._walked
+    _assert_tables_match_oracle(basis, 6)
+
+
+def test_split_tables_outlive_the_walk_record_cache_entry():
+    source = _walk_structure("graph", random.Random("split-record:evicted"), 8)
+    basis = AgeBasis.build(source, 8)
+    profiles._extension_memo.cache_clear()
+    assert sorted(basis._walked) == list(range(9))
+    _assert_tables_match_oracle(basis, 8)
+
+
+def _all_tables(basis):
+    return [[(rho.tolist(), tau.tolist(), count.tolist())
+             for rho, tau, count in basis.split_table(t, a)]
+            for t in range(basis.max_degree + 1) for a in range(t + 1)]
+
+
+def test_split_tables_of_bases_built_by_two_threads():
+    # two bases built at once on one structure share its walk record while
+    # it is written; each must read the tables of a basis built alone
+    source = _walk_structure("graph", random.Random("split-record:threads"), 10)
+    assert profiles.interface_width(source) > profiles.SWEEP_MAX_WIDTH
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        barrier.wait()
+        results[i] = _all_tables(AgeBasis.build(source, 10))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    profiles._extension_memo.cache_clear()
+    expected = _all_tables(AgeBasis.build(source, 10))
+    assert results == [expected, expected]

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,14 +22,15 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = _tracing()
+TRACING = _bench_module("tracing")
 TRACED = sorted(
     [f"{short}.{name}" for short, names in TRACING.SPANNED.items() for name in names]
     + list(TRACING.COUNTED)
@@ -125,3 +127,25 @@ def test_traced_exact_rank_runs_reach_the_linalg_sites():
     result = _traced_worker(
         ["algebra", "colored-chain:2", "--check", "zero-divisors", "--max-degree", "3"])
     assert result["trace"]["sites"].get("algebra.nullspace", 0) > 0
+
+
+def test_traced_library_case_reads_split_tables_from_the_walk(tmp_path):
+    # the benchmark's one library case (algebra-lab's e-ranks-graph11) on a
+    # seeded G(9, 1/2): e-matrices of a basis on the subset walk read their
+    # splits from the walk's record, so no restriction goes through canon
+    from relprof.profiles import SWEEP_MAX_WIDTH, interface_width
+    from relprof.structures import graph_from_edges
+
+    rng = random.Random("bench-contract:graph9")
+    edges = [(i, j) for i in range(9) for j in range(i + 1, 9) if rng.random() < 0.5]
+    assert interface_width(graph_from_edges(9, edges)) > SWEEP_MAX_WIDTH
+    lines = ["structure", "domain 9", "relation edge 2"]
+    lines += [f"{i} {j}" for i, j in edges] + [f"{j} {i}" for i, j in edges] + ["end"]
+    path = tmp_path / "graph9.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = _traced_worker(["library:e-ranks", str(path)])
+    assert _bench_module("workloads").expect_e_ranks(9)(result["stdout"]) == []
+    sites = result["trace"]["sites"]
+    for site in ("algebra.e_rank", "algebra.AgeBasis.split_table", "algebra.age_of_finite"):
+        assert sites.get(site, 0) > 0, site
+    assert result["trace"]["counters"]["structures.canonical_code.misses"] == 0
