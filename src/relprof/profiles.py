@@ -2,34 +2,42 @@
 
 The profile of a structure counts, for each n, the isomorphism types of its
 n-element restrictions.  For presentations it defers to exact age
-enumeration.  A finite structure takes one of two paths:
+enumeration.  A finite structure keeps one cache entry, and one pass of its
+engine fills every level 0..n of it; later levels up to n are read from the
+entry, so a window costs one pass when its top level is asked first, as
+``profile_sequence`` and ``AgeBasis.build`` do.  The entry holds each
+level's codes and the relabelled relations of their representatives, from
+which each call builds its own ``RelStruct``s.  A finite structure takes
+one of two engines:
 
 * the *interface-coloured vertex sweep*, when every arity is <= 2 and the
   interface width (see ``interface_width``) is <= ``SWEEP_MAX_WIDTH``.  It
-  walks the vertices in order and keeps one chosen set per class of
-  "same type once each vertex is coloured by its arcs to vertices not yet
-  processed"; such sets have the same completions, so a 30-vertex path at
-  n = 8 keys about 6,000 states instead of visiting 5.8 million subsets;
-* otherwise the subset walk, depth first over all n-subsets in
-  lexicographic order, building the relabelled relations one vertex at a time.
-  Each node carries its code and a canonical order (subset index -> position
-  in a minimizing ordering, from ``canon.canonical_order``).  A child
-  S = S' + t, t largest, is keyed by code(S') and t's tuples relabelled into
-  the parent's canonical positions, t placed last.  The key is exact: two
-  subsets with one key relabel to the same structure, so one canonical order
-  composed with the inverse of the other (t to t) is an isomorphism.  A memo
-  per structure, shared by every level, maps a key to the child's code and
-  the map from key coordinates to canonical positions, so canon runs once
-  per key (McKay's canonical augmentation, J. Algorithms 26, 1998): on
-  G(16, 1/2) at n <= 7, 5,196 canon calls instead of 16,624, one per
+  walks the vertices in order and keeps one chosen set of at most n
+  vertices per class of "same type once each vertex is coloured by its
+  arcs to vertices not yet processed"; such sets have the same completions,
+  so a 30-vertex path at n <= 8 keys 6,546 states instead of visiting 5.8
+  million subsets;
+* otherwise the subset walk, depth first over all subsets of size <= n,
+  building the relabelled relations one vertex at a time; pre-order visits
+  each level's subsets in lexicographic order.  Each node carries its code
+  and a canonical order (subset index -> position in a minimizing ordering,
+  from ``canon.canonical_order``).  A child S = S' + t, t largest, is keyed
+  by code(S') and t's tuples relabelled into the parent's canonical
+  positions, t placed last.  The key is exact: two subsets with one key
+  relabel to the same structure, so one canonical order composed with the
+  inverse of the other (t to t) is an isomorphism.  A memo per structure
+  maps a key to the child's code and the map from key coordinates to
+  canonical positions, so canon runs once per key (McKay's canonical
+  augmentation, J. Algorithms 26, 1998): on G(16, 1/2) at n <= 7, one pass
+  of 26,332 nodes and 5,189 canon calls instead of 16,624, one per
   distinct restriction.  The first subset per code is kept, so each
-  representative is still the least n-subset of its type.  Beside the memo
-  the walk keeps a record per level, n-subset bitmask -> code in walk order,
-  published once the level's walk is done; the algebra's split tables of a
-  finite basis read every split from it (``_walked_codes``).  The same walk
-  without codes (``_restrictions``) gives ``subset_codes`` (n-subset bitmask
-  -> ``canonical_code``), which serves the split tables of every other
-  basis, isomorphy partitions and the type indicators of the incidence lab.
+  representative is still the least n-subset of its type.  When an age
+  basis asks (``_walked_codes``), the pass also records per level the code
+  of every subset by bitmask, in walk order, and the algebra's split tables
+  of a finite basis read every split from it.  The same walk without codes
+  (``_restrictions``) gives ``subset_codes`` (n-subset bitmask ->
+  ``canonical_code``), which serves the split tables of every other basis,
+  isomorphy partitions and the type indicators of the incidence lab.
 """
 
 from __future__ import annotations
@@ -111,37 +119,42 @@ def _restrictions(struct: RelStruct, n: int, back: list):
 
 
 @functools.lru_cache(maxsize=64)
-def _extension_memo(struct: RelStruct) -> tuple:
-    """One extension memo per structure, so every level's walk reads the keys
-    of the levels before it, and beside it the walk's record: level n ->
-    (n-subset bitmask -> code, in walk order).  Neither needs a lock: any
-    stored map is a valid isomorphism, so concurrent writes of one key are
-    all correct, and a level's record is published whole, once its walk is
-    done."""
-    return {}, {}
+def _finite_cache(struct: RelStruct) -> tuple:
+    """One cache entry per structure: the extension memo, the levels filled so
+    far (n -> (code, relabelled relations) pairs in code order, each
+    relation a tuple of tuples, which takes less than half the memory of a
+    frozenset) and the subset walk's record of codes (n -> (n-subset bitmask
+    -> code), in walk order), kept only for the levels an age basis asked
+    for.  None needs a lock: any stored map is a valid isomorphism, so
+    concurrent writes of one key are all correct, and a level or a record is
+    published whole, once its pass is done."""
+    return {}, {}, {}
 
 
-def _subset_age(struct: RelStruct, n: int) -> dict:
-    """Types of the n-restrictions by the subset walk, reading each type from
-    its parent's code and canonical order plus the new vertex's tuples (see
-    the module docstring).  The first subset per code is kept, so each type's
-    representative is its least n-subset."""
-    sig = struct.signature
-    arities = sig.arities
+def _subset_walk(struct: RelStruct, top: int, memo: dict, record: bool) -> tuple:
+    """Every level 0..top of the age by one depth-first pass over the subsets
+    of size <= top, reading each type from its parent's code and canonical
+    order plus the new vertex's tuples (see the module docstring).  Pre-order
+    visits each level's subsets in lexicographic order, and the first subset
+    per code is kept, so each type's representative is its least subset.
+    Returns the levels (code -> relations as tuples of tuples) and, when
+    ``record`` is set, each level's subset codes (bitmask -> code, in walk
+    order), else None."""
+    arities = struct.signature.arities
     m = struct.domain_size
     back = _tuples_by_last(struct)
-    memo, record = _extension_memo(struct)
     position = [0] * m  # vertex -> index in the current subset
     empty = tuple(frozenset() for _ in arities)
     root = form_bytes(canonical_order(arities, 0, empty)[0])
-    by_code = {}
-    codes = {}  # n-subset bitmask -> code, in walk order
+    levels = [{root: tuple(map(tuple, empty))}] + [{} for _ in range(top)]
+    codes = [{0: root}] + [{} for _ in range(top)] if record else None
 
     def walk(start, depth, inside, rels, code, order):
         # order: subset index -> canonical position; the new vertex goes last
         ext = order + (depth,)
-        leaf = depth + 1 == n
-        for t in range(start, m - n + depth + 1):
+        kept = levels[depth + 1]
+        deeper = depth + 1 < top
+        for t in range(start, m):
             position[t] = depth
             inner = inside | 1 << t
             added, key = [], [code]
@@ -159,31 +172,20 @@ def _subset_age(struct: RelStruct, n: int) -> dict:
                     lam[k] = p
                 hit = memo.setdefault(key, (form_bytes(form), tuple(lam)))
             child_code, lam = hit
-            if not leaf:
-                walk(t + 1, depth + 1, inner, _joined(rels, added), child_code,
-                     tuple([lam[k] for k in ext]))
-                continue
-            codes[inner] = child_code
-            if child_code not in by_code:
-                by_code[child_code] = RelStruct(sig, n, _joined(rels, added))
+            if codes is not None:
+                codes[depth + 1][inner] = child_code
+            descend = deeper and t + 1 < m
+            if descend or child_code not in kept:
+                joined = _joined(rels, added)
+                if child_code not in kept:
+                    kept[child_code] = tuple(map(tuple, joined))
+                if descend:
+                    walk(t + 1, depth + 1, inner, joined, child_code,
+                         tuple([lam[k] for k in ext]))
 
-    if n == 0:
-        codes[0] = root
-        by_code[root] = RelStruct(sig, 0, empty)
-    else:
+    if top:
         walk(0, 0, 0, empty, root, ())
-    record[n] = codes
-    return dict(sorted(by_code.items()))
-
-
-def _walked_codes(struct: RelStruct, n: int):
-    """The subset walk's record of level n (n-subset bitmask -> code, in walk
-    order, so the first mask per code is its type's least n-subset), or None
-    when ``age_of_finite`` takes the interface sweep for this structure or
-    the record is gone with its cache entry."""
-    if _sweeps(struct):
-        return None
-    return _extension_memo(struct)[1].get(n)
+    return levels, codes
 
 
 def subset_codes(struct: RelStruct, n: int) -> dict[int, bytes]:
@@ -224,19 +226,22 @@ def interface_width(struct: RelStruct) -> int:
     return width
 
 
-def _interface_sweep(struct: RelStruct, n: int) -> dict:
-    """Types of the n-restrictions of an arity <= 2 structure by a vertex sweep.
+def _interface_levels(struct: RelStruct, top: int) -> list:
+    """Every level 0..top of the age of an arity <= 2 structure by one vertex
+    sweep, as (code -> relations as tuples of tuples) per level.
 
-    Vertices are processed in order; a state is a chosen vertex tuple, and at
-    step t each state skips t or takes it.  The *interface* of a chosen v at
-    step t is the literal set of (w, symbol, direction) over its binary tuples
-    with w > t.  States are keyed by the sorted distinct non-empty interfaces
-    plus the canonical code of the restriction with one unary symbol per
-    interface rank: equal keys mean an isomorphism of the chosen sets that
-    keeps every literal interface, so (arity <= 2) both sets have isomorphic
-    completions by every later set, and one per key suffices.  The
-    lexicographically least chosen tuple is kept, so each type's
-    representative is its least n-subset, as on the subset walk.
+    Vertices are processed in order; a state is a chosen vertex tuple of at
+    most top vertices, and at step t each state skips t or takes it.  The
+    *interface* of a chosen v at step t is the literal set of (w, symbol,
+    direction) over its binary tuples with w > t.  States are keyed by the
+    sorted distinct non-empty interfaces plus the canonical code of the
+    restriction with one unary symbol per interface rank; the code holds the
+    number of chosen vertices, so states of different sizes never share a
+    key.  Equal keys mean an isomorphism of the chosen sets that keeps every
+    literal interface, so (arity <= 2) both sets have isomorphic completions
+    by every later set, and one per key suffices.  The lexicographically
+    least chosen tuple is kept, so each type's representative is its least
+    subset, as on the subset walk.
     """
     m = struct.domain_size
     arities = struct.signature.arities
@@ -260,22 +265,20 @@ def _interface_sweep(struct: RelStruct, n: int) -> dict:
     for t in range(m):
         opened = [v for v in opened + [t] if arcs[v] and arcs[v][-1][0] > t]
         interfaces = [(v, tuple(a for a in arcs[v] if a[0] > t)) for v in opened]
-        short = n - (m - 1 - t)  # a state smaller than this cannot reach n
         new = {}
         for chosen, rels in states.values():
-            if len(chosen) >= short:
-                _keep(new, chosen, rels, interfaces, signatures)
-            if len(chosen) < n:
+            _keep(new, chosen, rels, interfaces, signatures)
+            if len(chosen) < top:
                 position = {v: i for i, v in enumerate(chosen)}
                 position[t] = len(chosen)
                 inside = sum(1 << v for v in position)
                 _keep(new, chosen + (t,), _extend(rels, back[t], position, inside),
                       interfaces, signatures)
         states = new
-    return dict(sorted(
-        (code, RelStruct(struct.signature, n, rels))
-        for (_, code), (chosen, rels) in states.items() if len(chosen) == n
-    ))
+    levels = [{} for _ in range(top + 1)]
+    for (_, code), (chosen, rels) in states.items():
+        levels[len(chosen)][code] = tuple(map(tuple, rels))
+    return levels
 
 
 def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, signatures: list):
@@ -299,16 +302,51 @@ def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, signatures
 
 def age_of_finite(struct: RelStruct, n: int) -> dict:
     """Types of the n-element restrictions as (code -> representative), in
-    code order.  On the subset walk each code is read through the extension
-    key of the module docstring (parent code plus the new vertex's tuples in
-    the parent's canonical positions), exact because equal keys relabel to one
-    structure; a representative is the lexicographically least n-subset of
-    its type, on either path."""
+    code order.  Level n is read from the structure's cache entry; on a miss
+    one pass fills every level 0..n.  On the subset walk each code is read
+    through the extension key of the module docstring (parent code plus the
+    new vertex's tuples in the parent's canonical positions), exact because
+    equal keys relabel to one structure; a representative is the
+    lexicographically least n-subset of its type, on either path."""
     if not 0 <= n <= struct.domain_size:
         raise ValueError(f"n={n} outside 0..{struct.domain_size}")
+    level = _finite_cache(struct)[1].get(n)
+    if level is None:
+        level = _fill_levels(struct, n, record=False)[0][n]
+    sig = struct.signature
+    return {code: RelStruct(sig, n, tuple(map(frozenset, rels))) for code, rels in level}
+
+
+def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
+    """One pass of the structure's engine over levels 0..top, published to
+    its cache entry level by level: (code, relations) pairs in code order
+    per level, and with ``record`` on the subset walk each level's subset
+    codes too (None on the sweep, which visits no subsets)."""
+    memo, levels, records = _finite_cache(struct)
     if _sweeps(struct):
-        return _interface_sweep(struct, n)
-    return _subset_age(struct, n)
+        found, codes = _interface_levels(struct, top), None
+    else:
+        found, codes = _subset_walk(struct, top, memo, record)
+    found = [tuple(sorted(level.items())) for level in found]
+    for n, level in enumerate(found):
+        levels[n] = level
+    for n, level in enumerate(codes or ()):
+        records[n] = level
+    return found, codes
+
+
+def _walked_codes(struct: RelStruct, top: int) -> dict:
+    """The subset walk's record of levels 0..top, level -> (subset bitmask
+    -> code, in walk order, so the first mask per code is its type's least
+    subset).  A missing record costs one pass, which fills every level 0..top
+    as ``age_of_finite`` would.  Empty, with no pass, when the structure
+    takes the interface sweep, which visits no subsets."""
+    if _sweeps(struct):
+        return {}
+    records = _finite_cache(struct)[2]
+    if all(n in records for n in range(top + 1)):
+        return {n: records[n] for n in range(top + 1)}
+    return dict(enumerate(_fill_levels(struct, top, record=True)[1]))
 
 
 def _sweeps(struct: RelStruct) -> bool:
@@ -331,7 +369,8 @@ def profile_sequence(source, window: int, name: str = "") -> ProfileSequence:
     if isinstance(source, RelStruct):
         if window > source.domain_size:
             raise ValueError("window exceeds domain size")
-        values = tuple(profile_finite(source, n) for n in range(window + 1))
+        top = profile_finite(source, window)  # one pass fills every level
+        values = tuple(profile_finite(source, n) for n in range(window)) + (top,)
         return ProfileSequence(values, name or f"finite[{source.domain_size}]", False)
     values = tuple(profile_presented(source, n) for n in range(window + 1))
     return ProfileSequence(values, name or getattr(source, "name", "") or "presentation", True)
@@ -373,7 +412,8 @@ def check_linalg_inequality(struct: RelStruct, n: int, k: int) -> bool:
     """phi(n) <= phi(n+k) whenever the domain has at least 2n+k elements."""
     if struct.domain_size < 2 * n + k:
         raise ValueError(f"need domain size >= {2 * n + k}, got {struct.domain_size}")
-    return profile_finite(struct, n) <= profile_finite(struct, n + k)
+    larger = profile_finite(struct, n + k)  # one pass fills level n too
+    return profile_finite(struct, n) <= larger
 
 
 def check_binomial_bound(seq: ProfileSequence, k: int) -> bool:

@@ -508,7 +508,7 @@ def test_split_tables_of_a_sweep_source_take_the_representative_walks():
 def test_split_tables_outlive_the_walk_record_cache_entry():
     source = _walk_structure("graph", random.Random("split-record:evicted"), 8)
     basis = AgeBasis.build(source, 8)
-    profiles._extension_memo.cache_clear()
+    profiles._finite_cache.cache_clear()
     assert sorted(basis._walked) == list(range(9))
     _assert_tables_match_oracle(basis, 8)
 
@@ -537,6 +537,6 @@ def test_split_tables_of_bases_built_by_two_threads():
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
-    profiles._extension_memo.cache_clear()
+    profiles._finite_cache.cache_clear()
     expected = _all_tables(AgeBasis.build(source, 10))
     assert results == [expected, expected]

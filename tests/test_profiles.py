@@ -1,6 +1,11 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +33,8 @@ from relprof.presentations import (
 from relprof.profiles import (
     SWEEP_MAX_WIDTH,
     ProfileSequence,
-    _interface_sweep,
-    _subset_age,
+    _interface_levels,
+    _subset_walk,
     age_of_finite,
     check_basic_inequality,
     check_binomial_bound,
@@ -95,6 +100,24 @@ def _restrict_oracle(struct, n):
     return dict(sorted(by_code.items()))
 
 
+def _ages(struct, levels):
+    """Levels of code -> packed relations as ages, code -> representative in
+    code order."""
+    sig = struct.signature
+    return [{code: RelStruct(sig, n, tuple(map(frozenset, level[code])))
+             for code in sorted(level)} for n, level in enumerate(levels)]
+
+
+def _walk_ages(struct, top):
+    """Levels 0..top from one subset-walk pass with a fresh memo."""
+    return _ages(struct, _subset_walk(struct, top, {}, False)[0])
+
+
+def _sweep_ages(struct, top):
+    """Levels 0..top from one interface-sweep pass."""
+    return _ages(struct, _interface_levels(struct, top))
+
+
 def _random_structure(rng, m):
     """Symbols of arities 1, 2, 3 and an empty binary one; each tuple draws its
     entries from one to arity vertices, so loops and tuples such as (x, x, y)
@@ -115,10 +138,10 @@ def test_subset_walk_matches_restrict_oracle():
     for trial in range(40):
         m = rng.randrange(9)
         s = _random_structure(rng, m)
+        ages = _walk_ages(s, m)
         for n in range(m + 1):
             # same codes in the same order, and the same least-subset representatives
-            assert list(_subset_age(s, n).items()) == list(_restrict_oracle(s, n).items()), \
-                (trial, n)
+            assert list(ages[n].items()) == list(_restrict_oracle(s, n).items()), (trial, n)
             # every n-subset's code, keyed by its vertex bitmask in lexicographic order
             subsets = list(itertools.combinations(range(m), n))
             codes = subset_codes(s, n)
@@ -170,14 +193,15 @@ def test_memo_walk_matches_subset_codes(kind):
     for m in (4, 6, 8, 9, 10, 12):
         base = _memo_walk_structure(kind, rng, m)
         copies = [_relabeled(base, rng) for _ in range(2 if m < 12 else 1)]
+        walks = [_walk_ages(s, m) for s in copies]
         for n in range(m + 1):
-            ages = [_subset_age(s, n) for s in copies]
+            ages = [walk[n] for walk in walks]
             assert list(ages[0].items()) == list(_least_subset_oracle(copies[0], n).items()), \
                 (m, n)
             # a relabelled copy has the same types, each with its own representative
             assert all(list(age) == list(ages[0]) for age in ages), (m, n)
-        for s in copies[1:]:
-            assert all(canonical_code(r) == code for code, r in _subset_age(s, m // 2).items())
+        for walk in walks[1:]:
+            assert all(canonical_code(r) == code for code, r in walk[m // 2].items())
 
 
 def test_memo_walk_is_shared_by_concurrent_profiles():
@@ -200,6 +224,57 @@ def test_memo_walk_is_shared_by_concurrent_profiles():
     assert results == [expected, expected]
     for n in range(9):
         assert age_of_finite(g, n) == _least_subset_oracle(g, n), n
+
+
+def test_levels_are_published_whole_under_concurrent_passes():
+    # six threads on two cores ask one structure for windows, single levels
+    # and age bases at once, switching often; each must read whole levels
+    # (and, for a basis, whole records) equal to those of a pass run alone
+    from relprof.algebra import AgeBasis
+
+    g = _memo_walk_structure("graph", random.Random("concurrent-levels"), 10)
+    assert not profiles._sweeps(g)
+    profiles._finite_cache.cache_clear()
+    expected = [list(age_of_finite(g, n).items()) for n in range(11)]
+    codes = [subset_codes(g, n) for n in range(11)]
+    profiles._finite_cache.cache_clear()
+    barrier = threading.Barrier(6)
+    failures = []
+
+    def run(i):
+        barrier.wait()
+        try:
+            check(i)
+        except Exception as exc:  # a thread's error would otherwise be lost
+            failures.append((i, repr(exc)))
+
+    def check(i):
+        for top in ((7, 3, 10), (10, 5), (2, 8), (6, 9, 4), (9,), (3, 10))[i]:
+            if i % 2:
+                basis = AgeBasis.build(g, top)
+                got = [list(zip(basis.codes(n), (basis.representative(n, p)
+                                                 for p in range(basis.dimension(n)))))
+                       for n in range(top + 1)]
+                if any(list(basis._walked[n][1].items()) != list(codes[n].items())
+                       for n in range(top + 1)):
+                    failures.append((i, top, "record"))
+            else:
+                got = [list(age_of_finite(g, n).items()) for n in range(top, -1, -1)][::-1]
+            if got != expected[:top + 1]:
+                failures.append((i, top))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
 
 
 def _random_narrow_structure(rng, m):
@@ -227,9 +302,8 @@ def test_interface_sweep_matches_subset_path():
         m = rng.randrange(1, 10)
         s = _random_narrow_structure(rng, m)
         assert interface_width(s) <= SWEEP_MAX_WIDTH
-        for n in range(m + 1):
-            # same codes in the same order, and the same least-subset representatives
-            assert _interface_sweep(s, n) == _subset_age(s, n), (trial, n)
+        # same codes in the same order, and the same least-subset representatives
+        assert _sweep_ages(s, m) == _walk_ages(s, m), trial
 
 
 def test_interface_sweep_matches_vectorized_path_on_digraphs():
@@ -239,17 +313,18 @@ def test_interface_sweep_matches_vectorized_path_on_digraphs():
                 for v in range(11) for d in (1, 2) if v + d < 11 and rng.random() < 0.6}
         g = digraph(11, arcs)
         assert interface_width(g) <= SWEEP_MAX_WIDTH
+        swept, walked = _sweep_ages(g, 8), _walk_ages(g, 8)
         for n in range(1, 9):
-            swept = _interface_sweep(g, n)
-            assert list(swept) == list(_subset_age(g, n)), (trial, n)
-            assert all(canonical_code(r) == code for code, r in swept.items())
+            assert list(swept[n]) == list(walked[n]), (trial, n)
+            assert all(canonical_code(r) == code for code, r in swept[n].items())
 
 
 def test_interface_sweep_is_sound_beyond_the_width_rule():
     g = graph_from_edges(8, [(i, j) for i in range(8) for j in range(i + 1, 8) if (i * j) % 3])
     assert interface_width(g) > SWEEP_MAX_WIDTH
+    swept, walked = _sweep_ages(g, 8), _walk_ages(g, 8)
     for n in range(9):
-        assert list(_interface_sweep(g, n)) == list(_subset_age(g, n))
+        assert list(swept[n]) == list(walked[n])
 
 
 def test_interface_width_chooses_the_path(monkeypatch):
@@ -262,10 +337,185 @@ def test_interface_width_chooses_the_path(monkeypatch):
     assert interface_width(ternary) == 0  # but arity 3 keeps it on the subset path
     swept = []
     monkeypatch.setattr(
-        profiles, "_interface_sweep", lambda s, n: swept.append(s) or _interface_sweep(s, n))
+        profiles, "_interface_levels", lambda s, n: swept.append(s) or _interface_levels(s, n))
+    profiles._finite_cache.cache_clear()  # levels cached by other tests would skip the engines
     for s in (path_graph(30), g16, ternary):
         age_of_finite(s, 3)
     assert swept == [path_graph(30)]
+
+
+def _caterpillar(rng, spine):
+    """A path of spine vertices, each followed in the vertex order by its
+    0-2 legs, so the interface width stays 1."""
+    edges, last, v = [], None, 0
+    for _ in range(spine):
+        if last is not None:
+            edges.append((last, v))
+        last, v = v, v + 1
+        for _ in range(rng.randrange(3)):
+            edges.append((last, v))
+            v += 1
+    return graph_from_edges(v, edges)
+
+
+def _reversed(struct):
+    m = struct.domain_size
+    return make_struct(struct.signature.arities, m,
+                       [{tuple(m - 1 - x for x in t) for t in rel} for rel in struct.relations])
+
+
+def _one_pass_inputs():
+    """(label, structure, top, takes the sweep) of every kind: arities 1-3
+    and binary graphs on the subset walk, paths, caterpillars and width
+    <= 2 digraphs on the sweep, seeded relabelings, m = 0, N = 0 and N = m."""
+    rng = random.Random("one-pass")
+    cases = [("empty", make_struct((2,), 0, [set()]), 0, True),
+             ("arity-3-empty", make_struct((3,), 0, [set()]), 0, False)]
+    for m in (1, 5, 8):
+        s = _random_structure(rng, m)
+        cases += [(f"arities-1-3:{m}", s, m, False),
+                  (f"arities-1-3:{m}:relabeled", _relabeled(s, rng), m - 1, False),
+                  (f"arities-1-3:{m}:top-0", s, 0, False)]
+    for kind in ("graph", "tournament", "digraph-loops-mark", "ternary"):
+        s = _memo_walk_structure(kind, rng, 9)
+        cases += [(f"{kind}:9", s, 9, False),
+                  (f"{kind}:9:relabeled", _relabeled(s, rng), 6, False)]
+    cases += [("path:9", path_graph(9), 9, True),
+              ("path:9:reversed", _reversed(path_graph(9)), 5, True),
+              ("path:9:top-0", path_graph(9), 0, True),
+              ("path:9:relabeled", _relabeled(path_graph(9), rng), 9, None)]
+    for trial in range(3):
+        s = _caterpillar(rng, 4)
+        cases += [(f"caterpillar:{trial}", s, s.domain_size, True),
+                  (f"caterpillar:{trial}:relabeled", _relabeled(s, rng), 4, None)]
+    for trial in range(4):
+        s = _random_narrow_structure(rng, 8)
+        cases += [(f"narrow:{trial}", s, 8, True),
+                  (f"narrow:{trial}:relabeled", _relabeled(s, rng), 8, None)]
+    return cases
+
+
+@pytest.mark.parametrize("struct, top, sweeps",
+                         [pytest.param(*case, id=label) for label, *case in _one_pass_inputs()])
+def test_one_call_fills_every_level_as_the_oracle(monkeypatch, struct, top, sweeps):
+    # codes, their order and the least-subset representatives of every level
+    # 0..top, all read from the one pass that the call for the top level ran
+    if sweeps is not None:
+        assert profiles._sweeps(struct) == sweeps
+    profiles._finite_cache.cache_clear()
+    passes = []
+    fill = profiles._fill_levels
+    monkeypatch.setattr(profiles, "_fill_levels",
+                        lambda s, t, record: passes.append(t) or fill(s, t, record))
+    ages = {top: age_of_finite(struct, top)}
+    ages.update((n, age_of_finite(struct, n)) for n in range(top))
+    assert passes == [top]
+    for n in range(top + 1):
+        assert list(ages[n].items()) == list(_restrict_oracle(struct, n).items()), n
+    assert not profiles._finite_cache(struct)[2]  # no record without a basis
+
+
+def test_a_basis_after_a_profile_records_every_level(monkeypatch):
+    # the profile's pass records no codes, so the basis runs one recording
+    # pass; its record and representatives are the walk's, level by level
+    from relprof.algebra import AgeBasis
+
+    g = _relabeled(_memo_walk_structure("graph", random.Random("record-after-profile"), 10),
+                   random.Random(7))
+    assert not profiles._sweeps(g)
+    profiles._finite_cache.cache_clear()
+    passes = []
+    fill = profiles._fill_levels
+    monkeypatch.setattr(profiles, "_fill_levels",
+                        lambda s, t, record: passes.append((t, record)) or fill(s, t, record))
+    seq = profile_sequence(g, 7)
+    assert not profiles._finite_cache(g)[2]
+    basis = AgeBasis.build(g, 7)
+    assert passes == [(7, False), (7, True)]
+    assert [basis.dimension(n) for n in range(8)] == list(seq.coeffs)
+    assert sorted(basis._walked) == list(range(8))
+    for n in range(8):
+        masks, record = basis._walked[n]
+        assert list(record.items()) == list(subset_codes(g, n).items()), n
+        for pos, (code, rep) in enumerate(basis.types[n]):
+            assert record[masks[pos]] == code
+            assert restrict(g, [v for v in g.domain if masks[pos] >> v & 1]) == rep
+        assert basis.types[n] == list(_restrict_oracle(g, n).items()), n
+
+
+def _g12():
+    rng = random.Random("work-count:g12")
+    g = graph_from_edges(12, [e for e in itertools.combinations(range(12), 2)
+                              if rng.random() < 0.5])
+    assert not profiles._sweeps(g)
+    return g
+
+
+def test_one_profile_runs_canon_once_per_extension_key(monkeypatch):
+    g = _g12()
+    profiles._finite_cache.cache_clear()
+    calls = []
+    order = profiles.canonical_order
+    monkeypatch.setattr(profiles, "canonical_order",
+                        lambda *args: calls.append(args[1]) or order(*args))
+    profile_sequence(g, 8)
+    memo = profiles._finite_cache(g)[0]
+    assert len(calls) == len(memo) + 1
+    assert calls.count(0) == 1  # the root, once for the whole window
+
+
+def test_a_recorded_level_holds_every_subset():
+    from relprof.algebra import AgeBasis
+
+    g = _g12()
+    profiles._finite_cache.cache_clear()
+    basis = AgeBasis.build(g, 6)
+    for n in range(7):
+        record = basis._walked[n][1]
+        assert len(record) == math.comb(12, n)
+        assert list(record) == [sum(1 << v for v in subset)
+                                for subset in itertools.combinations(range(12), n)]
+
+
+def test_path_window_is_one_sweep_pass(monkeypatch):
+    profiles._finite_cache.cache_clear()
+    passes, kept = [], []
+    sweep, keep = profiles._interface_levels, profiles._keep
+    monkeypatch.setattr(profiles, "_interface_levels",
+                        lambda s, top: passes.append(top) or sweep(s, top))
+    monkeypatch.setattr(profiles, "_keep", lambda *args: kept.append(1) or keep(*args))
+    assert profile_sequence(path_graph(30), 8).coeffs == tuple(
+        partitions_oracle(n) for n in range(9))
+    assert passes == [8]
+    assert len(kept) == 6546
+
+
+def test_canon_calls_of_a_profile_do_not_depend_on_the_hash_seed():
+    # the subset walk's canon calls on a committed ternary structure, counted
+    # in fresh interpreters under two PYTHONHASHSEED values
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from relprof import profiles\n"
+        "from relprof.fileformat import load_source\n"
+        "calls = []\n"
+        "order = profiles.canonical_order\n"
+        "profiles.canonical_order = lambda *args: calls.append(1) or order(*args)\n"
+        "seq = profiles.profile_sequence(load_source(sys.argv[1]), 10)\n"
+        "print(seq.coeffs, len(calls))\n"
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(root / "tests" / "data" / "ternary10.txt")],
+            env=env, capture_output=True, check=False, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0].split()[-1]) > 0
 
 
 def test_path_profile_reach_beyond_subset_sweep():
