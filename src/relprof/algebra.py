@@ -56,13 +56,9 @@ class AgeBasis:
         if max_degree < 0:
             raise ValueError(f"max_degree must be non-negative, got {max_degree}")
         basis = cls(name or getattr(source, "name", "") or "age", max_degree)
-        records = {}
         if isinstance(source, RelStruct):
-            top = min(max_degree, source.domain_size)
-            # one pass fills every level: a recording one on the subset walk,
-            # else the sweep's own when the top level is asked first
-            records = _walked_codes(source, top)
-            age_of_finite(source, top)
+            # one pass fills every level, and records them on the subset walk
+            basis._walked = _walked_codes(source, min(max_degree, source.domain_size))
         for n in range(max_degree + 1):
             if isinstance(source, RelStruct):
                 ages = age_of_finite(source, n) if n <= source.domain_size else {}
@@ -72,12 +68,6 @@ class AgeBasis:
             basis.types.append(level)
             for pos, (code, _) in enumerate(level):
                 basis._index[code] = (n, pos)
-            walked = records.get(n)
-            if walked is not None:
-                first = {}  # the first mask per code is the representative
-                for mask, code in walked.items():
-                    first.setdefault(code, mask)
-                basis._walked[n] = ([first[code] for code, _ in level], walked)
         return basis
 
     def dimension(self, degree: int) -> int:

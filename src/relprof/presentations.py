@@ -39,6 +39,7 @@ from .structures import (
     canonical_code,
     digraph,
     make_struct,
+    marked_code,
     restrict,
 )
 
@@ -521,26 +522,15 @@ class _PrefixSweep:
         return tuple(out), classes + new_classes
 
     def _states(self, n: int) -> list:
-        """Level n's candidates, the first one per key: the interface classes
-        present and the code of the realization with one unary mark per
-        class.  With at most one class a mark tells nothing, so the unmarked
-        code serves; it is also the candidate's age code."""
+        """Level n's candidates, the first one per ``marked_code`` of the
+        realization labelled by interface class.  Every element has a class,
+        so with one class present the code is the candidate's age code."""
         while len(self.states) <= n:
             level = len(self.states)
             sig = self.pres.signature
             kept = {}
             for rels, classes in self.candidates(level):
-                present = sorted(set(classes))
-                if len(present) > 1:
-                    marks = tuple(
-                        frozenset((i,) for i, c in enumerate(classes) if c == mark)
-                        for mark in present
-                    )
-                    marked = Signature(sig.arities + (1,) * len(present))
-                    struct = RelStruct(marked, level, rels + marks)
-                else:
-                    struct = RelStruct(sig, level, rels)
-                kept.setdefault((tuple(present), canonical_code(struct)), (rels, classes))
+                kept.setdefault(marked_code(sig, level, rels, classes), (rels, classes))
             self.states.append(list(kept.values()))
         return self.states[n]
 

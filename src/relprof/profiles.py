@@ -25,19 +25,20 @@ one of two engines:
   by code(S') and t's tuples relabelled into the parent's canonical
   positions, t placed last.  The key is exact: two subsets with one key
   relabel to the same structure, so one canonical order composed with the
-  inverse of the other (t to t) is an isomorphism.  A memo per structure
-  maps a key to the child's code and the map from key coordinates to
+  inverse of the other (t to t) is an isomorphism.  A memo local to the
+  pass maps a key to the child's code and the map from key coordinates to
   canonical positions, so canon runs once per key (McKay's canonical
   augmentation, J. Algorithms 26, 1998): on G(16, 1/2) at n <= 7, one pass
   of 26,332 nodes and 5,189 canon calls instead of 16,624, one per
   distinct restriction.  The first subset per code is kept, so each
   representative is still the least n-subset of its type.  When an age
-  basis asks (``_walked_codes``), the pass also records per level the code
-  of every subset by bitmask, in walk order, and the algebra's split tables
-  of a finite basis read every split from it.  The same walk without codes
-  (``_restrictions``) gives ``subset_codes`` (n-subset bitmask ->
-  ``canonical_code``), which serves the split tables of every other basis,
-  isomorphy partitions and the type indicators of the incidence lab.
+  basis asks (``_walked_codes``), the pass also records per level the
+  bitmask of each representative and the code of every subset by bitmask,
+  in walk order, and the algebra's split tables of a finite basis read
+  every split from it.  The same walk without codes (``_restrictions``)
+  gives ``subset_codes`` (n-subset bitmask -> ``canonical_code``), which
+  serves the split tables of every other basis, isomorphy partitions and
+  the type indicators of the incidence lab.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from .canon import canonical_order, form_bytes
 from .presentations import enumerate_age
 from .series import TruncatedSeries
-from .structures import RelStruct, Signature, canonical_code
+from .structures import RelStruct, Signature, canonical_code, marked_code
 
 # Above this interface width the subset walk is faster: measured crossover
 # between widths 2 and 3 for m = 18, n <= 7.
@@ -120,39 +121,42 @@ def _restrictions(struct: RelStruct, n: int, back: list):
 
 @functools.lru_cache(maxsize=64)
 def _finite_cache(struct: RelStruct) -> tuple:
-    """One cache entry per structure: the extension memo, the levels filled so
-    far (n -> (code, relabelled relations) pairs in code order, each
-    relation a tuple of tuples, which takes less than half the memory of a
-    frozenset) and the subset walk's record of codes (n -> (n-subset bitmask
-    -> code), in walk order), kept only for the levels an age basis asked
-    for.  None needs a lock: any stored map is a valid isomorphism, so
-    concurrent writes of one key are all correct, and a level or a record is
-    published whole, once its pass is done."""
-    return {}, {}, {}
+    """One cache entry per structure: the levels filled so far (n -> (code,
+    relabelled relations) pairs in code order, each relation a tuple of
+    tuples, which takes less than half the memory of a frozenset) and the
+    subset walk's record (n -> (source bitmask of each type's
+    representative, in code order; n-subset bitmask -> code, in walk
+    order)), kept only for the levels an age basis asked for.  Neither needs
+    a lock: a level or a record is published whole, once its pass is done,
+    and every pass publishes the same values."""
+    return {}, {}
 
 
-def _subset_walk(struct: RelStruct, top: int, memo: dict, record: bool) -> tuple:
+def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
     """Every level 0..top of the age by one depth-first pass over the subsets
     of size <= top, reading each type from its parent's code and canonical
     order plus the new vertex's tuples (see the module docstring).  Pre-order
     visits each level's subsets in lexicographic order, and the first subset
     per code is kept, so each type's representative is its least subset.
     Returns the levels (code -> relations as tuples of tuples) and, when
-    ``record`` is set, each level's subset codes (bitmask -> code, in walk
-    order), else None."""
+    ``record`` is set, per level the representatives' bitmasks (code ->
+    bitmask) and every subset's code (bitmask -> code, in walk order), else
+    None."""
     arities = struct.signature.arities
     m = struct.domain_size
     back = _tuples_by_last(struct)
     position = [0] * m  # vertex -> index in the current subset
+    memo = {}  # extension key -> (child code, key coordinate -> canonical position)
     empty = tuple(frozenset() for _ in arities)
     root = form_bytes(canonical_order(arities, 0, empty)[0])
     levels = [{root: tuple(map(tuple, empty))}] + [{} for _ in range(top)]
-    codes = [{0: root}] + [{} for _ in range(top)] if record else None
+    codes = [({root: 0}, {0: root})] + [({}, {}) for _ in range(top)] if record else None
 
     def walk(start, depth, inside, rels, code, order):
         # order: subset index -> canonical position; the new vertex goes last
         ext = order + (depth,)
         kept = levels[depth + 1]
+        first, walked = codes[depth + 1] if record else (None, None)
         deeper = depth + 1 < top
         for t in range(start, m):
             position[t] = depth
@@ -170,21 +174,24 @@ def _subset_walk(struct: RelStruct, top: int, memo: dict, record: bool) -> tuple
                 lam = [0] * (depth + 1)  # key coordinate -> canonical position
                 for k, p in zip(ext, found):
                     lam[k] = p
-                hit = memo.setdefault(key, (form_bytes(form), tuple(lam)))
+                hit = memo[key] = form_bytes(form), tuple(lam)
             child_code, lam = hit
-            if codes is not None:
-                codes[depth + 1][inner] = child_code
+            if record:
+                walked[inner] = child_code
             descend = deeper and t + 1 < m
             if descend or child_code not in kept:
                 joined = _joined(rels, added)
                 if child_code not in kept:
                     kept[child_code] = tuple(map(tuple, joined))
+                    if record:
+                        first[child_code] = inner
                 if descend:
                     walk(t + 1, depth + 1, inner, joined, child_code,
                          tuple([lam[k] for k in ext]))
 
     if top:
         walk(0, 0, 0, empty, root, ())
+    del walk  # it refers to itself, which would keep the memo until a cyclic collection
     return levels, codes
 
 
@@ -234,17 +241,15 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
     most top vertices, and at step t each state skips t or takes it.  The
     *interface* of a chosen v at step t is the literal set of (w, symbol,
     direction) over its binary tuples with w > t.  States are keyed by the
-    sorted distinct non-empty interfaces plus the canonical code of the
-    restriction with one unary symbol per interface rank; the code holds the
-    number of chosen vertices, so states of different sizes never share a
-    key.  Equal keys mean an isomorphism of the chosen sets that keeps every
-    literal interface, so (arity <= 2) both sets have isomorphic completions
-    by every later set, and one per key suffices.  The lexicographically
-    least chosen tuple is kept, so each type's representative is its least
-    subset, as on the subset walk.
+    ``marked_code`` of the restriction labelled by non-empty interface; the
+    code holds the number of chosen vertices, so states of different sizes
+    never share a key.  Equal keys mean an isomorphism of the chosen sets
+    that keeps every literal interface, so (arity <= 2) both sets have
+    isomorphic completions by every later set, and one per key suffices.
+    The lexicographically least chosen tuple is kept, so each type's
+    representative is its least subset, as on the subset walk.
     """
     m = struct.domain_size
-    arities = struct.signature.arities
     back = _tuples_by_last(struct)
     arcs = [[] for _ in range(m)]  # v -> sorted (w, symbol, direction) with w > v
     for s, rel in enumerate(struct.relations):
@@ -257,23 +262,22 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
                     arcs[w].append((u, s, 1))
     for a in arcs:
         a.sort()
-    # marked restrictions carry one unary symbol per distinct open interface
-    signatures = [Signature(arities + (1,) * k) for k in range(interface_width(struct) + 1)]
+    sig = struct.signature
     opened = []  # chosen or not, the vertices v <= t with a non-empty interface
     states = {}
-    _keep(states, (), tuple(frozenset() for _ in arities), [], signatures)
+    _keep(states, (), tuple(frozenset() for _ in sig.arities), [], sig)
     for t in range(m):
         opened = [v for v in opened + [t] if arcs[v] and arcs[v][-1][0] > t]
         interfaces = [(v, tuple(a for a in arcs[v] if a[0] > t)) for v in opened]
         new = {}
         for chosen, rels in states.values():
-            _keep(new, chosen, rels, interfaces, signatures)
+            _keep(new, chosen, rels, interfaces, sig)
             if len(chosen) < top:
                 position = {v: i for i, v in enumerate(chosen)}
                 position[t] = len(chosen)
                 inside = sum(1 << v for v in position)
                 _keep(new, chosen + (t,), _extend(rels, back[t], position, inside),
-                      interfaces, signatures)
+                      interfaces, sig)
         states = new
     levels = [{} for _ in range(top + 1)]
     for (_, code), (chosen, rels) in states.items():
@@ -281,20 +285,15 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
     return levels
 
 
-def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, signatures: list):
-    """Add a sweep state under its interface-coloured key, keeping the least
+def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, sig: Signature):
+    """Add a sweep state under its interface-labelled key, keeping the least
     chosen tuple per key."""
-    marks = []
+    labels = [None] * len(chosen)
     for v, interface in interfaces:
         i = bisect.bisect_left(chosen, v)
         if i < len(chosen) and chosen[i] == v:
-            marks.append((interface, i))
-    ranks = sorted({interface for interface, _ in marks})
-    unary = [set() for _ in ranks]
-    for interface, i in marks:
-        unary[ranks.index(interface)].add((i,))
-    marked = rels + tuple(frozenset(u) for u in unary)
-    key = (tuple(ranks), canonical_code(RelStruct(signatures[len(ranks)], len(chosen), marked)))
+            labels[i] = interface
+    key = marked_code(sig, len(chosen), rels, labels)
     kept = states.get(key)
     if kept is None or chosen < kept[0]:
         states[key] = (chosen, rels)
@@ -310,7 +309,7 @@ def age_of_finite(struct: RelStruct, n: int) -> dict:
     lexicographically least n-subset of its type, on either path."""
     if not 0 <= n <= struct.domain_size:
         raise ValueError(f"n={n} outside 0..{struct.domain_size}")
-    level = _finite_cache(struct)[1].get(n)
+    level = _finite_cache(struct)[0].get(n)
     if level is None:
         level = _fill_levels(struct, n, record=False)[0][n]
     sig = struct.signature
@@ -320,33 +319,34 @@ def age_of_finite(struct: RelStruct, n: int) -> dict:
 def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
     """One pass of the structure's engine over levels 0..top, published to
     its cache entry level by level: (code, relations) pairs in code order
-    per level, and with ``record`` on the subset walk each level's subset
-    codes too (None on the sweep, which visits no subsets)."""
-    memo, levels, records = _finite_cache(struct)
+    per level, and with ``record`` on the subset walk each level's record
+    too (None on the sweep, which visits no subsets)."""
+    levels, records = _finite_cache(struct)
     if _sweeps(struct):
         found, codes = _interface_levels(struct, top), None
     else:
-        found, codes = _subset_walk(struct, top, memo, record)
+        found, codes = _subset_walk(struct, top, record)
     found = [tuple(sorted(level.items())) for level in found]
     for n, level in enumerate(found):
         levels[n] = level
-    for n, level in enumerate(codes or ()):
-        records[n] = level
+    if codes is not None:
+        codes = [(tuple(first[code] for code, _ in level), walked)
+                 for level, (first, walked) in zip(found, codes)]
+        records.update(enumerate(codes))
     return found, codes
 
 
 def _walked_codes(struct: RelStruct, top: int) -> dict:
-    """The subset walk's record of levels 0..top, level -> (subset bitmask
-    -> code, in walk order, so the first mask per code is its type's least
-    subset).  A missing record costs one pass, which fills every level 0..top
-    as ``age_of_finite`` would.  Empty, with no pass, when the structure
-    takes the interface sweep, which visits no subsets."""
-    if _sweeps(struct):
-        return {}
-    records = _finite_cache(struct)[2]
-    if all(n in records for n in range(top + 1)):
-        return {n: records[n] for n in range(top + 1)}
-    return dict(enumerate(_fill_levels(struct, top, record=True)[1]))
+    """Fill levels 0..top, one pass when they are missing, and return the
+    subset walk's record of them: level -> (source bitmask of each type's
+    representative, in code order; subset bitmask -> code, in walk order).
+    Empty when the structure takes the interface sweep, which visits no
+    subsets."""
+    levels, records = _finite_cache(struct)
+    sweeps = _sweeps(struct)
+    if top not in levels or not sweeps and any(n not in records for n in range(top + 1)):
+        return dict(enumerate(_fill_levels(struct, top, record=True)[1] or ()))
+    return {} if sweeps else {n: records[n] for n in range(top + 1)}
 
 
 def _sweeps(struct: RelStruct) -> bool:

@@ -88,6 +88,23 @@ def canonical_code(struct: RelStruct) -> bytes:
     )
 
 
+def marked_code(signature: Signature, size: int, relations: tuple, labels) -> tuple:
+    """(Sorted distinct labels, canonical code of the structure with one unary
+    mark per label), where ``labels[i]`` is element i's label and None means
+    it has none.  Two structures get equal results iff some isomorphism keeps
+    every element's label.  With no label, or with the one label present on
+    every element, a mark tells nothing and the plain code serves; so
+    compare keys within one signature, since such a code can equal a marked
+    one of a signature shorter by one unary symbol."""
+    present = tuple(sorted({label for label in labels if label is not None}))
+    if not present or len(present) == 1 and None not in labels:
+        return present, canonical_code(RelStruct(signature, size, relations))
+    marks = tuple(frozenset((i,) for i, label in enumerate(labels) if label == mark)
+                  for mark in present)
+    marked = Signature(signature.arities + (1,) * len(present))
+    return present, canonical_code(RelStruct(marked, size, relations + marks))
+
+
 def are_isomorphic(left: RelStruct, right: RelStruct) -> bool:
     if left.signature != right.signature:
         raise ValueError("signature mismatch")

@@ -179,7 +179,7 @@ def classify(source) -> TournamentReport:
         probe = _multichain_window(source, 2)
         if not is_tournament(probe):
             raise ValueError("presentation does not present a tournament")
-        small = acyclic_components(_multichain_window(source, 2))
+        small = acyclic_components(probe)
         large = acyclic_components(_multichain_window(source, 3))
         if len(large) > len(small):
             return TournamentReport(

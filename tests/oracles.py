@@ -6,6 +6,8 @@ definition, by exhaustive search, so it is only usable on small inputs:
 * ``brute_force_form`` - the canonical form of ``relprof.canon``, as the
   minimum over all m! orderings;
 * ``are_isomorphic_brute_force`` - isomorphism by trying every bijection;
+* ``are_label_isomorphic_brute_force`` - the same, keeping a label per
+  element, as ``structures.marked_code`` compares structures;
 * ``brute_profile_presented`` - a presentation's profile, by realizing every
   word or composition and deduplicating by pairwise isomorphism;
 * ``is_monomorphic_part_oracle`` - the full pairwise definition of a
@@ -68,6 +70,22 @@ def are_isomorphic_brute_force(left: RelStruct, right: RelStruct) -> bool:
         return False
     for perm in itertools.permutations(range(m)):
         if all(
+            frozenset(tuple(perm[x] for x in t) for t in lrel) == rrel
+            for lrel, rrel in zip(left.relations, right.relations)
+        ):
+            return True
+    return False
+
+
+def are_label_isomorphic_brute_force(left: RelStruct, left_labels,
+                                     right: RelStruct, right_labels) -> bool:
+    """Independent oracle: some bijection maps left's relations onto right's
+    and each element to one with the same label (None included)."""
+    m = left.domain_size
+    if left.signature != right.signature or m != right.domain_size:
+        return False
+    for perm in itertools.permutations(range(m)):
+        if all(left_labels[v] == right_labels[perm[v]] for v in range(m)) and all(
             frozenset(tuple(perm[x] for x in t) for t in lrel) == rrel
             for lrel, rrel in zip(left.relations, right.relations)
         ):

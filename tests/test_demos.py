@@ -1,0 +1,27 @@
+"""Every script under demos/ runs to completion and prints something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_five_demos_are_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -109,8 +110,8 @@ def _ages(struct, levels):
 
 
 def _walk_ages(struct, top):
-    """Levels 0..top from one subset-walk pass with a fresh memo."""
-    return _ages(struct, _subset_walk(struct, top, {}, False)[0])
+    """Levels 0..top from one subset-walk pass."""
+    return _ages(struct, _subset_walk(struct, top, False)[0])
 
 
 def _sweep_ages(struct, top):
@@ -412,7 +413,7 @@ def test_one_call_fills_every_level_as_the_oracle(monkeypatch, struct, top, swee
     assert passes == [top]
     for n in range(top + 1):
         assert list(ages[n].items()) == list(_restrict_oracle(struct, n).items()), n
-    assert not profiles._finite_cache(struct)[2]  # no record without a basis
+    assert not profiles._finite_cache(struct)[1]  # no record without a basis
 
 
 def test_a_basis_after_a_profile_records_every_level(monkeypatch):
@@ -429,7 +430,7 @@ def test_a_basis_after_a_profile_records_every_level(monkeypatch):
     monkeypatch.setattr(profiles, "_fill_levels",
                         lambda s, t, record: passes.append((t, record)) or fill(s, t, record))
     seq = profile_sequence(g, 7)
-    assert not profiles._finite_cache(g)[2]
+    assert not profiles._finite_cache(g)[1]
     basis = AgeBasis.build(g, 7)
     assert passes == [(7, False), (7, True)]
     assert [basis.dimension(n) for n in range(8)] == list(seq.coeffs)
@@ -451,17 +452,66 @@ def _g12():
     return g
 
 
-def test_one_profile_runs_canon_once_per_extension_key(monkeypatch):
-    g = _g12()
-    profiles._finite_cache.cache_clear()
+def _count_canon_calls(monkeypatch):
     calls = []
     order = profiles.canonical_order
     monkeypatch.setattr(profiles, "canonical_order",
                         lambda *args: calls.append(args[1]) or order(*args))
+    return calls
+
+
+# canon calls of one subset-walk pass over the seeded G(12, 1/2) to n <= 8:
+# one per distinct extension key plus the root; the pass visits 3,797 subsets
+G12_WINDOW_CANON_CALLS = 1420
+
+
+def test_one_profile_runs_canon_once_per_extension_key(monkeypatch):
+    g = _g12()
+    profiles._finite_cache.cache_clear()
+    calls = _count_canon_calls(monkeypatch)
     profile_sequence(g, 8)
-    memo = profiles._finite_cache(g)[0]
-    assert len(calls) == len(memo) + 1
+    assert len(calls) == G12_WINDOW_CANON_CALLS
+    assert sum(math.comb(12, n) for n in range(9)) == 3797  # once per node would be more
     assert calls.count(0) == 1  # the root, once for the whole window
+
+
+def test_a_finished_pass_leaves_no_memo_in_the_cache_entry():
+    # the entry holds the levels and the record, nothing of the pass's
+    # extension memo, and no closure over the memo waits for a cyclic collection
+    g = _g12()
+    profiles._finite_cache.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        profile_sequence(g, 8)
+        assert not any(getattr(o, "__qualname__", "") == "_subset_walk.<locals>.walk"
+                       for o in gc.get_objects())
+    finally:
+        gc.enable()
+    levels, records = profiles._finite_cache(g)
+    assert sorted(levels) == list(range(9))
+    assert all(isinstance(code, bytes) for level in levels.values() for code, _ in level)
+    assert records == {}
+
+
+def test_a_basis_after_a_profile_runs_one_recording_pass(monkeypatch):
+    # the profile's memo ended with its pass, so the basis's recording pass
+    # makes the same canon calls again; a second basis reads the record
+    from relprof.algebra import AgeBasis
+
+    g = _g12()
+    profiles._finite_cache.cache_clear()
+    passes = []
+    fill = profiles._fill_levels
+    monkeypatch.setattr(profiles, "_fill_levels",
+                        lambda s, t, record: passes.append((t, record)) or fill(s, t, record))
+    calls = _count_canon_calls(monkeypatch)
+    profile_sequence(g, 8)
+    AgeBasis.build(g, 8)
+    assert passes == [(8, False), (8, True)]
+    assert len(calls) == 2 * G12_WINDOW_CANON_CALLS
+    AgeBasis.build(g, 8)
+    assert len(passes) == 2 and len(calls) == 2 * G12_WINDOW_CANON_CALLS
 
 
 def test_a_recorded_level_holds_every_subset():

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import are_isomorphic_brute_force
+from oracles import are_isomorphic_brute_force, are_label_isomorphic_brute_force
 from relprof.structures import (
+    RelStruct,
     Signature,
     acyclic_tournament,
     are_isomorphic,
@@ -18,6 +20,7 @@ from relprof.structures import (
     is_autonomous,
     is_local_iso,
     make_struct,
+    marked_code,
     path_graph,
     restrict,
 )
@@ -185,3 +188,93 @@ def test_disjoint_union_clique_independent():
     assert g.domain_size == 6
     assert are_isomorphic(restrict(g, {0, 1, 2}), clique_graph(3))
     assert are_isomorphic(restrict(g, {3, 4, 5}), independent_graph(3))
+
+
+def _labelled(rng, arities, m):
+    """A random structure on m <= 6 elements, loops included, and a label
+    (or None) per element."""
+    rels = [{tuple(rng.randrange(m) for _ in range(a)) for _ in range(rng.randrange(2 * m + 1))}
+            if m else set() for a in arities]
+    return make_struct(arities, m, rels), [rng.choice((None, "a", "b")) for _ in range(m)]
+
+
+def _marked_key(struct, labels):
+    return marked_code(struct.signature, struct.domain_size, struct.relations, labels)
+
+
+def test_marked_code_is_invariant_under_relabeling():
+    rng = random.Random("marked-code:relabel")
+    for trial in range(80):
+        m = rng.randrange(7)
+        s, labels = _labelled(rng, rng.choice(((2, 1), (3,), (2,))), m)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        moved = [None] * m
+        for v in range(m):
+            moved[perm[v]] = labels[v]
+        t = relabel(s, perm)
+        assert are_label_isomorphic_brute_force(s, labels, t, moved)
+        assert _marked_key(s, labels) == _marked_key(t, moved), trial
+
+
+def test_marked_code_tells_labelled_structures_apart_as_the_oracle():
+    # equal keys iff some isomorphism keeps every label: after one label
+    # moves to an unlabelled element, and between independent draws
+    p = path_graph(3)
+    assert _marked_key(p, ["a", None, None]) != _marked_key(p, [None, "a", None])
+    assert _marked_key(p, ["a", None, None]) == _marked_key(p, [None, None, "a"])
+    rng = random.Random("marked-code:moves")
+    differ = 0
+    for trial in range(150):
+        m = rng.randrange(2, 7)
+        arities = rng.choice(((2,), (2, 1), (3,)))
+        s, labels = _labelled(rng, arities, m)
+        empty, full = rng.sample(range(m), 2)
+        labels[empty], labels[full] = None, "a"
+        source = rng.choice([v for v in range(m) if labels[v] is not None])
+        target = rng.choice([v for v in range(m) if labels[v] is None])
+        moved = list(labels)
+        moved[source], moved[target] = None, labels[source]
+        same = _marked_key(s, labels) == _marked_key(s, moved)
+        assert same == are_label_isomorphic_brute_force(s, labels, s, moved), trial
+        differ += not same
+        t, other = _labelled(rng, arities, m)
+        assert (_marked_key(s, labels) == _marked_key(t, other)) == \
+            are_label_isomorphic_brute_force(s, labels, t, other), trial
+    assert differ > 100
+
+
+def test_one_label_on_every_element_groups_as_marking_would():
+    # the unmarked code of a structure whose elements all carry one label
+    # groups structures as the code with that label marked does, and never
+    # meets the key of the label on fewer elements
+    rng = random.Random("marked-code:one-label")
+    drawn = [_labelled(rng, (2, 1), rng.randrange(1, 6))[0] for _ in range(60)]
+    keys, marked = [], []
+    for s in drawn:
+        m = s.domain_size
+        key = _marked_key(s, ["a"] * m)
+        assert key == (("a",), canonical_code(s))
+        keys.append(key)
+        mark = frozenset((v,) for v in range(m))
+        marked.append(canonical_code(RelStruct(Signature((2, 1, 1)), m, s.relations + (mark,))))
+        partial = ["a"] * m
+        partial[rng.randrange(m)] = None
+        assert _marked_key(s, partial) != key
+    for i, j in itertools.combinations(range(len(drawn)), 2):
+        assert (keys[i] == keys[j]) == (marked[i] == marked[j]), (i, j)
+    assert len(set(keys)) < len(keys)  # some draws do share a key
+
+
+def test_marked_codes_of_different_signatures_never_collide():
+    # no signature here is another plus one unary symbol, the one case where
+    # a one-label plain code could equal a marked one (see marked_code)
+    rng = random.Random("marked-code:signatures")
+    seen = {}
+    for arities in ((2,), (3,), (2, 2), (1, 2)):
+        for _ in range(60):
+            s, labels = _labelled(rng, arities, rng.randrange(5))
+            if rng.random() < 0.3:
+                labels = ["a"] * len(labels)
+            seen.setdefault(_marked_key(s, labels), set()).add(arities)
+    assert all(len(sigs) == 1 for sigs in seen.values())
