@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import nullspace, rank_exact
 from .presentations import enumerate_age
-from .profiles import _codes_by_size, _walked_codes, age_of_finite, subset_codes
+from .profiles import _walked_codes, age_of_finite, subset_codes
 from .structures import RelStruct
 
 
@@ -90,11 +90,11 @@ class AgeBasis:
         stored.  On a finite source whose levels came from the subset walk,
         every representative is a subset of the source, so both sides of
         each split are read from the walk's record of codes, with no canon
-        call and no walk.  Otherwise two subset walks of each
-        representative, which share its tuples by largest vertex, give the
-        codes.  Either way the table of the complementary part comes with
-        it, so both are stored at once.  ``multiply`` and ``_mult_matrix``
-        read every product from these tables."""
+        call and no walk.  Otherwise one ``subset_codes`` walk of each
+        representative gives the codes of both sides.  Either way the table
+        of the complementary part comes with it, so both are stored at once.
+        ``multiply`` and ``_mult_matrix`` read every product from these
+        tables."""
         table = self._split_tables.get((degree, part))
         if table is not None:
             return table
@@ -118,10 +118,9 @@ class AgeBasis:
                     tau.append(index[right[whole ^ mask]][1])
         else:
             full = (1 << degree) - 1
-            sizes = (part,) if 2 * part == degree else (part, degree - part)
             for _, rep in self.types[degree]:
-                codes = _codes_by_size(rep, sizes)
-                left, right = codes[0], codes[-1]
+                codes = subset_codes(rep, (part, degree - part))
+                left, right = codes[part], codes[degree - part]
                 for mask, code in left.items():
                     sigma.append(index[code][1])
                     tau.append(index[right[full ^ mask]][1])
@@ -399,8 +398,8 @@ def isomorphy_partition(struct: RelStruct):
     """The partition of all subsets of the domain by restriction type."""
     domain = range(struct.domain_size)
     groups = {}
-    for r in range(struct.domain_size + 1):
-        for mask, code in subset_codes(struct, r).items():
+    for codes in subset_codes(struct, range(struct.domain_size + 1)).values():
+        for mask, code in codes.items():
             groups.setdefault(code, []).append(frozenset(v for v in domain if mask >> v & 1))
     return list(groups.values())
 

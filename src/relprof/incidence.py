@@ -96,7 +96,7 @@ def dump_matrix(matrix: ExactMatrix, m: int, n: int, k: int) -> str:
 
 def type_indicator_matrix(struct: RelStruct, n: int) -> ExactMatrix:
     """Rows: types of n-restrictions; columns: n-subsets (colex); entry 1 at matches."""
-    codes = subset_codes(struct, n)
+    codes = subset_codes(struct, (n,))[n]
     types = sorted(set(codes.values()))  # the codes of age_of_finite, in its order
     index = {code: i for i, code in enumerate(types)}
     cols = colex_subsets(struct.domain_size, n)

@@ -35,15 +35,14 @@ one of two engines:
   basis asks (``_walked_codes``), the pass also records per level the
   bitmask of each representative and the code of every subset by bitmask,
   in walk order, and the algebra's split tables of a finite basis read
-  every split from it.  The same walk without codes (``_restrictions``)
-  gives ``subset_codes`` (n-subset bitmask -> ``canonical_code``), which
-  serves the split tables of every other basis, isomorphy partitions and
-  the type indicators of the incidence lab.
+  every split from it.  ``subset_codes`` is the same walk with no memo: it
+  asks ``canonical_code`` for every subset of each requested size, all
+  sizes in one walk, and serves the split tables of every other basis,
+  isomorphy partitions and the type indicators of the incidence lab.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -84,15 +83,12 @@ def _tuples_by_last(struct: RelStruct) -> list:
     return back
 
 
-def _extend(rels: tuple, added: list, position, inside: int) -> tuple:
-    """The relabelled relations of a chosen set after its new largest vertex t
-    joins: ``added`` is ``_tuples_by_last`` at t, ``inside`` the bitmask of the
-    chosen vertices with t, and ``position`` maps each of them to its index."""
-    out = []
-    for rel, tuples in zip(rels, added):
-        new = [tuple(position[x] for x in tup) for tup, mask in tuples if mask & inside == mask]
-        out.append(rel.union(new) if new else rel)
-    return tuple(out)
+def _relabelled(added: list, position, inside: int) -> list:
+    """Per symbol, the tuples of ``added`` (``_tuples_by_last`` at a chosen
+    set's new largest vertex) that lie inside the chosen set, the bitmask
+    ``inside``, relabelled by ``position`` (chosen vertex -> its index)."""
+    return [[tuple([position[x] for x in tup]) for tup, mask in tuples if mask & inside == mask]
+            for tuples in added]
 
 
 def _joined(rels: tuple, added: list) -> tuple:
@@ -100,23 +96,9 @@ def _joined(rels: tuple, added: list) -> tuple:
     return tuple(rel.union(new) if new else rel for rel, new in zip(rels, added))
 
 
-def _restrictions(struct: RelStruct, n: int, back: list):
-    """(vertex bitmask, relabelled relations) of every n-subset, depth first in
-    lexicographic order, building the relations one vertex at a time from
-    ``back``, the structure's ``_tuples_by_last``."""
-    m = struct.domain_size
-    position = [0] * m  # vertex -> index in the current subset
-
-    def walk(start, depth, inside, rels):
-        if depth == n:
-            yield inside, rels
-            return
-        for t in range(start, m - n + depth + 1):
-            position[t] = depth
-            inner = inside | 1 << t
-            yield from walk(t + 1, depth + 1, inner, _extend(rels, back[t], position, inner))
-
-    return walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
+def _check_level(struct: RelStruct, n: int):
+    if not 0 <= n <= struct.domain_size:
+        raise ValueError(f"n={n} outside 0..{struct.domain_size}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,16 +143,14 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
         for t in range(start, m):
             position[t] = depth
             inner = inside | 1 << t
-            added, key = [], [code]
-            for tuples in back[t]:
-                new = [tuple([position[x] for x in tup])
-                       for tup, mask in tuples if mask & inner == mask]
-                added.append(new)
-                key.append(tuple(sorted([tuple([ext[i] for i in p]) for p in new])))
-            key = tuple(key)
+            added = _relabelled(back[t], position, inner)
+            key = tuple([code] + [tuple(sorted([tuple([ext[i] for i in p]) for p in new]))
+                                  for new in added])
             hit = memo.get(key)
+            joined = None  # the child's relations, joined at most once
             if hit is None:
-                form, found = canonical_order(arities, depth + 1, _joined(rels, added))
+                joined = _joined(rels, added)
+                form, found = canonical_order(arities, depth + 1, joined)
                 lam = [0] * (depth + 1)  # key coordinate -> canonical position
                 for k, p in zip(ext, found):
                     lam[k] = p
@@ -180,7 +160,8 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
                 walked[inner] = child_code
             descend = deeper and t + 1 < m
             if descend or child_code not in kept:
-                joined = _joined(rels, added)
+                if joined is None:
+                    joined = _joined(rels, added)
                 if child_code not in kept:
                     kept[child_code] = tuple(map(tuple, joined))
                     if record:
@@ -195,23 +176,38 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
     return levels, codes
 
 
-def subset_codes(struct: RelStruct, n: int) -> dict[int, bytes]:
-    """Vertex bitmask -> canonical code of the restriction, for every n-subset
-    in lexicographic order."""
-    return _codes_by_size(struct, (n,))[0]
-
-
-def _codes_by_size(struct: RelStruct, sizes) -> list:
-    """``subset_codes`` at each size, with one ``_tuples_by_last`` for all."""
-    sig = struct.signature
+def subset_codes(struct: RelStruct, sizes) -> dict[int, dict[int, bytes]]:
+    """Per size n of ``sizes``, in increasing order: vertex bitmask ->
+    canonical code of the restriction, for every n-subset in lexicographic
+    order.  One depth-first walk over the subsets of size <= the largest
+    builds the relabelled relations one vertex at a time, and asks
+    ``canonical_code`` only at the requested sizes."""
+    m, sig = struct.domain_size, struct.signature
+    sizes = sorted(set(sizes))
+    for n in sizes:
+        _check_level(struct, n)
     back = _tuples_by_last(struct)
-    return [{mask: canonical_code(RelStruct(sig, n, rels))
-             for mask, rels in _restrictions(struct, n, back)} for n in sizes]
+    position = [0] * m  # vertex -> index in the current subset
+    codes = {n: {} for n in sizes}
+
+    def walk(start, depth, inside, rels):
+        if depth in codes:
+            codes[depth][inside] = canonical_code(RelStruct(sig, depth, rels))
+        # the least size above depth; past the largest, m + 1 leaves no vertex
+        above = next((n for n in sizes if n > depth), m + 1)
+        for t in range(start, m - above + depth + 1):
+            position[t] = depth
+            inner = inside | 1 << t
+            walk(t + 1, depth + 1, inner, _joined(rels, _relabelled(back[t], position, inner)))
+
+    walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
+    del walk  # it refers to itself; without this, ``back`` lives until a cyclic collection
+    return codes
 
 
-def interface_width(struct: RelStruct) -> int:
-    """Max over t of the number of vertices v <= t that share a binary tuple
-    with some w > t, in the given vertex order; O(m + tuples)."""
+def _open_sets(struct: RelStruct):
+    """For each vertex t in the given order, the open set at t: the vertices
+    v <= t that share a binary tuple with some w > t, in increasing order."""
     m = struct.domain_size
     last = list(range(m))  # v -> largest w sharing a binary tuple with v
     for arity, rel in zip(struct.signature.arities, struct.relations):
@@ -221,16 +217,16 @@ def interface_width(struct: RelStruct) -> int:
                     u, w = w, u
                 if w > last[u]:
                     last[u] = w
-    change = [0] * (m + 1)  # v is open for t in [v, last[v])
-    for v, w in enumerate(last):
-        if w > v:
-            change[v] += 1
-            change[w] -= 1
-    width = running = 0
-    for delta in change:
-        running += delta
-        width = max(width, running)
-    return width
+    opened = []
+    for t in range(m):
+        opened = [v for v in opened + [t] if last[v] > t]
+        yield opened
+
+
+def interface_width(struct: RelStruct) -> int:
+    """Max over t of the size of the open set at t (``_open_sets``), in the
+    given vertex order; O(tuples + m * (width + 1))."""
+    return max(map(len, _open_sets(struct)), default=0)
 
 
 def _interface_levels(struct: RelStruct, top: int) -> list:
@@ -263,12 +259,11 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
     for a in arcs:
         a.sort()
     sig = struct.signature
-    opened = []  # chosen or not, the vertices v <= t with a non-empty interface
     states = {}
-    _keep(states, (), tuple(frozenset() for _ in sig.arities), [], sig)
-    for t in range(m):
-        opened = [v for v in opened + [t] if arcs[v] and arcs[v][-1][0] > t]
-        interfaces = [(v, tuple(a for a in arcs[v] if a[0] > t)) for v in opened]
+    _keep(states, (), tuple(frozenset() for _ in sig.arities), {}, sig)
+    for t, opened in enumerate(_open_sets(struct)):
+        # chosen or not, each open vertex's interface at step t
+        interfaces = {v: tuple(a for a in arcs[v] if a[0] > t) for v in opened}
         new = {}
         for chosen, rels in states.values():
             _keep(new, chosen, rels, interfaces, sig)
@@ -276,8 +271,8 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
                 position = {v: i for i, v in enumerate(chosen)}
                 position[t] = len(chosen)
                 inside = sum(1 << v for v in position)
-                _keep(new, chosen + (t,), _extend(rels, back[t], position, inside),
-                      interfaces, sig)
+                added = _relabelled(back[t], position, inside)
+                _keep(new, chosen + (t,), _joined(rels, added), interfaces, sig)
         states = new
     levels = [{} for _ in range(top + 1)]
     for (_, code), (chosen, rels) in states.items():
@@ -285,15 +280,11 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
     return levels
 
 
-def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: list, sig: Signature):
+def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: dict, sig: Signature):
     """Add a sweep state under its interface-labelled key, keeping the least
-    chosen tuple per key."""
-    labels = [None] * len(chosen)
-    for v, interface in interfaces:
-        i = bisect.bisect_left(chosen, v)
-        if i < len(chosen) and chosen[i] == v:
-            labels[i] = interface
-    key = marked_code(sig, len(chosen), rels, labels)
+    chosen tuple per key; ``interfaces`` maps each open vertex to its
+    interface at the step, and a chosen vertex that is not open has none."""
+    key = marked_code(sig, len(chosen), rels, [interfaces.get(v) for v in chosen])
     kept = states.get(key)
     if kept is None or chosen < kept[0]:
         states[key] = (chosen, rels)
@@ -307,8 +298,7 @@ def age_of_finite(struct: RelStruct, n: int) -> dict:
     new vertex's tuples in the parent's canonical positions), exact because
     equal keys relabel to one structure; a representative is the
     lexicographically least n-subset of its type, on either path."""
-    if not 0 <= n <= struct.domain_size:
-        raise ValueError(f"n={n} outside 0..{struct.domain_size}")
+    _check_level(struct, n)
     level = _finite_cache(struct)[0].get(n)
     if level is None:
         level = _fill_levels(struct, n, record=False)[0][n]

@@ -14,8 +14,10 @@ definition, by exhaustive search, so it is only usable on small inputs:
   monomorphic part, without the pair test;
 * ``rank_mod_p_oracle`` - the rank over GF(p) by textbook Gauss-Jordan
   elimination on Python ints, reducing every entry at every step;
+* ``restriction_codes`` - the canonical code of every n-subset's
+  restriction, each restricted and coded on its own;
 * ``split_counter_rows`` - the age algebra's split counts as one Counter of
-  (part position, complement position) per type, from ``subset_codes``.
+  (part position, complement position) per type, from ``restriction_codes``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from relprof.presentations import (
     realize_composition,
     words_of_size,
 )
-from relprof.profiles import subset_codes
 from relprof.structures import RelStruct, canonical_code, restrict
 
 PERMUTATION_SWEEP_LIMIT = 8
@@ -145,14 +146,21 @@ def rank_mod_p_oracle(matrix, p: int) -> int:
     return rank
 
 
+def restriction_codes(struct: RelStruct, n: int) -> dict:
+    """Vertex bitmask -> canonical code of the restriction, for every
+    n-subset in lexicographic order."""
+    return {sum(1 << v for v in subset): canonical_code(restrict(struct, subset))
+            for subset in itertools.combinations(range(struct.domain_size), n)}
+
+
 def split_counter_rows(basis, degree: int, part: int) -> list:
     """Per type of the degree: Counter of (part position, complement
     position) over the part-subsets of its representative."""
     full = (1 << degree) - 1
     rows = []
     for _, rep in basis.types[degree]:
-        left = subset_codes(rep, part)
-        right = subset_codes(rep, degree - part)
+        left = restriction_codes(rep, part)
+        right = restriction_codes(rep, degree - part)
         rows.append(Counter((basis.index_of(code)[1], basis.index_of(right[full ^ mask])[1])
                             for mask, code in left.items()))
     return rows

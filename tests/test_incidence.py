@@ -326,6 +326,10 @@ def test_profile_inequality_via_incidence_cases():
 def test_profile_inequality_hypothesis():
     with pytest.raises(ValueError):
         profile_inequality_via_incidence(path_graph(4), 2, 1)
+    # a level outside 0..m, with age_of_finite's message
+    for n in (-1, 5):
+        with pytest.raises(ValueError, match=rf"n={n} outside 0\.\.4"):
+            type_indicator_matrix(path_graph(4), n)
 
 
 def test_incidence_proof_agrees_with_direct_inequality():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_profile_presented
+from oracles import brute_profile_presented, restriction_codes
 from relprof import profiles
 from relprof.presentations import (
     BLOCK_KINDS,
@@ -84,6 +84,10 @@ def test_profile_finite_clique_and_path():
 def test_profile_finite_range_errors():
     with pytest.raises(ValueError):
         profile_finite(path_graph(3), 4)
+    # a size outside 0..m, alone or beside valid ones, with age_of_finite's message
+    for sizes, bad in (((-1,), -1), ((4,), 4), ((2, 4), 4), ((0, -1), -1)):
+        with pytest.raises(ValueError, match=rf"n={bad} outside 0\.\.3"):
+            subset_codes(path_graph(3), sizes)
 
 
 def test_path_profile_is_partition_function():
@@ -140,22 +144,28 @@ def test_subset_walk_matches_restrict_oracle():
         m = rng.randrange(9)
         s = _random_structure(rng, m)
         ages = _walk_ages(s, m)
+        # one walk for several sizes, asked in any order, one of them twice
+        pick = random.Random(f"sizes:{trial}")
+        sizes = pick.sample(range(m + 1), pick.randint(1, m + 1))
+        together = subset_codes(s, sizes + sizes[:1])
+        assert list(together) == sorted(sizes)
         for n in range(m + 1):
             # same codes in the same order, and the same least-subset representatives
             assert list(ages[n].items()) == list(_restrict_oracle(s, n).items()), (trial, n)
             # every n-subset's code, keyed by its vertex bitmask in lexicographic order
             subsets = list(itertools.combinations(range(m), n))
-            codes = subset_codes(s, n)
-            assert list(codes) == [sum(1 << v for v in subset) for subset in subsets]
-            assert list(codes.values()) == [canonical_code(restrict(s, x)) for x in subsets], \
-                (trial, n)
+            expected = [(sum(1 << v for v in x), canonical_code(restrict(s, x))) for x in subsets]
+            assert list(subset_codes(s, (n,))[n].items()) == expected, (trial, n)
+            if n in together:
+                assert list(together[n].items()) == expected, (trial, n, sizes)
 
 
 def _least_subset_oracle(struct, n):
     """code -> restriction to the first n-subset of that code, read from
-    subset_codes (lexicographic subset order, one canonical code per subset)."""
+    restriction_codes (lexicographic subset order, one canonical code per
+    subset)."""
     by_code = {}
-    for mask, code in subset_codes(struct, n).items():
+    for mask, code in restriction_codes(struct, n).items():
         if code not in by_code:
             by_code[code] = restrict(struct, [v for v in struct.domain if mask >> v & 1])
     return dict(sorted(by_code.items()))
@@ -221,7 +231,7 @@ def test_memo_walk_is_shared_by_concurrent_profiles():
         thread.start()
     for thread in threads:
         thread.join()
-    expected = tuple(len(set(subset_codes(g, n).values())) for n in range(9))
+    expected = tuple(len(set(codes.values())) for codes in subset_codes(g, range(9)).values())
     assert results == [expected, expected]
     for n in range(9):
         assert age_of_finite(g, n) == _least_subset_oracle(g, n), n
@@ -237,7 +247,7 @@ def test_levels_are_published_whole_under_concurrent_passes():
     assert not profiles._sweeps(g)
     profiles._finite_cache.cache_clear()
     expected = [list(age_of_finite(g, n).items()) for n in range(11)]
-    codes = [subset_codes(g, n) for n in range(11)]
+    codes = subset_codes(g, range(11))
     profiles._finite_cache.cache_clear()
     barrier = threading.Barrier(6)
     failures = []
@@ -365,6 +375,49 @@ def _reversed(struct):
                        [{tuple(m - 1 - x for x in t) for t in rel} for rel in struct.relations])
 
 
+def _interface_width_oracle(struct):
+    """Max over t of the number of v <= t sharing a binary tuple with some w > t."""
+    pairs = [set(tup) for arity, rel in zip(struct.signature.arities, struct.relations)
+             if arity == 2 for tup in rel]
+    return max((sum(any(v in pair and max(pair) > t for pair in pairs) for v in range(t + 1))
+                for t in range(struct.domain_size)), default=0)
+
+
+def _grid(rows, cols):
+    """The rows x cols grid graph, numbered down each column."""
+    edges = [(v, v + rows) for v in range(rows * (cols - 1))]
+    edges += [(v, v + 1) for v in range(rows * cols) if v % rows < rows - 1]
+    return graph_from_edges(rows * cols, edges)
+
+
+def _bench_graph16():
+    """The benchmark's graph16 input at its default seed."""
+    from relprof.fileformat import parse_structure
+    from test_bench_contract import _bench_module
+
+    workloads = _bench_module("workloads")
+    text = workloads.input_texts(workloads.DEFAULT_SEED)["graph16.txt"]
+    return parse_structure(text).struct
+
+
+def test_interface_width_matches_its_definition():
+    # arities 1, 2 and 3 with loops and repeated entries, under seeded relabelings
+    rng = random.Random("interface-width")
+    structs = [_random_structure(rng, rng.randrange(12)) for _ in range(40)]
+    structs += [_memo_walk_structure(kind, rng, m) for m in (3, 6, 9)
+                for kind in ("graph", "tournament", "digraph-loops-mark", "ternary")]
+    for trial, s in enumerate(structs):
+        for copy in (s, _relabeled(s, rng), _reversed(s)):
+            assert interface_width(copy) == _interface_width_oracle(copy), trial
+    # the engine each pinned input takes
+    pinned = [(path_graph(30), 1, True), (_grid(3, 10), 3, False),
+              (_caterpillar(random.Random("caterpillar"), 8), 1, True),
+              (_bench_graph16(), 12, False)]
+    for struct, width, sweeps in pinned:
+        assert interface_width(struct) == _interface_width_oracle(struct) == width
+        assert profiles._sweeps(struct) == sweeps
+
+
 def _one_pass_inputs():
     """(label, structure, top, takes the sweep) of every kind: arities 1-3
     and binary graphs on the subset walk, paths, caterpillars and width
@@ -437,7 +490,7 @@ def test_a_basis_after_a_profile_records_every_level(monkeypatch):
     assert sorted(basis._walked) == list(range(8))
     for n in range(8):
         masks, record = basis._walked[n]
-        assert list(record.items()) == list(subset_codes(g, n).items()), n
+        assert list(record.items()) == list(subset_codes(g, (n,))[n].items()), n
         for pos, (code, rep) in enumerate(basis.types[n]):
             assert record[masks[pos]] == code
             assert restrict(g, [v for v in g.domain if masks[pos] >> v & 1]) == rep
