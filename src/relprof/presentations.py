@@ -411,6 +411,13 @@ class _PrefixSweep:
     therefore have isomorphic completions by every suffix, and one of them
     is kept.  Level n is built from the F subsets of size n and the kept
     states of levels n - v..n - 1, extended by letters of the missing size.
+
+    The pass records itself as an automaton: each candidate's first origin
+    (a kept state and letter, or an F subset), the candidate each F subset
+    and each (kept state, letter) made, and the kept state each candidate
+    lands on by ``marked_code``.  From an F subset, these moves give the
+    kept state of any word below the top level, so the age algebra splits
+    words with no canon call.  Whoever builds or reads holds ``lock``.
     """
 
     def __init__(self, pres: MultichainPresentation):
@@ -435,9 +442,9 @@ class _PrefixSweep:
         interfaces = sorted(set(faces), key=sorted)
         class_of = [interfaces.index(face) for face in faces]
         slice_class, self.f_class = class_of[:v], class_of[v:]
-        # letters by size, each size in bitmask order, as (classes of the new
-        # elements, per symbol the tuples among them, per placed class and
-        # symbol the new indices it points to and those pointing to it)
+        # letters by size, each size in bitmask order, as (bitmask, classes of
+        # the new elements, per symbol the tuples among them, per placed class
+        # and symbol the new indices it points to and those pointing to it)
         self.letters = [[] for _ in range(v + 1)]
         for mask in range(1, 1 << v):
             xs = [x for x in range(v) if mask >> x & 1]
@@ -457,9 +464,15 @@ class _PrefixSweep:
                         tuple(k for k, x in enumerate(xs) if (x, s, 1) in face),
                     ))
             classes = tuple(slice_class[x] for x in xs)
-            self.letters[len(xs)].append((classes, inner, cross))
+            self.letters[len(xs)].append((mask, classes, inner, cross))
         self.levels = []  # level -> candidates
-        self.states = []  # level -> candidates kept, one per marked type
+        # level -> per candidate its first origin: the index s << v | letter of
+        # ``moves`` that made it, or ~mask for the F subset of that bitmask
+        self.origins = []
+        self.roots = {}  # F bitmask -> its candidate at level |F|
+        self.states = []  # level -> candidate index of each kept state, one per marked type
+        self.landing = []  # level -> per candidate, the kept state of its marked type
+        self.moves = []  # level -> per s << v | letter, kept state s's child candidate
         self.lock = threading.Lock()  # levels are appended in order, one caller at a time
 
     def level(self, n: int):
@@ -487,29 +500,43 @@ class _PrefixSweep:
 
     def candidates(self, n: int) -> list:
         """Level n's (relations, classes): the F roots of size n, then each kept
-        state of level n - j extended by each letter of size j; duplicates dropped."""
+        state of level n - j extended by each letter of size j; duplicates
+        dropped.  Building a level records its origins and moves."""
+        v = self.pres.v_size
         while len(self.levels) <= n:
             level = len(self.levels)
-            found = dict.fromkeys(self._roots(level))
-            for j in range(1, min(self.pres.v_size, level) + 1):
-                for rels, classes in self._states(level - j):
+            found, origins = {}, []
+            for mask, root in self._roots(level):
+                at = self.roots[mask] = found.setdefault(root, len(found))
+                if at == len(origins):
+                    origins.append(~mask)
+            for j in range(1, min(v, level) + 1):
+                kept = self._states(level - j)
+                below, moves = self.levels[level - j], self.moves[level - j]
+                for s, c in enumerate(kept):
+                    rels, classes = below[c]
                     for letter in self.letters[j]:
-                        found.setdefault(self._extend(rels, classes, letter))
+                        at = found.setdefault(self._extend(rels, classes, letter), len(found))
+                        moves[s << v | letter[0]] = at
+                        if at == len(origins):
+                            origins.append(s << v | letter[0])
             self.levels.append(list(found))
+            self.origins.append(origins)
         return self.levels[n]
 
     def _roots(self, n: int):
-        """The states with no letter: the F subsets of size n in bitmask order."""
+        """The states with no letter, as (bitmask, state): the F subsets of
+        size n in bitmask order."""
         f = self.pres.f_size
         for mask in range(1 << f):
             subset = [a for a in range(f) if mask >> a & 1]
             if len(subset) == n:
                 rels = restrict(self.pres.finite_part, subset).relations
-                yield rels, tuple(self.f_class[a] for a in subset)
+                yield mask, (rels, tuple(self.f_class[a] for a in subset))
 
     def _extend(self, rels: tuple, classes: tuple, letter) -> tuple:
         """The child state after one letter at a new last position."""
-        new_classes, inner, cross = letter
+        _, new_classes, inner, cross = letter
         base = len(classes)
         out = []
         for s, rel in enumerate(rels):
@@ -522,16 +549,22 @@ class _PrefixSweep:
         return tuple(out), classes + new_classes
 
     def _states(self, n: int) -> list:
-        """Level n's candidates, the first one per ``marked_code`` of the
-        realization labelled by interface class.  Every element has a class,
-        so with one class present the code is the candidate's age code."""
+        """Level n's kept states, as candidate indices: the first candidate per
+        ``marked_code`` of the realization labelled by interface class.  Every
+        element has a class, so with one class present the code is the
+        candidate's age code."""
         while len(self.states) <= n:
             level = len(self.states)
             sig = self.pres.signature
-            kept = {}
-            for rels, classes in self.candidates(level):
-                kept.setdefault(marked_code(sig, level, rels, classes), (rels, classes))
-            self.states.append(list(kept.values()))
+            kept, landing, states = {}, [], []
+            for c, (rels, classes) in enumerate(self.candidates(level)):
+                s = kept.setdefault(marked_code(sig, level, rels, classes), len(kept))
+                if s == len(states):
+                    states.append(c)
+                landing.append(s)
+            self.landing.append(landing)
+            self.moves.append([None] * (len(states) << self.pres.v_size))
+            self.states.append(states)
         return self.states[n]
 
 

@@ -29,6 +29,7 @@ from relprof.algebra import (
 from relprof.presentations import (
     colored_dense_chain,
     half_complete_bipartite,
+    interval_division_chain,
     lexsum_tournament_fixture,
     product_of,
     reflexive_chain,
@@ -171,7 +172,8 @@ def test_structure_constants_representative_independent():
 
 def test_split_table_reads_each_representative_tuples_once(monkeypatch):
     # both walks of a representative, its parts and their complements, share
-    # one _tuples_by_last; a table of part = degree / 2 walks once
+    # one _tuples_by_last; a table of part = degree / 2 walks once.  A lexsum
+    # basis keeps the representative walks (a multichain reads its sweep)
     from relprof import profiles
 
     calls = Counter()
@@ -181,7 +183,7 @@ def test_split_table_reads_each_representative_tuples_once(monkeypatch):
         calls[struct] += 1
         return original(struct)
 
-    basis = basis_of(colored_dense_chain(2), 5)
+    basis = basis_of(lexsum_tournament_fixture("T3"), 5)
     monkeypatch.setattr(profiles, "_tuples_by_last", counted)
     for degree, part in ((5, 1), (4, 2), (5, 3)):
         calls.clear()
@@ -540,3 +542,124 @@ def test_split_tables_of_bases_built_by_two_threads():
     profiles._finite_cache.cache_clear()
     expected = _all_tables(AgeBasis.build(source, 10))
     assert results == [expected, expected]
+
+
+def _marked_chain_product():
+    from test_shuffle import marked_chain_product
+
+    return marked_chain_product(2)
+
+
+# multichain sources whose split tables come from the prefix sweep; T1 and
+# T2 have an F part with fv/vf rules, the marked product unary symbols
+MULTICHAIN_SPLIT_SOURCES = [
+    pytest.param(half_complete_bipartite, 8, id="half-bipartite"),
+    pytest.param(lambda: half_complete_bipartite(tilde=True), 7, id="half-bipartite-tilde"),
+    pytest.param(lambda: colored_dense_chain(2), 7, id="colored-chain:2"),
+    pytest.param(lambda: colored_dense_chain(3), 5, id="colored-chain:3"),
+    pytest.param(lambda: tournament_fixtures("C3omega"), 9, id="C3omega"),
+    pytest.param(lambda: interval_division_chain(2), 6, id="interval-chain:2"),
+    pytest.param(lambda: product_of(reflexive_chain(2)), 6, id="chain-product:2"),
+    pytest.param(lambda: tournament_fixtures("T1"), 8, id="T1"),
+    pytest.param(lambda: tournament_fixtures("T2"), 8, id="T2"),
+    pytest.param(lambda: tournament_fixtures("T3"), 8, id="T3"),
+    pytest.param(_marked_chain_product, 6, id="marked-product"),
+]
+
+
+@pytest.mark.parametrize("make, top", MULTICHAIN_SPLIT_SOURCES)
+def test_multichain_split_tables_match_the_oracle(make, top):
+    # every (t, a) read from the sweep's moves, against recounted splittings
+    # of each representative
+    basis = AgeBasis.build(make(), top)
+    assert basis._swept and not basis._walked
+    _assert_tables_match_oracle(basis, top)
+
+
+def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch):
+    from relprof import algebra, canon, presentations, structures
+
+    presentations._sweep_of.cache_clear()
+    bases = [AgeBasis.build(tournament_fixtures("T1"), 7),
+             AgeBasis.build(half_complete_bipartite(), 7),
+             AgeBasis.build(colored_dense_chain(3), 5)]
+    for basis in bases:
+        assert len(basis._swept[0].states) == basis.max_degree  # no marked code at the top
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while building split tables")
+
+    for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
+                         (algebra, "canonical_code"), (profiles, "canonical_code"),
+                         (presentations, "canonical_code"), (presentations, "marked_code"),
+                         (structures, "canonical_code"), (canon, "canonical_order")):
+        monkeypatch.setattr(module, name, refuse)
+    for basis in bases:
+        _all_tables(basis)
+
+
+def test_multichain_tables_of_bases_built_by_several_threads():
+    # bases built at once on one fresh presentation share its sweep while
+    # it is built and read; each must read the tables of a basis built alone
+    import sys
+
+    from relprof import presentations
+
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    pres = half_complete_bipartite(tilde=True)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        barrier.wait()
+        results[i] = _all_tables(AgeBasis.build(pres, 7))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    expected = _all_tables(AgeBasis.build(pres, 7))
+    assert results == [expected] * 4
+
+
+_TABLES_DIGEST = """
+import hashlib
+from relprof.algebra import AgeBasis
+from relprof.presentations import half_complete_bipartite, tournament_fixtures
+digest = hashlib.sha256()
+for pres, top in ((tournament_fixtures("T1"), 6), (half_complete_bipartite(), 7)):
+    basis = AgeBasis.build(pres, top)
+    for t in range(top + 1):
+        for a in range(t + 1):
+            for rho, tau, count in basis.split_table(t, a):
+                digest.update(repr((rho.tolist(), tau.tolist(), count.tolist())).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_multichain_tables_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", _TABLES_DIGEST], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]

@@ -89,9 +89,11 @@ def test_traced_multichain_profile_reaches_the_word_and_age_sites():
 
 def test_traced_algebra_reaches_the_subset_code_site():
     # subset_codes is the only traffic through profiles.canonical_code that an
-    # algebra-lab run expects; e_matrix reads its counts from the split table
+    # algebra-lab run expects; e_matrix reads its counts from the split table.
+    # T3 is a lexsum, whose basis keeps the representative walks (a multichain
+    # basis reads its split tables from the prefix sweep)
     result = _traced_worker(
-        ["algebra", "colored-chain:2", "--check", "e-regular", "--max-degree", "3"])
+        ["algebra", "T3", "--check", "e-regular", "--max-degree", "3"])
     sites = result["trace"]["sites"]
     for site in ("profiles.canonical_code", "algebra.e_matrix", "algebra.AgeBasis.split_table"):
         assert sites.get(site, 0) > 0, site

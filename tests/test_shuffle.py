@@ -75,27 +75,38 @@ def test_singleton_word_count_matches_colored_chain():
             assert len(singles) == k ** n
 
 
+def marked_chain_product(v=2):
+    """The chain product whose age algebra is the algebra of subset-letter
+    words over v symbols: slice markers, same-position equivalence and
+    position order."""
+    from relprof.presentations import empty_finite_part, multichain
+
+    arities = (1,) * v + (2, 2)  # marks, same-position, position-or-equal order
+    vv = {
+        v: {(x, y, "=") for x in range(v) for y in range(v)},
+        v + 1: {(x, y, "<") for x in range(v) for y in range(v)}
+        | {(x, x, "=") for x in range(v)},
+    }
+    unary = {x: {x} for x in range(v)}
+    return multichain(arities, empty_finite_part(arities), v, unary, vv, name="marked")
+
+
+def _code_of(pres, letters):
+    from relprof.presentations import Word, realize
+    from relprof.structures import canonical_code
+
+    return canonical_code(realize(pres, Word((), tuple(letters))))
+
+
 def test_shuffle_matches_marked_product_age_algebra():
     # the algebra of subset-letter words is the age algebra of the marked
     # chain product: slice markers + same-position equivalence + position
     # order.  Structure constants must agree with shuffle coefficients.
     from relprof.algebra import AgeBasis, multiply, type_element
-    from relprof.presentations import Word, empty_finite_part, multichain, realize
-    from relprof.structures import canonical_code
 
     v = 2
-    arities = (1, 1, 2, 2)  # marks, same-position, position-or-equal order
-    vv = {
-        2: {(x, y, "=") for x in range(v) for y in range(v)},
-        3: {(x, y, "<") for x in range(v) for y in range(v)}
-        | {(x, x, "=") for x in range(v)},
-    }
-    unary = {0: {0}, 1: {1}}
-    pres = multichain(arities, empty_finite_part(arities), v, unary, vv, name="marked")
+    pres = marked_chain_product(v)
     basis = AgeBasis.build(pres, 4)
-
-    def code_of(letters):
-        return canonical_code(realize(pres, Word((), tuple(letters))))
 
     # distinct words realize distinct types: dimensions match the word count
     for n in range(5):
@@ -106,14 +117,37 @@ def test_shuffle_matches_marked_product_age_algebra():
     shuffled = shuffle_words(u, w_)
     product = multiply(
         basis,
-        type_element(basis, code_of(u.letters)),
-        type_element(basis, code_of(w_.letters)),
+        type_element(basis, _code_of(pres, u.letters)),
+        type_element(basis, _code_of(pres, w_.letters)),
     )
     expected = {}
     for letters, coeff in shuffled.terms:
-        key = basis.index_of(code_of(letters))
+        key = basis.index_of(_code_of(pres, letters))
         expected[key] = expected.get(key, Fraction(0)) + coeff
     assert product.as_dict() == expected
+
+
+def test_shuffle_matches_marked_product_structure_constants_to_size_7():
+    # every pair of words of total size <= 7, far past the one degree-3 pair
+    # above: the split tables of the prefix sweep against the shuffle product
+    from relprof.algebra import AgeBasis, structure_constants
+
+    top = 7
+    pres = marked_chain_product(2)
+    basis = AgeBasis.build(pres, top)
+    words = [words_of_total_size(range(2), n) for n in range(top + 1)]
+    code = {w.letters: _code_of(pres, w.letters) for level in words for w in level}
+    assert len(set(code.values())) == len(code)  # distinct words, distinct types
+    pairs = 0
+    for a in range(top + 1):
+        for b in range(top + 1 - a):
+            for u in words[a]:
+                for w_ in words[b]:
+                    shuffled = shuffle_words(u, w_).terms
+                    expected = {code[letters]: coeff for letters, coeff in shuffled}
+                    assert structure_constants(basis, code[u.letters], code[w_.letters]) == expected
+                    pairs += 1
+    assert pairs == 4510  # sum of W(a) W(b) over a + b <= 7, W = 1, 2, 5, 12, 29, 70, 169, 408
 
 
 def test_combination_sums():
