@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from relprof.algebra import (
     AgeBasis,
@@ -38,6 +39,7 @@ from relprof.presentations import (
 )
 from relprof.linalg import nullspace, rank_bareiss
 from oracles import split_counter_rows
+from test_profiles import small_multichains
 from relprof import profiles
 from relprof.profiles import profile_presented
 from relprof.structures import (
@@ -574,6 +576,15 @@ def test_multichain_split_tables_match_the_oracle(make, top):
     basis = AgeBasis.build(make(), top)
     assert basis._swept and not basis._walked
     _assert_tables_match_oracle(basis, top)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_multichains())
+def test_random_multichain_split_tables_match_the_oracle(pres):
+    # arbitrary rule tables, F parts of up to two elements and up to three
+    # slices, beyond the named fixtures
+    basis = AgeBasis.build(pres, 5)
+    _assert_tables_match_oracle(basis, 5)
 
 
 def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch):
