@@ -19,7 +19,11 @@ class:
   every transposition (x y) of two same-color vertices that maps each
   relation onto itself is known: such twins fall into classes, and each
   class of k twins gives k - 1 generators, its consecutive members in vertex
-  order.  During the search, equal leaves certify further automorphisms.  An
+  order.  When there are m minus (number of colors) of them, every color
+  class is one twin class, so every color-sorted ordering gives the same
+  form, and no search runs: the form is that of each class in vertex order,
+  the ordering the search's first leaf takes, as twins have equal stages.
+  During the search, equal leaves certify further automorphisms.  An
   explored candidate's orbit is taken after its subtree, so automorphisms
   found there prune its siblings.  Pruning by any group of automorphisms
   leaves the minimum, and the first leaf that reaches it, unchanged.
@@ -363,7 +367,11 @@ def canonical_order(arities, m, relations):
                 if fixing:
                     done |= _orbit(v, fixing)
 
-    search(0, 0)
+    if len(automorphisms) == m - len(class_order):
+        # every color class is one twin class: the search's first leaf
+        best_chosen = [v for cls in class_order for v in cls]
+    else:
+        search(0, 0)
     order = [0] * m
     for p, v in enumerate(best_chosen):
         order[v] = p

@@ -7,8 +7,9 @@ engine fills every level 0..n of it; later levels up to n are read from the
 entry, so a window costs one pass when its top level is asked first, as
 ``profile_sequence`` and ``AgeBasis.build`` do.  The entry holds each
 level's codes and the relabelled relations of their representatives, from
-which each call builds its own ``RelStruct``s.  A finite structure takes
-one of two engines:
+which each ``age_of_finite`` call builds its own ``RelStruct``s;
+``profile_sequence`` reads the sizes of the levels below its window and
+builds none.  A finite structure takes one of two engines:
 
 * the *interface-coloured vertex sweep*, when every arity is <= 2 and the
   interface width (see ``interface_width``) is <= ``SWEEP_MAX_WIDTH``.  It
@@ -22,12 +23,18 @@ one of two engines:
   each level's subsets in lexicographic order.  Each node carries its code
   and a canonical order (subset index -> position in a minimizing ordering,
   from ``canon.canonical_order``).  A child S = S' + t, t largest, is keyed
-  by code(S') and t's tuples relabelled into the parent's canonical
-  positions, t placed last.  The key is exact: two subsets with one key
+  by code(S') and t's tuples inside S relabelled into the parent's
+  canonical positions, t placed last (its key coordinates).  Per symbol the
+  key holds one integer, with one bit per such tuple: the bit whose index
+  is the tuple's key coordinates read as digits in base ``top``, the
+  largest level of the pass.  Coordinates are below ``top``, so distinct
+  tuples set distinct bits, and the integer tells tuple sets apart as a
+  sorted list of them would.  The key is exact: two subsets with one key
   relabel to the same structure, so one canonical order composed with the
-  inverse of the other (t to t) is an isomorphism.  A memo local to the
-  pass maps a key to the child's code and the map from key coordinates to
-  canonical positions, so canon runs once per key (McKay's canonical
+  inverse of the other (t to t) is an isomorphism.  The child's relations
+  are built only on a memo miss, a new type or a descent.  A memo local to
+  the pass maps a key to the child's code and the map from key coordinates
+  to canonical positions, so canon runs once per key (McKay's canonical
   augmentation, J. Algorithms 26, 1998): on G(16, 1/2) at n <= 7, one pass
   of 26,332 nodes and 5,189 canon calls instead of 16,624, one per
   distinct restriction.  The first subset per code is kept, so each
@@ -143,13 +150,22 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
         for t in range(start, m):
             position[t] = depth
             inner = inside | 1 << t
-            added = _relabelled(back[t], position, inner)
-            key = tuple([code] + [tuple(sorted([tuple([ext[i] for i in p]) for p in new]))
-                                  for new in added])
+            key = [code]
+            for tuples in back[t]:
+                bits = 0
+                for tup, mask in tuples:
+                    if mask & inner == mask:
+                        i = 0
+                        for x in tup:
+                            i = i * top + ext[position[x]]
+                        bits |= 1 << i
+                key.append(bits)
+            key = tuple(key)
             hit = memo.get(key)
-            joined = None  # the child's relations, joined at most once
+            descend = deeper and t + 1 < m
+            if hit is None or descend or hit[0] not in kept:
+                joined = _joined(rels, _relabelled(back[t], position, inner))
             if hit is None:
-                joined = _joined(rels, added)
                 form, found = canonical_order(arities, depth + 1, joined)
                 lam = [0] * (depth + 1)  # key coordinate -> canonical position
                 for k, p in zip(ext, found):
@@ -158,17 +174,12 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
             child_code, lam = hit
             if record:
                 walked[inner] = child_code
-            descend = deeper and t + 1 < m
-            if descend or child_code not in kept:
-                if joined is None:
-                    joined = _joined(rels, added)
-                if child_code not in kept:
-                    kept[child_code] = tuple(map(tuple, joined))
-                    if record:
-                        first[child_code] = inner
-                if descend:
-                    walk(t + 1, depth + 1, inner, joined, child_code,
-                         tuple([lam[k] for k in ext]))
+            if child_code not in kept:
+                kept[child_code] = tuple(map(tuple, joined))
+                if record:
+                    first[child_code] = inner
+            if descend:
+                walk(t + 1, depth + 1, inner, joined, child_code, tuple([lam[k] for k in ext]))
 
     if top:
         walk(0, 0, 0, empty, root, ())
@@ -298,12 +309,19 @@ def age_of_finite(struct: RelStruct, n: int) -> dict:
     new vertex's tuples in the parent's canonical positions), exact because
     equal keys relabel to one structure; a representative is the
     lexicographically least n-subset of its type, on either path."""
+    sig = struct.signature
+    return {code: RelStruct(sig, n, tuple(map(frozenset, rels)))
+            for code, rels in _level(struct, n)}
+
+
+def _level(struct: RelStruct, n: int) -> tuple:
+    """Level n of the structure's cache entry, (code, relations) pairs in
+    code order; on a miss one pass fills every level 0..n."""
     _check_level(struct, n)
     level = _finite_cache(struct)[0].get(n)
     if level is None:
         level = _fill_levels(struct, n, record=False)[0][n]
-    sig = struct.signature
-    return {code: RelStruct(sig, n, tuple(map(frozenset, rels))) for code, rels in level}
+    return level
 
 
 def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
@@ -360,7 +378,7 @@ def profile_sequence(source, window: int, name: str = "") -> ProfileSequence:
         if window > source.domain_size:
             raise ValueError("window exceeds domain size")
         top = profile_finite(source, window)  # one pass fills every level
-        values = tuple(profile_finite(source, n) for n in range(window)) + (top,)
+        values = tuple(len(_level(source, n)) for n in range(window)) + (top,)
         return ProfileSequence(values, name or f"finite[{source.domain_size}]", False)
     values = tuple(profile_presented(source, n) for n in range(window + 1))
     return ProfileSequence(values, name or getattr(source, "name", "") or "presentation", True)
@@ -403,7 +421,7 @@ def check_linalg_inequality(struct: RelStruct, n: int, k: int) -> bool:
     if struct.domain_size < 2 * n + k:
         raise ValueError(f"need domain size >= {2 * n + k}, got {struct.domain_size}")
     larger = profile_finite(struct, n + k)  # one pass fills level n too
-    return profile_finite(struct, n) <= larger
+    return len(_level(struct, n)) <= larger
 
 
 def check_binomial_bound(seq: ProfileSequence, k: int) -> bool:

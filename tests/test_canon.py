@@ -452,6 +452,119 @@ def test_twin_rich_ternary_codes_agree_with_networkx():
 
 
 # ---------------------------------------------------------------------------
+# Colour classes that are twin classes: the form with no search
+# ---------------------------------------------------------------------------
+
+
+def _class_twins(arities, m, relations):
+    """Per colour class of two or more vertices, whether all its members are
+    mutual twins (checked against the class's first member; being twins is
+    an equivalence)."""
+    classes = {}
+    for v, c in enumerate(canon.refined_colors(m, relations)):
+        classes.setdefault(c, []).append(v)
+    parts = canon._pair_search if max(arities, default=0) <= 2 else canon._tuple_search
+    swappable = parts(m, relations, [-1] * m)[1]
+    return [all(swappable(cls[0], y) for y in cls[1:]) for cls in classes.values() if len(cls) > 1]
+
+
+def _small_twin_rich(rng):
+    """(arities, m, relations) with m <= 8: blow-ups of random digraphs on
+    two or three vertices with loops and a unary mark, r.K_s with loops or a
+    mark on one clique, ternary blow-ups, and unions in which some colour
+    classes are twin classes and others are not; each seededly relabelled."""
+    cases = []
+    for _ in range(12):
+        base_m = rng.choice((2, 3))
+        arcs = {(x, y) for x in range(base_m) for y in range(base_m) if rng.random() < 0.4}
+        marks = {(v,) for v in range(base_m) if rng.random() < 0.4}
+        sizes = [rng.randint(1, 2 if base_m == 3 else 3) for _ in range(base_m)]
+        m, rels, _ = _blown_up(rng, (2, 1), base_m, (arcs, marks), sizes)
+        cases.append(((2, 1), m, rels))
+    for sizes in ((2, 2), (3, 3), (2, 2, 2), (2, 4), (2, 3), (1, 2, 3)):
+        for looped, marked in (((), ()), ((0,), ()), ((), (1,))):
+            m, rels = _cliques(sizes, looped, marked)
+            cases.append(((2, 1), m, rels))
+    for _ in range(8):
+        base_m = rng.choice((2, 3))
+        base = (frozenset(tuple(rng.randrange(base_m) for _ in range(3)) for _ in range(3)),)
+        m, rels, _ = _blown_up(rng, (3,), base_m, base, [rng.randint(1, 2) for _ in range(base_m)])
+        cases.append(((3,), m, rels))
+    # a marked triangle (one twin class) beside an unmarked 5-cycle (one
+    # class, no twins); a looped pair beside a directed 3-cycle; a ternary
+    # twin pair beside a cyclic ternary structure on four vertices of one colour
+    cycle5 = {(3 + x, 3 + (x + 1) % 5) for x in range(5)}
+    cases.append(((2, 1), 8, (frozenset(cycle5 | {e[::-1] for e in cycle5}
+                                        | {(x, y) for x in range(3) for y in range(3) if x != y}),
+                              frozenset({(0,), (1,), (2,)}))))
+    cases.append(((2, 1), 7, (frozenset({(0, 0), (1, 1), (0, 1), (1, 0), (2, 3), (3, 4), (4, 2),
+                                         (5, 6), (6, 5)}), frozenset({(5,), (6,)}))))
+    cases.append(((3,), 7, (frozenset({(0, 0, 2), (1, 1, 2), (0, 1, 2), (1, 0, 2),
+                                       (3, 4, 5), (4, 5, 6), (5, 6, 3), (6, 3, 4)}),)))
+    return [(arities, m, _relabeled(m, rels, rng)) for arities, m, rels in cases]
+
+
+def test_twin_class_forms_match_the_permutation_sweep():
+    # where every colour class is one twin class no search runs; the form and
+    # the returned order must still be the sweep's minimum and relabel to it
+    shortcut = partial = 0
+    for arities, m, rels in _small_twin_rich(random.Random(28)):
+        assert m <= 8
+        twins = _class_twins(arities, m, rels)
+        shortcut += bool(twins) and all(twins)
+        partial += any(twins) and not all(twins)
+        form, order = canon.canonical_order(arities, m, rels)
+        assert form == brute_force_form(arities, m, rels), (arities, m, rels)
+        assert ordered_form(arities, m, rels, canon.refined_colors(m, rels), order) == form
+    assert shortcut >= 20 and partial >= 5, (shortcut, partial)
+
+
+def _twin_rich_up_to_twenty(rng):
+    """(arities, m, relations) with 8 < m <= 20 where colour classes are
+    often twin classes: blown-up digraphs and ternary structures, r.K_s,
+    K_{a,b} and, as controls, blow-ups of 5-cycles."""
+    cases = []
+    for kind in ("graph", "tournament") * 3:
+        sizes = [rng.randint(1, 3) for _ in range(6)]
+        m, rels, _ = _blown_up(rng, (2, 1), 6, _base_digraph(rng, kind), sizes)
+        cases.append(((2, 1), m, rels))
+    for _ in range(6):
+        base = (frozenset(tuple(rng.randrange(5) for _ in range(3)) for _ in range(5)),)
+        m, rels, _ = _blown_up(rng, (3,), 5, base)
+        cases.append(((3,), m, rels))
+    for sizes in ((5,) * 4, (2,) * 10, (7, 7, 6), (3, 4, 5, 6)):
+        cases.append(((2, 1), *_cliques(sizes)))
+        cases.append(((2, 1), *_cliques(sizes, looped=(0,), marked=(1,))))
+    for a, b in ((10, 10), (4, 16)):
+        cases.append(((2, 1), *_complete_bipartite(a, b, True)))
+    cycle5 = (frozenset(e for x in range(5) for e in ((x, (x + 1) % 5), ((x + 1) % 5, x))),
+              frozenset())
+    for _ in range(2):
+        m, rels, _ = _blown_up(rng, (2, 1), 5, cycle5, [rng.randint(2, 4) for _ in range(5)])
+        cases.append(((2, 1), m, rels))
+    return cases
+
+
+def test_twin_class_codes_invariant_up_to_twenty_vertices():
+    rng = random.Random(29)
+    shortcut = 0
+    for arities, m, rels in _twin_rich_up_to_twenty(rng):
+        assert 8 < m <= 20, m
+        twins = _class_twins(arities, m, rels)
+        shortcut += bool(twins) and all(twins)
+        form, order = canon.canonical_order(arities, m, rels)
+        assert ordered_form(arities, m, rels, canon.refined_colors(m, rels), order) == form
+        code = canon.form_bytes(form)
+        for _ in range(3):
+            other = _relabeled(m, rels, rng)
+            other_form, other_order = canon.canonical_order(arities, m, other)
+            assert canon.form_bytes(other_form) == code, (arities, m, rels)
+            colors = canon.refined_colors(m, other)
+            assert ordered_form(arities, m, other, colors, other_order) == other_form
+    assert shortcut >= 15, shortcut
+
+
+# ---------------------------------------------------------------------------
 # The integer path for arities <= 2 against the generic one
 # ---------------------------------------------------------------------------
 

@@ -187,6 +187,16 @@ def _memo_walk_structure(kind, rng, m):
     if kind == "digraph-loops-mark":
         arcs = {(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)}
         return make_struct((2, 1), m, [arcs, {(v,) for v in range(m) if rng.random() < 0.4}])
+    if kind == "mixed":
+        # arities 1, 2 and 3 in one structure, with loops and tuples such as
+        # (x, x, y): the key's integers cover each arity's coordinates
+        marks = {(v,) for v in range(m) if rng.random() < 0.4}
+        arcs = {(rng.randrange(m), rng.randrange(m)) for _ in range(2 * m)}
+        triples = set()
+        for _ in range(2 * m):
+            pool = rng.sample(range(m), rng.randint(1, 3))
+            triples.add(tuple(rng.choice(pool) for _ in range(3)))
+        return make_struct((1, 2, 3), m, [marks, arcs, triples])
     # ternary, each tuple drawn from one to three vertices: (x, x, y) and (x, x, x) occur
     triples = set()
     for _ in range(3 * m):
@@ -195,7 +205,8 @@ def _memo_walk_structure(kind, rng, m):
     return make_struct((3,), m, [triples])
 
 
-@pytest.mark.parametrize("kind", ["graph", "tournament", "digraph-loops-mark", "ternary"])
+@pytest.mark.parametrize("kind", [
+    "graph", "tournament", "digraph-loops-mark", "ternary", "mixed"])
 def test_memo_walk_matches_subset_codes(kind):
     # the extension memo against one canonical code per subset: same codes in
     # the same order and the same least-subset representatives, on seeded
@@ -213,6 +224,11 @@ def test_memo_walk_matches_subset_codes(kind):
             assert all(list(age) == list(ages[0]) for age in ages), (m, n)
         for walk in walks[1:]:
             assert all(canonical_code(r) == code for code, r in walk[m // 2].items())
+        if m < 12:
+            # windows below m: at a window's top level the key coordinates
+            # reach top - 1, the largest digit of the keys' base
+            for top in range(1, m):
+                assert _walk_ages(copies[0], top) == walks[0][:top + 1], (m, top)
 
 
 def test_memo_walk_is_shared_by_concurrent_profiles():
