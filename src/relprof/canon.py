@@ -5,38 +5,36 @@ orderings, of the pair
 
     (refinement colors along the ordering,  staged relation serialization)
 
-where the colors come from iterated tuple-incidence refinement (the usual
-degree refinement generalized to arbitrary arity; isomorphism-invariant)
-and stage p of the serialization lists, per symbol, the relabeled tuples
-whose largest entry is p.  Because the color sequence compares first, every
-minimizing ordering sorts vertices by color, so the minimum is found by a
-backtracking branch-and-bound that fills positions color class by color
-class:
+where the colors come from iterated tuple-incidence refinement (degree
+refinement for any arity; isomorphism-invariant) and stage p of the
+serialization lists, per symbol, the relabeled tuples whose largest entry
+is p.  A call has two steps: the *labelling* (``canonical_labelling``:
+refinement, the twin test and the search) gives the color sequence and a
+minimizing ordering, and the *serializer* (``labelled_form``) relabels by
+it into the form, whose code is ``form_bytes``.  ``canonical_order``,
+``canonical_form`` and ``canonical_code_bytes`` run both; the subset walk
+of ``profiles`` runs them apart, to serialize each type once.
+
+The color sequence compares first, so every minimizing ordering sorts the
+vertices by color.  When refinement is discrete (every color class a
+singleton, as for a transitive tournament) one ordering does, and no search
+runs; a discrete coloring is also stable, so refinement stops as soon as it
+reaches one.  Otherwise each color class is split into twin classes: x and
+y are twins when the transposition (x y) maps every relation onto itself,
+an equivalence.  When there are as many twin classes as color classes,
+every color-sorted ordering gives the same form and no search runs: the
+ordering takes each class in vertex order, as the search's first leaf does,
+since twins have equal stages.  Else a backtracking branch-and-bound fills
+positions color class by color class:
 
 * bound pruning - a staged prefix already above the best form cannot win;
 * automorphism pruning - candidates in one orbit of the known automorphisms
-  (fixing the prefix pointwise) yield identical subtrees.  Before the search,
-  every transposition (x y) of two same-color vertices that maps each
-  relation onto itself is known: such twins fall into classes, and each
-  class of k twins gives k - 1 generators, its consecutive members in vertex
-  order.  When there are m minus (number of colors) of them, every color
-  class is one twin class, so every color-sorted ordering gives the same
-  form, and no search runs: the form is that of each class in vertex order,
-  the ordering the search's first leaf takes, as twins have equal stages.
-  During the search, equal leaves certify further automorphisms.  An
-  explored candidate's orbit is taken after its subtree, so automorphisms
-  found there prune its siblings.  Pruning by any group of automorphisms
-  leaves the minimum, and the first leaf that reaches it, unchanged.
-
-Refinement does the heavy lifting on near-rigid structures while
-automorphism pruning absorbs the symmetric ones (cliques, independent sets,
-empty signatures).  When refinement is discrete (every color class a
-singleton, as for a transitive tournament) exactly one ordering sorts the
-vertices by color, so the form is that ordering's staged serialization and
-no search runs.  A discrete coloring is also stable, so refinement stops as
-soon as it reaches one.  ``canonical_order`` returns the form together with
-a minimizing ordering, for callers that extend a structure from its
-canonical labelling (the subset walk of ``profiles``).
+  (fixing the prefix pointwise) yield identical subtrees.  A twin class of
+  k vertices gives k - 1 of them before the search, the transpositions of
+  its consecutive members; equal leaves certify more.  An explored
+  candidate's orbit is taken after its subtree, so automorphisms found
+  there prune its siblings.  Pruning by any group of automorphisms leaves
+  the minimum, and the first leaf that reaches it, unchanged.
 
 When every arity is at most 2, refinement and search run on integers.  An
 incidence of v is one int, (3 * symbol + kind) * m + the color of the other
@@ -46,8 +44,7 @@ like the generic (symbol, positions, color pattern) entries, so both
 refinements give the same colors.  A candidate's stage at position p becomes,
 per symbol, the sorted positions a of arcs (a, p), then p + 1 + b for arcs
 (p, b), then 2p + 1 for its loop or unary tuple: an order-preserving image of
-the relabeled tuples, so the search takes the same branches.  On either path
-the form's stages are built once, from the best ordering.
+the relabeled tuples, so the search takes the same branches.
 
 The tests recompute the same minimum by a plain sweep over all m!
 orderings (``brute_force_form`` in ``tests/oracles.py``) and require both
@@ -56,7 +53,6 @@ to agree exactly on small domains.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from itertools import groupby
 from operator import add, itemgetter
 
@@ -94,10 +90,13 @@ def _initial_colors(m, relations):
     per_vertex = [[] for _ in range(m)]
     key = 0
     for rel in relations:
-        arity = len(next(iter(rel))) if rel else 0
-        for p in range(arity):
-            for x, count in Counter(map(itemgetter(p), rel)).items():
-                per_vertex[x] += (key, count)
+        for column in zip(*rel):  # one per position
+            counts = [0] * m
+            for x in column:
+                counts[x] += 1
+            for x, count in enumerate(counts):
+                if count:
+                    per_vertex[x] += (key, count)
             key += 1
     return _normalize([tuple(sig) for sig in per_vertex])
 
@@ -182,13 +181,11 @@ def _orbit(v, generators):
     return orbit
 
 
-def _twin_transpositions(m, classes, swappable):
-    """Transpositions (x y) of same-color vertices that map every relation
-    onto itself, as automorphism -> fixed points.  Being such twins is an
-    equivalence, as (x z) = (x y)(y z)(x y), so each vertex is tested against
-    the first member of each twin class found so far, and a class of k twins
-    gives its k - 1 consecutive transpositions in vertex order."""
-    automorphisms = {}
+def _twin_groups(classes, swappable):
+    """The color classes split into twin classes, in vertex order.  Being
+    twins is an equivalence, as (x z) = (x y)(y z)(x y), so each vertex is
+    tested against the first member of each group found so far."""
+    groups = []
     for cls in classes:
         twins = []
         for y in cls:
@@ -198,12 +195,8 @@ def _twin_transpositions(m, classes, swappable):
                     break
             else:
                 twins.append([y])
-        for group in twins:
-            for x, y in zip(group, group[1:]):
-                g = list(range(m))
-                g[x], g[y] = y, x
-                automorphisms[tuple(g)] = set(range(m)).difference((x, y))
-    return automorphisms
+        groups += twins
+    return groups
 
 
 def _tuple_search(m, relations, assigned):
@@ -288,45 +281,46 @@ def _pair_search(m, relations, assigned):
     return stage_of, swappable
 
 
-def canonical_form(arities, m, relations):
-    """The minimal (colors, staged) serialization: equal iff isomorphic."""
-    return canonical_order(arities, m, relations)[0]
-
-
-def canonical_order(arities, m, relations):
-    """The canonical form with a minimizing ordering: ``order[v]`` is vertex
-    v's position, so relabelling by ``order`` gives the form's staged
-    relations and color sequence."""
-    arities = tuple(arities)
-    if m == 0:
-        return (arities, 0, (), ()), ()
-
+def canonical_labelling(arities, m, relations):
+    """The labelling step (refinement, the twin test and the search): the
+    form's color sequence and a minimizing ordering, ``order[v]`` being
+    vertex v's position."""
     colors = refined_colors(m, relations)
     if len(set(colors)) == m:
         # discrete: the colors themselves are the only color-sorted ordering
-        form = (arities, m, tuple(range(m)), staged_relations(m, relations, colors))
-        return form, tuple(colors)
-    color_seq = tuple(sorted(colors))
-    by_color = defaultdict(list)
-    for v, c in enumerate(colors):
-        by_color[c].append(v)
-    class_order = [by_color[c] for c in sorted(by_color)]
-    class_start = []
-    start = 0
-    for cls in class_order:
-        class_start.append(start)
-        start += len(cls)
-
+        return tuple(range(m)), tuple(colors)
+    color = colors.__getitem__
+    class_order = [list(cls) for _, cls in groupby(sorted(range(m), key=color), color)]
     assigned = [-1] * m
+    parts = _pair_search if max(arities, default=0) <= 2 else _tuple_search
+    stage_of, swappable = parts(m, relations, assigned)
+    twins = _twin_groups(class_order, swappable)
+    if len(twins) == len(class_order):
+        # every color class is one twin class: the search's first leaf
+        best_chosen = [v for cls in class_order for v in cls]
+    else:
+        best_chosen = _search(m, class_order, twins, assigned, stage_of)
+    order = [0] * m
+    for p, v in enumerate(best_chosen):
+        order[v] = p
+    return tuple(sorted(colors)), tuple(order)
+
+
+def _search(m, class_order, twins, assigned, stage_of):
+    """The vertices of the least color-sorted ordering, in position order."""
+    automorphisms = {}  # g -> its fixed points
+    for group in twins:
+        for x, y in zip(group, group[1:]):
+            g = list(range(m))
+            g[x], g[y] = y, x
+            automorphisms[tuple(g)] = set(range(m)).difference((x, y))
+    cell = [cls for cls in class_order for _ in cls]  # position -> its color class
     chosen = []
     stages = []
     best = None  # list of stage values
     best_chosen = None
-    parts = _pair_search if max(arities, default=0) <= 2 else _tuple_search
-    stage_of, swappable = parts(m, relations, assigned)
-    automorphisms = _twin_transpositions(m, class_order, swappable)  # g -> its fixed points
 
-    def search(p, class_index):
+    def search(p):
         nonlocal best, best_chosen
         tight = False
         if best is not None:
@@ -344,9 +338,7 @@ def canonical_order(arities, m, relations):
                 if len(fixed) < m:
                     automorphisms[g] = fixed
             return
-        if class_index + 1 < len(class_start) and p == class_start[class_index + 1]:
-            class_index += 1
-        ranked = sorted((stage_of(v, p), v) for v in class_order[class_index] if assigned[v] < 0)
+        ranked = sorted((stage_of(v, p), v) for v in cell[p] if assigned[v] < 0)
         done = set()
         for i, (val, v) in enumerate(ranked, 1):
             if tight and val > best[p]:
@@ -356,7 +348,7 @@ def canonical_order(arities, m, relations):
             assigned[v] = p
             chosen.append(v)
             stages.append(val)
-            search(p + 1, class_index)
+            search(p + 1)
             stages.pop()
             chosen.pop()
             assigned[v] = -1
@@ -367,15 +359,25 @@ def canonical_order(arities, m, relations):
                 if fixing:
                     done |= _orbit(v, fixing)
 
-    if len(automorphisms) == m - len(class_order):
-        # every color class is one twin class: the search's first leaf
-        best_chosen = [v for cls in class_order for v in cls]
-    else:
-        search(0, 0)
-    order = [0] * m
-    for p, v in enumerate(best_chosen):
-        order[v] = p
-    return (arities, m, color_seq, staged_relations(m, relations, order)), tuple(order)
+    search(0)
+    del search  # it refers to itself
+    return best_chosen
+
+
+def labelled_form(arities, m, relations, color_seq, order):
+    """The serializer: the form of the structure relabelled by ``order``."""
+    return tuple(arities), m, color_seq, staged_relations(m, relations, order)
+
+
+def canonical_order(arities, m, relations):
+    """The canonical form and the minimizing ordering it relabels by."""
+    color_seq, order = canonical_labelling(arities, m, relations)
+    return labelled_form(arities, m, relations, color_seq, order), order
+
+
+def canonical_form(arities, m, relations):
+    """The minimal (colors, staged) serialization: equal iff isomorphic."""
+    return canonical_order(arities, m, relations)[0]
 
 
 def form_bytes(form) -> bytes:

@@ -20,32 +20,30 @@ builds none.  A finite structure takes one of two engines:
   million subsets;
 * otherwise the subset walk, depth first over all subsets of size <= n,
   building the relabelled relations one vertex at a time; pre-order visits
-  each level's subsets in lexicographic order.  Each node carries its code
-  and a canonical order (subset index -> position in a minimizing ordering,
-  from ``canon.canonical_order``).  A child S = S' + t, t largest, is keyed
-  by code(S') and t's tuples inside S relabelled into the parent's
-  canonical positions, t placed last (its key coordinates).  Per symbol the
-  key holds one integer, with one bit per such tuple: the bit whose index
-  is the tuple's key coordinates read as digits in base ``top``, the
-  largest level of the pass.  Coordinates are below ``top``, so distinct
-  tuples set distinct bits, and the integer tells tuple sets apart as a
-  sorted list of them would.  The key is exact: two subsets with one key
-  relabel to the same structure, so one canonical order composed with the
-  inverse of the other (t to t) is an isomorphism.  The child's relations
-  are built only on a memo miss, a new type or a descent.  A memo local to
-  the pass maps a key to the child's code and the map from key coordinates
-  to canonical positions, so canon runs once per key (McKay's canonical
-  augmentation, J. Algorithms 26, 1998): on G(16, 1/2) at n <= 7, one pass
-  of 26,332 nodes and 5,189 canon calls instead of 16,624, one per
-  distinct restriction.  The first subset per code is kept, so each
-  representative is still the least n-subset of its type.  When an age
-  basis asks (``_walked_codes``), the pass also records per level the
-  bitmask of each representative and the code of every subset by bitmask,
-  in walk order, and the algebra's split tables of a finite basis read
-  every split from it.  ``subset_codes`` is the same walk with no memo: it
-  asks ``canonical_code`` for every subset of each requested size, all
-  sizes in one walk, and serves the split tables of every other basis,
-  isomorphy partitions and the type indicators of the incidence lab.
+  each level's subsets in lexicographic order, and the first subset per
+  code is kept, so each representative is the least n-subset of its type.
+  Each node carries its code and a canonical order (subset index ->
+  position in a minimizing ordering).  A child S = S' + t, t largest, is
+  keyed by code(S') and, per symbol, one integer: one bit per tuple of t
+  inside S, at the index its key coordinates (the parent's canonical
+  positions, t last) make read as digits in base ``top``, the pass's top
+  level.  Coordinates are below ``top``, so the key is exact: subsets with
+  one key relabel to one structure.  A memo local to the pass maps a key to
+  the child's code and the map from key coordinates to canonical positions,
+  so canon's labelling step runs once per key (McKay's canonical
+  augmentation, J. Algorithms 26, 1998), and relations are built only on a
+  miss, a new type or a descent.  On a miss the child's *canonical image*,
+  its tuples in canonical positions encoded as in the key, names its type,
+  so a map per level of the pass from image to code runs the serializer
+  once per type: on G(16, 1/2) at n <= 7, one pass of 26,332 nodes makes
+  5,189 labelling calls (16,624 restrictions) and 1,076 serializations.
+  When an age basis asks (``_walked_codes``), the pass also records per
+  level each representative's bitmask and every subset's code by bitmask,
+  in walk order, from which a finite basis reads its split tables.
+  ``subset_codes`` is the same walk with no memo: it asks ``canonical_code``
+  for every subset of each requested size, all sizes in one walk, for the
+  split tables of every other basis, isomorphy partitions and the incidence
+  lab's type indicators.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .canon import canonical_order, form_bytes
+from .canon import canonical_labelling, form_bytes, labelled_form
 from .presentations import enumerate_age
 from .series import TruncatedSeries
 from .structures import RelStruct, Signature, canonical_code, marked_code
@@ -123,28 +121,25 @@ def _finite_cache(struct: RelStruct) -> tuple:
 
 def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
     """Every level 0..top of the age by one depth-first pass over the subsets
-    of size <= top, reading each type from its parent's code and canonical
-    order plus the new vertex's tuples (see the module docstring).  Pre-order
-    visits each level's subsets in lexicographic order, and the first subset
-    per code is kept, so each type's representative is its least subset.
-    Returns the levels (code -> relations as tuples of tuples) and, when
-    ``record`` is set, per level the representatives' bitmasks (code ->
-    bitmask) and every subset's code (bitmask -> code, in walk order), else
-    None."""
+    of size <= top (see the module docstring).  Returns the levels (code ->
+    relations as tuples of tuples) and, when ``record`` is set, per level the
+    representatives' bitmasks (code -> bitmask) and every subset's code
+    (bitmask -> code, in walk order), else None."""
     arities = struct.signature.arities
     m = struct.domain_size
     back = _tuples_by_last(struct)
     position = [0] * m  # vertex -> index in the current subset
     memo = {}  # extension key -> (child code, key coordinate -> canonical position)
     empty = tuple(frozenset() for _ in arities)
-    root = form_bytes(canonical_order(arities, 0, empty)[0])
+    root = form_bytes(labelled_form(arities, 0, empty, *canonical_labelling(arities, 0, empty)))
     levels = [{root: tuple(map(tuple, empty))}] + [{} for _ in range(top)]
+    images = [{} for _ in range(top + 1)]  # per level: canonical image -> code
     codes = [({root: 0}, {0: root})] + [({}, {}) for _ in range(top)] if record else None
 
     def walk(start, depth, inside, rels, code, order):
         # order: subset index -> canonical position; the new vertex goes last
         ext = order + (depth,)
-        kept = levels[depth + 1]
+        kept, named = levels[depth + 1], images[depth + 1]
         first, walked = codes[depth + 1] if record else (None, None)
         deeper = depth + 1 < top
         for t in range(start, m):
@@ -166,11 +161,25 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
             if hit is None or descend or hit[0] not in kept:
                 joined = _joined(rels, _relabelled(back[t], position, inner))
             if hit is None:
-                form, found = canonical_order(arities, depth + 1, joined)
+                color_seq, found = canonical_labelling(arities, depth + 1, joined)
+                image = []
+                for rel in joined:
+                    bits = 0
+                    for tup in rel:
+                        i = 0
+                        for x in tup:
+                            i = i * top + found[x]
+                        bits |= 1 << i
+                    image.append(bits)
+                image = tuple(image)
+                child_code = named.get(image)
+                if child_code is None:
+                    child_code = named[image] = form_bytes(
+                        labelled_form(arities, depth + 1, joined, color_seq, found))
                 lam = [0] * (depth + 1)  # key coordinate -> canonical position
                 for k, p in zip(ext, found):
                     lam[k] = p
-                hit = memo[key] = form_bytes(form), tuple(lam)
+                hit = memo[key] = child_code, tuple(lam)
             child_code, lam = hit
             if record:
                 walked[inner] = child_code
@@ -304,11 +313,8 @@ def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: dict, sig: Signa
 def age_of_finite(struct: RelStruct, n: int) -> dict:
     """Types of the n-element restrictions as (code -> representative), in
     code order.  Level n is read from the structure's cache entry; on a miss
-    one pass fills every level 0..n.  On the subset walk each code is read
-    through the extension key of the module docstring (parent code plus the
-    new vertex's tuples in the parent's canonical positions), exact because
-    equal keys relabel to one structure; a representative is the
-    lexicographically least n-subset of its type, on either path."""
+    one pass fills every level 0..n.  A representative is the
+    lexicographically least n-subset of its type, on either engine."""
     sig = struct.signature
     return {code: RelStruct(sig, n, tuple(map(frozenset, rels)))
             for code, rels in _level(struct, n)}

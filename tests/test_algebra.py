@@ -603,10 +603,34 @@ def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypa
     for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
                          (algebra, "canonical_code"), (profiles, "canonical_code"),
                          (presentations, "canonical_code"), (presentations, "marked_code"),
-                         (structures, "canonical_code"), (canon, "canonical_order")):
+                         (structures, "canonical_code"), (canon, "canonical_order"),
+                         (canon, "canonical_labelling"), (profiles, "canonical_labelling")):
         monkeypatch.setattr(module, name, refuse)
     for basis in bases:
         _all_tables(basis)
+
+
+def test_a_finite_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch):
+    # the recording pass leaves every split of a finite basis in its record:
+    # reading the tables needs no second walk and no canonical labelling
+    from relprof import algebra, canon, structures
+
+    g = _walk_structure("graph", random.Random("work-count:g12"), 12)
+    assert not profiles._sweeps(g)
+    profiles._finite_cache.cache_clear()
+    basis = AgeBasis.build(g, 8)
+    assert sorted(basis._walked) == list(range(9))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while building split tables")
+
+    for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
+                         (algebra, "canonical_code"), (profiles, "canonical_code"),
+                         (structures, "canonical_code"), (canon, "canonical_labelling"),
+                         (profiles, "canonical_labelling")):
+        monkeypatch.setattr(module, name, refuse)
+    tables = _all_tables(basis)
+    assert len(tables) == 45 and all(tables)
 
 
 def test_multichain_tables_of_bases_built_by_several_threads():

@@ -100,8 +100,8 @@ def test_traced_algebra_reaches_the_subset_code_site():
 
 
 def test_traced_finite_profile_reaches_the_refinement_site():
-    # the subset walk searches through canon.canonical_order, which a traced
-    # run sees only at canon.refined_colors
+    # the subset walk searches through canon.canonical_labelling, which a
+    # traced run sees only at canon.refined_colors
     result = _traced_worker(
         ["profile", str(ROOT / "tests" / "data" / "ternary10.txt"), "--max-n", "5"])
     sites = result["trace"]["sites"]

@@ -519,6 +519,31 @@ def test_twin_class_forms_match_the_permutation_sweep():
     assert shortcut >= 20 and partial >= 5, (shortcut, partial)
 
 
+def test_labelling_and_serializer_give_the_sweep_form():
+    # the subset walk calls the labelling step and the serializer on their
+    # own: together they must give canonical_order's form and order, and the
+    # sweep's minimum, on both search paths, twin classes and m = 0
+    rng = random.Random(30)
+    cases = [(arities, 0, tuple(frozenset() for _ in arities))
+             for arities in ((), (1,), (2, 1), (3, 2, 1))]
+    for m in [1, 2, 3, 4, 5, 6] * 8 + [7, 8]:
+        arities, rels = _random_narrow(rng, m)
+        cases.append((arities, m, rels))
+        cases.append(((3, 1), m, (
+            frozenset(tuple(rng.randrange(m) for _ in range(3)) for _ in range(m)),
+            frozenset((v,) for v in range(m) if rng.random() < 0.3))))
+    cases += _small_twin_rich(random.Random(28))
+    searched = 0
+    for arities, m, rels in cases:
+        color_seq, order = canon.canonical_labelling(arities, m, rels)
+        form = canon.labelled_form(arities, m, rels, color_seq, order)
+        assert (form, order) == canon.canonical_order(arities, m, rels), (arities, m, rels)
+        assert form == brute_force_form(arities, m, rels), (arities, m, rels)
+        assert canon.canonical_code_bytes(arities, m, rels) == canon.form_bytes(form)
+        searched += not _discrete(m, rels)
+    assert len(cases) == 145 and searched >= 50, searched
+
+
 def _twin_rich_up_to_twenty(rng):
     """(arities, m, relations) with 8 < m <= 20 where colour classes are
     often twin classes: blown-up digraphs and ternary structures, r.K_s,

@@ -523,9 +523,9 @@ def _g12():
 
 def _count_canon_calls(monkeypatch):
     calls = []
-    order = profiles.canonical_order
-    monkeypatch.setattr(profiles, "canonical_order",
-                        lambda *args: calls.append(args[1]) or order(*args))
+    labelling = profiles.canonical_labelling
+    monkeypatch.setattr(profiles, "canonical_labelling",
+                        lambda *args: calls.append(args[1]) or labelling(*args))
     return calls
 
 
@@ -618,8 +618,8 @@ def test_canon_calls_of_a_profile_do_not_depend_on_the_hash_seed():
         "from relprof import profiles\n"
         "from relprof.fileformat import load_source\n"
         "calls = []\n"
-        "order = profiles.canonical_order\n"
-        "profiles.canonical_order = lambda *args: calls.append(1) or order(*args)\n"
+        "labelling = profiles.canonical_labelling\n"
+        "profiles.canonical_labelling = lambda *args: calls.append(1) or labelling(*args)\n"
         "seq = profiles.profile_sequence(load_source(sys.argv[1]), 10)\n"
         "print(seq.coeffs, len(calls))\n"
     )
