@@ -1,11 +1,14 @@
 """Exact rank and null spaces for integer/rational matrices.
 
-One fraction-free (Bareiss) elimination over the integers gives both rank
-and null space.  A modular certificate is the fast path: the rank over GF(p)
-never exceeds the rational rank, so whenever elimination mod p yields full
-rank min(rows, cols) the rational rank is pinned exactly without any
-big-integer work.  Matrices with rational entries are scaled row-wise to
-integers first (rank and kernel preserving).
+A rank takes up to three steps.  A structural peel deletes, again and
+again, a column (row) with one non-zero left and that entry's row
+(column); each deletion adds exactly one to the rational rank, with no
+arithmetic, and the age algebra's multiplication matrices peel to nothing.
+On the core left, a rank mod p that reaches min(rows, cols) is the rational
+rank, since it is a lower bound; otherwise fraction-free (Bareiss)
+elimination over the integers decides, and it also gives null spaces.
+Rational entries are scaled row-wise to integers (rank and kernel
+preserving); a float is read exactly, as the dyadic rational it is.
 
 Every routine takes a list of rows or a numpy array.  ``rank_mod_p`` keeps
 an integer array as it is and eliminates on int64: each step updates only
@@ -22,7 +25,7 @@ for an array.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -38,17 +41,26 @@ def _to_int_rows(matrix):
         if all(type(x) is int for x in row):
             rows.append(row)  # already integer; no copy and no per-entry ABC check
             continue
-        row = list(row)
-        if any(isinstance(x, Fraction) for x in row):
-            denom = 1
-            for x in row:
-                f = Fraction(x)
-                denom = denom * f.denominator // gcd(denom, f.denominator)
-            row = [int(Fraction(x) * denom) for x in row]
-        else:
-            row = [int(x) for x in row]
-        rows.append(row)
+        try:
+            row = [Fraction(x) for x in row]  # exact, floats included
+        except OverflowError as exc:  # an infinity; a nan raises ValueError itself
+            raise ValueError(str(exc)) from None
+        denom = lcm(*(f.denominator for f in row))
+        rows.append([f.numerator * (denom // f.denominator) for f in row])
     return rows
+
+
+def _int_array(matrix) -> np.ndarray:
+    """The matrix as a 2-d array of integers: an integer array as it is,
+    anything else row-scaled, as int64 when it fits and Python ints otherwise."""
+    if isinstance(matrix, np.ndarray) and np.can_cast(matrix.dtype, np.int64):
+        return matrix
+    rows = _to_int_rows(matrix)
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:  # entries beyond int64
+        return np.array(rows, dtype=object).reshape(shape)
 
 
 def _deferred_steps(p: int) -> int:
@@ -60,14 +72,12 @@ def _deferred_steps(p: int) -> int:
 
 def _residues(matrix, p: int) -> np.ndarray:
     """The matrix mod p as a 2-d int64 array of entries in [0, p)."""
-    if isinstance(matrix, np.ndarray) and np.can_cast(matrix.dtype, np.int64):
-        return matrix.astype(np.int64) % p
-    rows = _to_int_rows(matrix)
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    try:
-        return np.array(rows, dtype=np.int64).reshape(shape) % p
-    except OverflowError:  # entries beyond int64: reduce them exactly first
-        return np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(shape)
+    a = _int_array(matrix)
+    if a.dtype == object:  # entries beyond int64: reduce them exactly first
+        return (a % p).astype(np.int64)
+    a = a.astype(np.int64)  # a copy, so reducing it in place leaves the caller's alone
+    a %= p
+    return a
 
 
 def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
@@ -93,15 +103,16 @@ def rank_mod_p(matrix, p: int = MOD_PRIME) -> int:
         row %= p
         row *= pow(int(a[rank, col]), -1, p)
         row %= p
-        factors = a[rank + 1:, col]
+        # the swapped-out row was zero in this column, so the rows to clear
+        # are the scan's other hits
+        below = rank + pivot_rows[1:]
         rank += 1
-        nz = np.flatnonzero(factors)
-        if nz.size == 0:
+        if below.size == 0:
             continue
         if pending == period:
             a[rank:, col + 1:] %= p
             pending = 0
-        a[rank + nz, col + 1:] -= factors[nz, None] * row
+        a[below, col + 1:] -= a[below, col, None] * row
         pending += 1
     return rank
 
@@ -142,12 +153,45 @@ def rank_bareiss(matrix) -> int:
     return len(_echelon(_to_int_rows(matrix)))
 
 
+def _peel(a: np.ndarray):
+    """Delete a column with one live non-zero and that entry's row, else a
+    row with one and that entry's column, until none is left.  Column (row)
+    operations clear the rest of the pivot's row (column), so each deletion
+    adds one to the rational rank.  A round deletes every singleton column
+    (row) and counts their distinct rows (columns): the other singletons on
+    a deleted line become zero lines.  Returns the count and the core: the
+    submatrix of the lines with a live non-zero, the matrix itself when
+    nothing was deleted, or None when nothing is left."""
+    live = np.nonzero(a)  # (rows, columns) of the live non-zeros
+    peeled = 0
+    while live[0].size:
+        for axis in (1, 0):
+            single = np.bincount(live[axis])[live[axis]] == 1
+            if single.any():
+                break
+        else:  # no singleton line: hand the rest on
+            break
+        other = live[1 - axis]
+        deleted = np.zeros(a.shape[1 - axis], dtype=bool)
+        deleted[other[single]] = True
+        peeled += int(np.count_nonzero(deleted))
+        keep = ~deleted[other]  # the singletons' own entries lie on deleted lines
+        live = (live[0][keep], live[1][keep])
+    if not live[0].size:
+        return peeled, None
+    return peeled, a[np.ix_(np.unique(live[0]), np.unique(live[1]))] if peeled else a
+
+
 def rank_exact(matrix) -> int:
-    """Exact rational rank: modular certificate first, Bareiss otherwise."""
-    modular = rank_mod_p(matrix)
-    if not len(matrix) or modular == min(len(matrix), len(matrix[0])):
-        return modular  # rank_p <= rank_Q <= min(rows, cols) forces equality
-    return rank_bareiss(matrix)
+    """Exact rational rank: the peel, then on its core the modular
+    certificate, and Bareiss when that falls short."""
+    peeled, core = _peel(_int_array(matrix))
+    if core is None:
+        return peeled
+    modular = rank_mod_p(core)
+    if modular == min(core.shape):
+        return peeled + modular  # rank_p <= rank_Q <= min(rows, cols) forces equality
+    return peeled + rank_bareiss(core)
 
 
 def nullspace(matrix):
@@ -155,14 +199,16 @@ def nullspace(matrix):
 
     The basis is the reduced-echelon one: vector i has 1 at the i-th free
     column and 0 at the other free columns.  A trivial kernel is settled by
-    the mod-p certificate alone; otherwise one Bareiss echelon is solved
-    back to front for each free column.
+    the peel and the mod-p certificate on its core; otherwise one Bareiss
+    echelon of the whole matrix is solved back to front for each free column.
     """
-    if not len(matrix) or rank_mod_p(matrix) == len(matrix[0]):
+    a = _int_array(matrix)
+    n_cols = a.shape[1]
+    peeled, core = _peel(a)
+    if peeled + (0 if core is None else rank_mod_p(core)) == n_cols:
         return []
-    a = _to_int_rows(matrix)  # row scaling leaves the kernel unchanged
+    a = a.tolist()  # row scaling leaves the kernel unchanged
     pivots = _echelon(a)
-    n_cols = len(a[0])
     basis = []
     for free in sorted(set(range(n_cols)) - set(pivots)):
         vec = [Fraction(0)] * n_cols
