@@ -7,17 +7,18 @@ representative of each result type, the splittings of its domain into a
 piece of the first type and a complement of the second; heredity of the
 isomorphy equivalence makes the count representative-independent (tested,
 not assumed).  ``AgeBasis.split_table`` holds these counts keyed by basis
-positions, as index arrays per type of the part.  A multichain basis keeps
-its prefix sweep, which is an automaton over letters, and splits each
-type's word along the sweep's moves, so its tables need no canon call.  A
-basis built on a finite structure whose levels came from the subset walk
-keeps the walk's record of subset codes, and reads both sides of every
-split from it.  Lexicographic sums and finite structures on the interface
-sweep walk each representative's subsets.  ``_mult_matrix`` adds
-them up into the integer array of multiplication by a homogeneous element,
-which gives the e-matrices and the zero-divisor kernels; ``multiply``, and
-with it the structure constants, reads the same tables.  All coefficients
-are exact rationals.
+positions, as index arrays per type of the part.  On a multichain the
+prefix sweep, an automaton over letters, splits each type's word along its
+moves with no canon call (``_PrefixSweep.split``), and the basis maps the
+sweep's candidates to positions by the codes the sweep keeps.  A basis built
+on a finite structure whose levels came from the subset walk keeps the
+walk's record of subset codes, and reads both sides of every split from it.
+Lexicographic sums and finite structures on the interface sweep walk each
+representative's subsets.  ``_mult_matrix`` adds them up into the integer
+array of multiplication by a homogeneous element, which gives the
+e-matrices and the zero-divisor kernels; ``multiply``, and with it the
+structure constants, reads the same tables.  All coefficients are exact
+rationals.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .linalg import nullspace, rank_exact
 from .presentations import MultichainPresentation, _sweep_of, enumerate_age
 from .profiles import _walked_codes, age_of_finite, subset_codes
-from .structures import RelStruct, canonical_code
+from .structures import RelStruct
 
 
 class DegreeOverflowError(ValueError):
@@ -53,9 +54,10 @@ class AgeBasis:
     # degree -> (source bitmask of each type's representative, by position,
     # and the subset walk's bitmask -> code), for a finite source on the walk
     _walked: dict = field(default_factory=dict)
-    # for a multichain: its prefix sweep, per level below the top the basis
-    # position of each kept state, and per degree a sweep candidate of each type
-    _swept: tuple = ()
+    # for a multichain: its prefix sweep, and per degree the basis position
+    # of each of the sweep's candidates, read from the codes the sweep keeps
+    _sweep: object = None
+    _positions: list = field(default_factory=list)
 
     @classmethod
     def build(cls, source, max_degree: int, name: str = "") -> "AgeBasis":
@@ -75,30 +77,11 @@ class AgeBasis:
             for pos, (code, _) in enumerate(level):
                 basis._index[code] = (n, pos)
         if isinstance(source, MultichainPresentation):
-            basis._swept = basis._typed_states(_sweep_of(source))
+            basis._sweep = sweep = _sweep_of(source)
+            basis._positions = [
+                np.array([basis._index[code][1] for code in sweep.codes(n)], dtype=np.int64)
+                for n in range(max_degree + 1)]
         return basis
-
-    def _typed_states(self, sweep):
-        """(sweep, the basis position of each kept state of the levels below
-        the top, per degree a candidate of each type).  A degree below the
-        top takes its first kept state per type, the top its first candidate
-        per type, which has no marked code.  Positions come from the codes
-        that ``enumerate_age`` computed, read back from the cache of
-        ``canonical_code``."""
-        top, sig = self.max_degree, sweep.pres.signature
-        positions, firsts = [], []
-        with sweep.lock:
-            for n in range(top + 1):
-                cands = sweep.candidates(n)
-                at = sweep._states(n) if n < top else range(len(cands))
-                pos = [self._index[canonical_code(RelStruct(sig, n, cands[c][0]))][1] for c in at]
-                if n < top:
-                    positions.append(pos)
-                first = {}
-                for p, c in zip(pos, at):
-                    first.setdefault(p, c)
-                firsts.append([first[p] for p in range(self.dimension(n))])
-        return sweep, positions, firsts
 
     def dimension(self, degree: int) -> int:
         return len(self.types[degree])
@@ -117,14 +100,13 @@ class AgeBasis:
         splittings, as basis positions.  The representative of the
         degree's type rho has count part-sized subsets of type sigma whose
         complement has type tau of degree - part; only non-zero counts are
-        stored.  Parts 0 and degree give the identity.  On a multichain,
-        ``_split_counts`` splits each type's word along the prefix sweep's
-        moves, with no canon call and no walk.  On
-        a finite source whose levels came from the subset walk, every
-        representative is a subset of the source, so both sides of each
-        split are read from the walk's record of codes.  Otherwise one
-        ``subset_codes`` walk of each representative gives the codes of both
-        sides.  Each way gives the table of the complementary part with it,
+        stored.  Parts 0 and degree give the identity.  On a multichain, the
+        prefix sweep splits each type's word along its moves, with no canon
+        call and no walk.  On a finite source whose levels came from the
+        subset walk, every representative is a subset of the source, so both
+        sides of each split are read from the walk's record of codes.
+        Otherwise one ``subset_codes`` walk of each representative gives the
+        codes of both sides.  Each way gives the table of the complementary part with it,
         so both are stored at once.  ``multiply`` and ``_mult_matrix`` read
         every product from these tables."""
         table = self._split_tables.get((degree, part))
@@ -144,13 +126,11 @@ class AgeBasis:
             rho = np.arange(dims[1], dtype=np.int64)
             empty = np.zeros_like(rho)
             sigma, tau = (empty, rho) if part == 0 else (rho, empty)
-        elif self._swept:
-            sweep, states, firsts = self._swept
-            with sweep.lock:
-                rho, left, right, counts = _split_counts(sweep, degree, firsts[degree], part)
-            rho, counts = np.array(rho, dtype=np.int64), np.array(counts, dtype=np.int64)
-            sigma = [states[part][s] for s in left]
-            tau = [states[degree - part][s] for s in right]
+        elif self._sweep is not None:
+            at = self._positions
+            rows, left, right, counts = self._sweep.split(degree, part)
+            rho, sigma, tau = at[degree][rows], at[part][left], at[degree - part][right]
+            counts = np.array(counts, dtype=np.int64)
         elif degree in walked and part in walked and degree - part in walked:
             sigma, tau = [], []
             left, right = walked[part][1], walked[degree - part][1]
@@ -177,71 +157,6 @@ class AgeBasis:
                 tau, rho, sigma, dims[::-1], counts)
         table = self._split_tables[(degree, part)] = _grouped(sigma, rho, tau, dims, counts)
         return table
-
-
-def _split_counts(sweep, top: int, candidates, part: int) -> tuple:
-    """The splittings of the first words of the sweep's candidates of level
-    top into a part of size part and its complement, as four lists: the
-    candidate's index in candidates, the kept states of levels part and top
-    - part that the two sides land on, and the count.  A word's prefixes are
-    kept states' words, so the words are taken in the order of their chains
-    of states, and the pairs of a shared prefix are found once."""
-    v = sweep.pres.v_size
-    chains = []
-    for c in candidates:
-        chain = [(top, c)]
-        origin = sweep.origins[top][c]
-        while origin >= 0:
-            n = chain[-1][0] - (origin & ((1 << v) - 1)).bit_count()
-            chain.append((n, sweep.states[n][origin >> v]))
-            origin = sweep.origins[n][chain[-1][1]]
-        chains.append(chain[::-1])
-    rows, left, right, counts = [], [], [], []
-    path, stack = [], []  # the last chain taken, and the pairs of its prefixes
-    for i in sorted(range(len(candidates)), key=chains.__getitem__):
-        chain = chains[i]
-        shared = 0
-        while shared < min(len(path), len(chain)) and path[shared] == chain[shared]:
-            shared += 1
-        del path[shared:], stack[shared:]
-        for n, c in chain[shared:]:
-            stack.append(_split_step(sweep, stack[-1] if stack else None, n, c, part, top - part))
-            path.append((n, c))
-        for (_, s, _, r), count in stack[-1].items():
-            rows.append(i)
-            left.append(s)
-            right.append(r)
-            counts.append(count)
-    return rows, left, right, counts
-
-
-def _split_step(sweep, pairs, n: int, c: int, part: int, rest: int) -> dict:
-    """The pairs (part level, part state, complement level, complement state)
-    -> count of the first word of the sweep's candidate c of level n, from
-    those of the kept state it extends (None for an F subset), with neither
-    side above its size.  The F subset and the letter split into a sub-letter
-    and its complement, either possibly empty, and equal pairs merge: equal
-    states have isomorphic completions by every suffix."""
-    origin = sweep.origins[n][c]
-    landing, moves, v = sweep.landing, sweep.moves, sweep.pres.v_size
-    whole = ~origin if origin < 0 else origin & ((1 << v) - 1)
-    grown = {}
-    for p in range(whole + 1):
-        if p & whole != p:
-            continue
-        q = whole ^ p
-        i, j = p.bit_count(), q.bit_count()
-        if origin < 0:
-            if i <= part and j <= rest:
-                key = (i, landing[i][sweep.roots[p]], j, landing[j][sweep.roots[q]])
-                grown[key] = grown.get(key, 0) + 1
-            continue
-        for (a, s, b, r), count in pairs.items():
-            if a + i <= part and b + j <= rest:
-                key = (a + i, landing[a + i][moves[a][s << v | p]] if i else s,
-                       b + j, landing[b + j][moves[b][r << v | q]] if j else r)
-                grown[key] = grown.get(key, 0) + count
-    return grown
 
 
 def _grouped(first, rho, second, dims, counts=None):

@@ -231,7 +231,7 @@ def _parse_multichain(lines):
     it = iter(lines)
     line_no, line = next(it, (1, ""))
     parts = line.split()
-    if parts[0] != "symbols" or len(parts) < 3 or len(parts) % 2 == 0:
+    if len(parts) < 3 or parts[0] != "symbols" or len(parts) % 2 == 0:
         raise FormatError(line_no, "expected 'symbols <name> <arity> ...'")
     names = parts[1::2]
     arities = tuple(_arity(line_no, a) for a in parts[2::2])

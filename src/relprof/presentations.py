@@ -22,7 +22,9 @@ candidates of the prefix sweep (``_PrefixSweep``); past that, level n is
 read from the sweep, which keeps one prefix per type of its realization
 with each element marked by its interface to later positions, and extends
 the prefixes kept at smaller levels by one letter.  Both engines give the
-same codes; which realization represents a type is not fixed.
+same codes; which realization represents a type is not fixed.  The sweep
+also keeps each candidate's code and splits each type's word for the age
+algebra (``_PrefixSweep.split``), which reads nothing else of it.
 """
 
 from __future__ import annotations
@@ -362,8 +364,10 @@ def enumerate_age(pres, n: int):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    level = None
     if isinstance(pres, MultichainPresentation):
-        level = _sweep_of(pres).level(n)
+        sweep = _sweep_of(pres)
+        level = sweep.level(n)
         if level is None:
             raws = (_realized_relations(pres, w) for w in words_of_size(pres, n))
         else:
@@ -377,16 +381,18 @@ def enumerate_age(pres, n: int):
         signature = Signature((2,))
     else:
         raise TypeError(f"not a presentation: {pres!r}")
-    seen_raw = set()
+    seen_raw = {}  # raw -> code
     by_code = {}
     for raw in raws:
         if raw in seen_raw:
             continue
-        seen_raw.add(raw)
         struct = RelStruct(signature, raw[0], raw[1])
-        code = canonical_code(struct)
+        code = seen_raw[raw] = canonical_code(struct)
         if code not in by_code:
             by_code[code] = struct
+    if level is not None:  # the sweep keeps each candidate's code
+        with sweep.lock:
+            sweep.plain[n] = [seen_raw[n, rels] for rels, _ in level]
     return dict(sorted(by_code.items()))
 
 
@@ -415,9 +421,11 @@ class _PrefixSweep:
     The pass records itself as an automaton: each candidate's first origin
     (a kept state and letter, or an F subset), the candidate each F subset
     and each (kept state, letter) made, and the kept state each candidate
-    lands on by ``marked_code``.  From an F subset, these moves give the
-    kept state of any word below the top level, so the age algebra splits
-    words with no canon call.  Whoever builds or reads holds ``lock``.
+    lands on by ``marked_code``.  It also keeps each candidate's plain code
+    (``codes``).  From an F subset, the moves give the kept state of any
+    word below the top level, so ``split`` splits each type's word with no
+    canon call; the age algebra reads its split tables from ``split`` and
+    ``codes`` alone.  Whoever builds or reads holds ``lock``.
     """
 
     def __init__(self, pres: MultichainPresentation):
@@ -473,6 +481,7 @@ class _PrefixSweep:
         self.states = []  # level -> candidate index of each kept state, one per marked type
         self.landing = []  # level -> per candidate, the kept state of its marked type
         self.moves = []  # level -> per s << v | letter, kept state s's child candidate
+        self.plain = []  # level -> per candidate its plain code, None until known
         self.lock = threading.Lock()  # levels are appended in order, one caller at a time
 
     def level(self, n: int):
@@ -522,7 +531,78 @@ class _PrefixSweep:
                             origins.append(s << v | letter[0])
             self.levels.append(list(found))
             self.origins.append(origins)
+            self.plain.append([None] * len(found))
         return self.levels[n]
+
+    def codes(self, n: int) -> list:
+        """Level n's plain code of each candidate.  ``_states`` keeps it where
+        the marked code is the plain one and ``enumerate_age`` where it reads
+        the level; any other is computed here, once."""
+        with self.lock:
+            sig, cands = self.pres.signature, self.candidates(n)
+            codes = self.plain[n] = [code or canonical_code(RelStruct(sig, n, rels))
+                                     for code, (rels, _) in zip(self.plain[n], cands)]
+            return codes
+
+    def split(self, top: int, part: int) -> tuple:
+        """The splittings of each type's first word at level top into a part
+        of size part, 0 < part < top, and its complement, as four lists: the
+        word's candidate, the kept states (as candidates) of levels part and
+        top - part that the two sides land on, and the count.  Words are
+        taken in the order of their chains of kept states, so the pairs
+        (part level, part state, complement level, complement state) ->
+        count of a shared prefix are found once.  A step splits the F subset
+        or the letter into two sides, either possibly empty, and equal pairs
+        merge: equal states have isomorphic completions by every suffix."""
+        v, rest = self.pres.v_size, top - part
+        # the first candidate of each code is the first word of a type
+        first = {code: c for c, code in reversed(list(enumerate(self.codes(top))))}
+        with self.lock:
+            origins, states, landing, moves, roots = (
+                self.origins, self.states, self.landing, self.moves, self.roots)
+            chains = []
+            for c in first.values():
+                chain = [(top, c)]
+                origin = origins[top][c]
+                while origin >= 0:
+                    n = chain[-1][0] - (origin & ((1 << v) - 1)).bit_count()
+                    chain.append((n, states[n][origin >> v]))
+                    origin = origins[n][chain[-1][1]]
+                chains.append(chain[::-1])
+            rows, left, right, counts = [], [], [], []
+            path, stack = [], []  # the last chain taken, and the pairs of its prefixes
+            for chain in sorted(chains):
+                shared = 0
+                while shared < min(len(path), len(chain)) and path[shared] == chain[shared]:
+                    shared += 1
+                del path[shared:], stack[shared:]
+                for n, c in chain[shared:]:
+                    origin = origins[n][c]
+                    whole = ~origin if origin < 0 else origin & ((1 << v) - 1)
+                    grown = {}
+                    for p in range(whole + 1):
+                        if p & whole != p:
+                            continue
+                        q = whole ^ p
+                        i, j = p.bit_count(), q.bit_count()
+                        if origin < 0:
+                            if i <= part and j <= rest:
+                                key = (i, landing[i][roots[p]], j, landing[j][roots[q]])
+                                grown[key] = grown.get(key, 0) + 1
+                            continue
+                        for (a, s, b, r), count in stack[-1].items():
+                            if a + i <= part and b + j <= rest:
+                                key = (a + i, landing[a + i][moves[a][s << v | p]] if i else s,
+                                       b + j, landing[b + j][moves[b][r << v | q]] if j else r)
+                                grown[key] = grown.get(key, 0) + count
+                    stack.append(grown)
+                    path.append((n, c))
+                for (_, s, _, r), count in stack[-1].items():
+                    rows.append(chain[-1][1])
+                    left.append(states[part][s])
+                    right.append(states[rest][r])
+                    counts.append(count)
+        return rows, left, right, counts
 
     def _roots(self, n: int):
         """The states with no letter, as (bitmask, state): the F subsets of
@@ -552,13 +632,16 @@ class _PrefixSweep:
         """Level n's kept states, as candidate indices: the first candidate per
         ``marked_code`` of the realization labelled by interface class.  Every
         element has a class, so with one class present the code is the
-        candidate's age code."""
+        candidate's plain code, and it is kept."""
         while len(self.states) <= n:
             level = len(self.states)
             sig = self.pres.signature
             kept, landing, states = {}, [], []
             for c, (rels, classes) in enumerate(self.candidates(level)):
-                s = kept.setdefault(marked_code(sig, level, rels, classes), len(kept))
+                present, code = marked_code(sig, level, rels, classes)
+                if len(present) <= 1:  # one class present: the plain code
+                    self.plain[level][c] = code
+                s = kept.setdefault((present, code), len(kept))
                 if s == len(states):
                     states.append(c)
                 landing.append(s)

@@ -9,6 +9,7 @@ constant term 1, which covers denominators like 1-x-x^3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,9 @@ def fit_rational(seq: TruncatedSeries, denominator_exponents=None, denominator_p
 # Growth classification (heuristic, window-bounded)
 # ---------------------------------------------------------------------------
 
+#: The longest period and the highest difference order that classify_growth tries.
+MAX_PERIOD = MAX_ORDER = 6
+
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -179,11 +183,7 @@ class GrowthReport:
     heuristic: bool = True
 
 
-def _step_difference(values, period):
-    return [values[i + period] - values[i] for i in range(len(values) - period)]
-
-
-def classify_growth(seq: TruncatedSeries, max_period: int = 6, max_order: int = 6) -> GrowthReport:
+def classify_growth(seq: TruncatedSeries) -> GrowthReport:
     """Window heuristic: repeated step-p differences reaching a zero tail
     mean (quasi-)polynomial growth of the counted order; otherwise the
     growth is flagged super-polynomial-suspected.  Never a proof.
@@ -191,10 +191,10 @@ def classify_growth(seq: TruncatedSeries, max_period: int = 6, max_order: int = 
     if seq.window < 6:
         raise ValueError("need a window of at least 6 values")
     values = list(seq.coeffs)
-    for period in range(1, max_period + 1):
+    for period in range(1, MAX_PERIOD + 1):
         level = values
-        for order in range(1, max_order + 1):
-            level = _step_difference(level, period)
+        for order in range(1, MAX_ORDER + 1):
+            level = [level[i + period] - level[i] for i in range(len(level) - period)]
             if len(level) < 3:
                 break
             if all(v == 0 for v in level[-3:]):
@@ -205,9 +205,9 @@ def classify_growth(seq: TruncatedSeries, max_period: int = 6, max_order: int = 
                     f"step-{period} differences vanish at order {order} (window evidence only)",
                 )
     tail = [v for v in values[-4:] if v > 0]
-    ratios = [b / a for a, b in zip(tail, tail[1:]) if a]
+    ratios = ", ".join(str(Fraction(b, a)) for a, b in zip(tail, tail[1:]))
     note = (
-        f"no difference order <= {max_order} at periods <= {max_period} stabilizes; "
-        f"tail ratios {['%.2f' % r for r in ratios]} (window evidence only)"
+        f"no difference order <= {MAX_ORDER} at periods <= {MAX_PERIOD} stabilizes; "
+        f"tail ratios {ratios} (window evidence only)"
     )
     return GrowthReport("super-polynomial-suspected", None, None, note)

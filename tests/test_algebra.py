@@ -574,7 +574,7 @@ def test_multichain_split_tables_match_the_oracle(make, top):
     # every (t, a) read from the sweep's moves, against recounted splittings
     # of each representative
     basis = AgeBasis.build(make(), top)
-    assert basis._swept and not basis._walked
+    assert basis._sweep is not None and not basis._walked
     _assert_tables_match_oracle(basis, top)
 
 
@@ -595,19 +595,33 @@ def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypa
              AgeBasis.build(half_complete_bipartite(), 7),
              AgeBasis.build(colored_dense_chain(3), 5)]
     for basis in bases:
-        assert len(basis._swept[0].states) == basis.max_degree  # no marked code at the top
+        assert len(basis._sweep.states) == basis.max_degree  # no marked code at the top
 
     def refuse(*args, **kwargs):
         raise AssertionError("called while building split tables")
 
     for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
-                         (algebra, "canonical_code"), (profiles, "canonical_code"),
-                         (presentations, "canonical_code"), (presentations, "marked_code"),
-                         (structures, "canonical_code"), (canon, "canonical_order"),
-                         (canon, "canonical_labelling"), (profiles, "canonical_labelling")):
+                         (profiles, "canonical_code"), (presentations, "canonical_code"),
+                         (presentations, "marked_code"), (structures, "canonical_code"),
+                         (canon, "canonical_order"), (canon, "canonical_labelling"),
+                         (profiles, "canonical_labelling")):
         monkeypatch.setattr(module, name, refuse)
     for basis in bases:
         _all_tables(basis)
+
+
+def test_a_multichain_basis_reads_its_positions_from_the_codes_the_sweep_keeps():
+    # the profile computed every code of the sweep's levels: mapping kept
+    # states and top candidates to basis positions, and splitting, asks the
+    # canon cache nothing
+    from relprof import presentations, structures
+
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    profiles.profile_sequence(colored_dense_chain(2), 7)
+    before = structures.canonical_code.cache_info()
+    _all_tables(AgeBasis.build(colored_dense_chain(2), 7))
+    assert structures.canonical_code.cache_info() == before
 
 
 def test_a_finite_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch):
@@ -625,9 +639,8 @@ def test_a_finite_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch)
         raise AssertionError("called while building split tables")
 
     for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
-                         (algebra, "canonical_code"), (profiles, "canonical_code"),
-                         (structures, "canonical_code"), (canon, "canonical_labelling"),
-                         (profiles, "canonical_labelling")):
+                         (profiles, "canonical_code"), (structures, "canonical_code"),
+                         (canon, "canonical_labelling"), (profiles, "canonical_labelling")):
         monkeypatch.setattr(module, name, refuse)
     tables = _all_tables(basis)
     assert len(tables) == 45 and all(tables)

@@ -351,6 +351,8 @@ def _input_file(rule):
     (LEXSUM_HEAD.replace("index-arcs\nend\n", "index-arcs\n"),
      "line 4: index-arcs not closed by 'end'"),
     (LEXSUM_HEAD + "clique omega\n", "line 8: unexpected line 'clique omega'"),
+    ("presentation multichain\n# no symbols line\n",
+     "line 1: expected 'symbols <name> <arity> ...'"),
 ])
 def test_cli_malformed_multichain_rules_are_input_errors(capsys, tmp_path, rule, where):
     bad = tmp_path / "bad.txt"

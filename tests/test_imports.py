@@ -101,3 +101,27 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
     assert "relprof" in loaded
     assert {name for name in loaded
             if name != "relprof" and name not in sys.stdlib_module_names} == {"numpy"}
+
+
+# The prefix sweep's record of its pass, and the steps that build it: outside
+# presentations.py the sweep is read only through its ``split`` and ``codes``.
+SWEEP_INTERNALS = {"origins", "roots", "states", "landing", "moves", "plain",
+                   "_states", "_roots", "_extend"}
+
+
+def sweep_internals_used(source: str):
+    """Attributes named like the prefix sweep's record or its steps."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in SWEEP_INTERNALS)
+
+
+def test_guard_flags_a_read_of_the_sweep_record():
+    source = ("sweep.states[n]\nx = sweep.moves\nsweep._states(3)\n"
+              "sweep.split(4, 2)\nsweep.codes(4)\nstates = 1\n")
+    assert sweep_internals_used(source) == [(1, "states"), (2, "moves"), (3, "_states")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "presentations.py"), ids=lambda p: p.name)
+def test_only_presentations_reads_the_sweep_record(path):
+    assert sweep_internals_used(path.read_text(encoding="utf-8")) == []

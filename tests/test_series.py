@@ -125,6 +125,15 @@ def test_classify_exponential_suspected():
     assert report.heuristic
 
 
+def test_classify_super_polynomial_note_gives_exact_tail_ratios():
+    fibonacci = [1, 1]
+    while len(fibonacci) < 12:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    report = classify_growth(series_from(fibonacci))
+    assert report.kind == "super-polynomial-suspected"
+    assert "tail ratios 55/34, 89/55, 144/89 " in report.note
+
+
 def test_classify_window_precondition():
     with pytest.raises(ValueError):
         classify_growth(series_from([1, 2, 3]))
