@@ -200,21 +200,6 @@ class AlgebraElement:
     def degrees(self):
         return sorted({deg for (deg, _), _ in self.coeffs})
 
-    def __add__(self, other):
-        out = Counter()
-        for k, v in self.coeffs:
-            out[k] += v
-        for k, v in other.coeffs:
-            out[k] += v
-        return AlgebraElement.from_dict(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "AlgebraElement":
-        factor = Fraction(factor)
-        return AlgebraElement.from_dict({k: v * factor for k, v in self.coeffs})
-
 
 def type_element(basis: AgeBasis, code: bytes) -> AlgebraElement:
     return AlgebraElement.from_dict({basis.index_of(code): Fraction(1)})

@@ -27,7 +27,8 @@ Presentation files start with ``presentation <kind>``:
   ``vv <name> <x> <y> <cmp...>`` (cmp among ``< = >``),
   ``fv <name> <f-elt> <slice>``, ``vf <name> <slice> <f-elt>``.
 
-Parsers raise ``FormatError`` carrying the offending line number.
+Every parse error is a ``FormatError`` that names the line it is about;
+a file or section that ends early names its last line.
 """
 
 from __future__ import annotations
@@ -63,86 +64,97 @@ class NamedStruct:
     relation_names: tuple[str, ...]
 
 
-def _content_lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+class _Lines:
+    """A cursor over a file's lines, ``#`` comments and blank lines dropped.
+    ``line_no`` is the number of the line last read (1 before the first) and
+    every error is raised there, so a file or section that ends early names
+    its last line."""
 
+    def __init__(self, text):
+        numbered = enumerate(text.splitlines(), start=1)
+        self._lines = [(i, line) for i, raw in numbered if (line := raw.split("#", 1)[0].strip())]
+        self._pos = 0
+        self.line_no = 1
 
-def _int(line_no, token, what):
-    """One numeric field of an input line; a bad one is an error at that line."""
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(line_no, f"{what} must be an integer, got {token!r}") from None
+    def error(self, message):
+        return FormatError(self.line_no, message)
 
+    def next(self, missing=None):
+        """The next line; the file ending before it is the error ``missing``."""
+        if self._pos == len(self._lines):
+            raise self.error(missing)
+        self.line_no, line = self._lines[self._pos]
+        self._pos += 1
+        return line
 
-def _arity(line_no, token):
-    """An arity field; a relation symbol takes at least one entry."""
-    arity = _int(line_no, token, "arity")
-    if arity < 1:
-        raise FormatError(line_no, f"arity must be positive, got {arity}")
-    return arity
+    def __iter__(self):
+        while self._pos < len(self._lines):
+            yield self.next()
 
+    def section(self, what, stop=()):
+        """The lines up to ``end``; the file ending first, or a stop word,
+        is an error at the line reached."""
+        unclosed = f"{what} not closed by 'end'"
+        while (line := self.next(unclosed)) != "end":
+            if line in stop:
+                raise self.error(unclosed)
+            yield line
 
-def _size_line(line_no, line, keyword, placeholder):
-    """A '<keyword> <n>' line with n a non-negative integer."""
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise FormatError(line_no, f"expected '{keyword} <{placeholder}>'")
-    size = _int(line_no, parts[1], keyword)
-    if size < 0:
-        raise FormatError(line_no, f"{keyword} must be non-negative")
-    return size
+    def size(self, keyword, placeholder):
+        """A '<keyword> <n>' line with n a non-negative integer."""
+        expected = f"expected '{keyword} <{placeholder}>'"
+        parts = self.next(expected).split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise self.error(expected)
+        size = self.number(parts[1], keyword)
+        if size < 0:
+            raise self.error(f"{keyword} must be non-negative")
+        return size
 
+    def number(self, token, what, bound=None):
+        """An integer field of the line, in 0..bound-1 when a bound is given."""
+        try:
+            value = int(token)
+        except ValueError:
+            raise self.error(f"{what} must be an integer, got {token!r}") from None
+        if bound is not None and not 0 <= value < bound:
+            raise self.error(f"{what} {value} out of range 0..{bound - 1}")
+        return value
 
-def _tuple_line(line_no, line, arity, size):
-    """A whitespace-separated tuple of the given arity over 0..size-1."""
-    entries = tuple(_int(line_no, x, "tuple entry") for x in line.split())
-    if len(entries) != arity:
-        raise FormatError(line_no, f"tuple {entries} does not match arity {arity}")
-    if any(not 0 <= x < size for x in entries):
-        raise FormatError(line_no, f"tuple {entries} out of domain 0..{size - 1}")
-    return entries
+    def arity(self, token):
+        """An arity field; a relation symbol takes at least one entry."""
+        arity = self.number(token, "arity")
+        if arity < 1:
+            raise self.error(f"arity must be positive, got {arity}")
+        return arity
+
+    def entries(self, line, arity, size):
+        """A whitespace-separated tuple of the given arity over 0..size-1."""
+        entries = tuple(self.number(x, "tuple entry") for x in line.split())
+        if len(entries) != arity:
+            raise self.error(f"tuple {entries} does not match arity {arity}")
+        if any(not 0 <= x < size for x in entries):
+            raise self.error(f"tuple {entries} out of domain 0..{size - 1}")
+        return entries
 
 
 def parse_structure(text: str) -> NamedStruct:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "structure":
-        raise FormatError(lines[0][0] if lines else 1, "expected 'structure' header")
-    if len(lines) < 2:
-        raise FormatError(1, "expected 'domain <m>'")
-    m = _size_line(*lines[1], "domain", "m")
-    pos = 2
-    names = []
-    arities = []
-    relations = []
-    while pos < len(lines):
-        line_no, line = lines[pos]
+    lines = _Lines(text)
+    if lines.next("expected 'structure' header") != "structure":
+        raise lines.error("expected 'structure' header")
+    m = lines.size("domain", "m")
+    names, arities, relations = [], [], []
+    for line in lines:
         parts = line.split()
         if parts[0] != "relation" or len(parts) != 3:
-            raise FormatError(line_no, f"expected 'relation <name> <arity>', got {line!r}")
+            raise lines.error(f"expected 'relation <name> <arity>', got {line!r}")
         name = parts[1]
         if name in names:
-            raise FormatError(line_no, f"duplicate relation name {name!r}")
-        arity = _arity(line_no, parts[2])
-        pos += 1
-        tuples = set()
-        closed = False
-        while pos < len(lines):
-            line_no, line = lines[pos]
-            if line == "end":
-                closed = True
-                pos += 1
-                break
-            tuples.add(_tuple_line(line_no, line, arity, m))
-            pos += 1
-        if not closed:
-            raise FormatError(lines[-1][0], f"relation {name!r} not closed by 'end'")
+            raise lines.error(f"duplicate relation name {name!r}")
+        arity = lines.arity(parts[2])
         names.append(name)
         arities.append(arity)
-        relations.append(tuples)
+        relations.append({lines.entries(t, arity, m) for t in lines.section(f"relation {name!r}")})
     return NamedStruct(make_struct(arities, m, relations), tuple(names))
 
 
@@ -158,157 +170,125 @@ def write_structure(named: NamedStruct) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_size(line_no, token):
-    if token == "omega":
-        return OMEGA
-    size = _int(line_no, token, "block size other than 'omega'")
-    if size < 1:
-        raise FormatError(line_no, "block sizes must be positive")
-    return size
-
-
 def parse_presentation(text: str):
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError(1, "empty presentation file")
-    line_no, header = lines[0]
-    parts = header.split()
+    lines = _Lines(text)
+    parts = lines.next("empty presentation file").split()
     if parts[0] != "presentation" or len(parts) < 2:
-        raise FormatError(line_no, "expected 'presentation <kind>'")
+        raise lines.error("expected 'presentation <kind>'")
     kind = parts[1]
     if kind == "builtin":
         if len(parts) != 3:
-            raise FormatError(line_no, "expected 'presentation builtin <name>'")
+            raise lines.error("expected 'presentation builtin <name>'")
         return builtin(parts[2])
     if kind == "lexsum":
-        return _parse_lexsum(lines[1:])
+        return _parse_lexsum(lines)
     if kind == "multichain":
-        return _parse_multichain(lines[1:])
-    raise FormatError(line_no, f"unknown presentation kind {kind!r}")
+        return _parse_multichain(lines)
+    raise lines.error(f"unknown presentation kind {kind!r}")
 
 
 def _parse_lexsum(lines):
-    it = iter(lines)
-    line_no, line = next(it, (1, ""))
-    d = _size_line(line_no, line, "index-domain", "d")
-    line_no, line = next(it, (line_no, ""))
-    if line != "index-arcs":
-        raise FormatError(line_no, "expected 'index-arcs'")
-    arcs = set()
-    for line_no, line in it:
-        if line in ("end", "blocks"):
-            break
-        arcs.add(_tuple_line(line_no, line, 2, d))
-    if line != "end":
-        raise FormatError(line_no, "index-arcs not closed by 'end'")
-    line_no, line = next(it, (line_no, ""))
-    if line != "blocks":
-        raise FormatError(line_no, "expected 'blocks'")
+    d = lines.size("index-domain", "d")
+    if lines.next("expected 'index-arcs'") != "index-arcs":
+        raise lines.error("expected 'index-arcs'")
+    arcs = {lines.entries(arc, 2, d) for arc in lines.section("index-arcs", stop=("blocks",))}
+    if lines.next("expected 'blocks'") != "blocks":
+        raise lines.error("expected 'blocks'")
     blocks = []
-    for line_no, line in it:
-        if line == "end":
-            break
+    for line in lines.section("blocks"):
         parts = line.split()
         if len(parts) != 2:
-            raise FormatError(line_no, f"expected '<kind> <size>', got {line!r}")
+            raise lines.error(f"expected '<kind> <size>', got {line!r}")
         if parts[0] not in BLOCK_KINDS:
-            raise FormatError(line_no, f"unknown block kind {parts[0]!r}")
-        blocks.append((parts[0], _parse_size(line_no, parts[1])))
-    if line != "end":
-        raise FormatError(line_no, "blocks not closed by 'end'")
+            raise lines.error(f"unknown block kind {parts[0]!r}")
+        size = OMEGA
+        if parts[1] != "omega":
+            size = lines.number(parts[1], "block size other than 'omega'")
+            if size < 1:
+                raise lines.error("block sizes must be positive")
+        blocks.append((parts[0], size))
     if len(blocks) != d:
-        raise FormatError(line_no, f"{d} blocks expected, got {len(blocks)}")
-    extra = next(it, None)
-    if extra is not None:
-        raise FormatError(extra[0], f"unexpected line {extra[1]!r}")
+        raise lines.error(f"{d} blocks expected, got {len(blocks)}")
+    for line in lines:
+        raise lines.error(f"unexpected line {line!r}")
     try:
         return LexSumPresentation(digraph(d, arcs), tuple(blocks), name="lexsum-file")
     except ValueError as exc:
-        raise FormatError(line_no, str(exc)) from None
+        raise lines.error(str(exc)) from None
 
 
 def _parse_multichain(lines):
-    it = iter(lines)
-    line_no, line = next(it, (1, ""))
-    parts = line.split()
+    expected = "expected 'symbols <name> <arity> ...'"
+    parts = lines.next(expected).split()
     if len(parts) < 3 or parts[0] != "symbols" or len(parts) % 2 == 0:
-        raise FormatError(line_no, "expected 'symbols <name> <arity> ...'")
+        raise lines.error(expected)
     names = parts[1::2]
-    arities = tuple(_arity(line_no, a) for a in parts[2::2])
+    arities = tuple(lines.arity(a) for a in parts[2::2])
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
-        raise FormatError(line_no, "duplicate symbol names")
-    line_no, line = next(it, (line_no, ""))
-    v_size = _size_line(line_no, line, "slices", "v")
-    line_no, line = next(it, (line_no, ""))
-    f_size = _size_line(line_no, line, "fpart-domain", "f")
+        raise lines.error("duplicate symbol names")
+    v_size = lines.size("slices", "v")
+    if v_size < 1:
+        raise lines.error("at least one slice required")
+    f_size = lines.size("fpart-domain", "f")
     f_rels = {name: set() for name in names}
-    unary = {}
-    vv = {}
-    fv = {}
-    vf = {}
+    unary, vv, fv, vf = {}, {}, {}, {}
 
-    def symbol(line_no, name, rule=None, arity=None):
+    def symbol(name, rule=None, arity=None):
         """A declared symbol's index; a rule needs a symbol of its arity."""
         if name not in index:
-            raise FormatError(line_no, f"unknown symbol {name!r}")
+            raise lines.error(f"unknown symbol {name!r}")
         s = index[name]
         if arity is not None and arities[s] != arity:
-            raise FormatError(line_no, f"'{rule}' needs a symbol of arity {arity}, "
-                                       f"{name!r} has arity {arities[s]}")
+            raise lines.error(f"'{rule}' needs a symbol of arity {arity}, "
+                              f"{name!r} has arity {arities[s]}")
         return s
 
-    rest = list(it)
-    pos = 0
-    while pos < len(rest):
-        line_no, line = rest[pos]
+    def slice_no(token):
+        return lines.number(token, "slice", v_size)
+
+    def f_elt(token):
+        return lines.number(token, "F element", f_size)
+
+    for line in lines:
         parts = line.split()
         if parts[0] == "fpart":
             if len(parts) != 2:
-                raise FormatError(line_no, "expected 'fpart <name>'")
+                raise lines.error("expected 'fpart <name>'")
             sym = parts[1]
-            arity = arities[symbol(line_no, sym)]
-            pos += 1
-            while pos < len(rest) and rest[pos][1] != "end":
-                f_rels[sym].add(_tuple_line(*rest[pos], arity, f_size))
-                pos += 1
-            if pos == len(rest):
-                raise FormatError(line_no, f"fpart {sym!r} not closed by 'end'")
-            pos += 1
+            arity = arities[symbol(sym)]
+            f_rels[sym].update(lines.entries(t, arity, f_size)
+                               for t in lines.section(f"fpart {sym!r}"))
         elif parts[0] == "unary":
             if len(parts) < 2:
-                raise FormatError(line_no, "expected 'unary <name> <slice...>'")
-            s = symbol(line_no, parts[1], "unary", 1)
-            unary.setdefault(s, set()).update(_int(line_no, x, "slice") for x in parts[2:])
-            pos += 1
+                raise lines.error("expected 'unary <name> <slice...>'")
+            s = symbol(parts[1], "unary", 1)
+            unary.setdefault(s, set()).update(map(slice_no, parts[2:]))
         elif parts[0] == "vv":
             if len(parts) < 5:
-                raise FormatError(line_no, "expected 'vv <name> <x> <y> <cmp...>'")
-            s = symbol(line_no, parts[1], "vv", 2)
-            x, y = (_int(line_no, t, "slice") for t in parts[2:4])
+                raise lines.error("expected 'vv <name> <x> <y> <cmp...>'")
+            s = symbol(parts[1], "vv", 2)
+            x, y = map(slice_no, parts[2:4])
             for cmp in parts[4:]:
                 if cmp not in ("<", "=", ">"):
-                    raise FormatError(line_no, f"bad comparator {cmp!r}")
+                    raise lines.error(f"bad comparator {cmp!r}")
                 vv.setdefault(s, set()).add((x, y, cmp))
-            pos += 1
         elif parts[0] in ("fv", "vf"):
             if len(parts) != 4:
                 shape = "<f-elt> <slice>" if parts[0] == "fv" else "<slice> <f-elt>"
-                raise FormatError(line_no, f"expected '{parts[0]} <name> {shape}'")
-            s = symbol(line_no, parts[1], parts[0], 2)
-            rules = fv if parts[0] == "fv" else vf
-            fields = ("F element", "slice") if parts[0] == "fv" else ("slice", "F element")
-            rules.setdefault(s, set()).add(
-                tuple(_int(line_no, t, what) for t, what in zip(parts[2:], fields))
-            )
-            pos += 1
+                raise lines.error(f"expected '{parts[0]} <name> {shape}'")
+            s = symbol(parts[1], parts[0], 2)
+            if parts[0] == "fv":
+                fv.setdefault(s, set()).add((f_elt(parts[2]), slice_no(parts[3])))
+            else:
+                vf.setdefault(s, set()).add((slice_no(parts[2]), f_elt(parts[3])))
         else:
-            raise FormatError(line_no, f"unexpected line {line!r}")
+            raise lines.error(f"unexpected line {line!r}")
     f_struct = make_struct(arities, f_size, [f_rels[name] for name in names])
     try:
         return multichain(arities, f_struct, v_size, unary, vv, fv, vf, name="multichain-file")
     except ValueError as exc:
-        raise FormatError(line_no, str(exc)) from None
+        raise lines.error(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +307,7 @@ BUILTIN_NAMES = (
 def builtin(name: str):
     """Named sources: presentations for the infinite fixtures, finite
     structures for path:<n>, clique:<n> and acyclic:<n>."""
-    if name == "omega":
-        return lexsum_tournament_fixture("omega")
-    if name in ("T1", "T2", "T3"):
+    if name in ("omega", "T1", "T2", "T3"):
         return lexsum_tournament_fixture(name)
     if name == "C3omega":
         return tournament_fixtures("C3omega")
@@ -347,18 +325,13 @@ def builtin(name: str):
             k = int(arg)
         except ValueError:
             raise ValueError(f"builtin {name!r}: {arg!r} is not an integer") from None
-        if head == "colored-chain":
-            return colored_dense_chain(k)
-        if head == "interval-chain":
-            return interval_division_chain(k)
-        if head == "chain-product":
-            return product_of(reflexive_chain(k))
-        if head == "path":
-            return path_graph(k)
-        if head == "clique":
-            return clique_graph(k)
-        if head == "acyclic":
-            return acyclic_tournament(k)
+        families = {
+            "colored-chain": colored_dense_chain, "interval-chain": interval_division_chain,
+            "chain-product": lambda k: product_of(reflexive_chain(k)),
+            "path": path_graph, "clique": clique_graph, "acyclic": acyclic_tournament,
+        }
+        if head in families:
+            return families[head](k)
     raise ValueError(f"unknown builtin {name!r}")
 
 
@@ -368,10 +341,10 @@ def load_source(spec: str):
         return builtin(spec.split(":", 1)[1])
     with open(spec, encoding="utf-8") as handle:
         text = handle.read()
-    for _, line in _content_lines(text):
-        if line == "structure":
-            return parse_structure(text).struct
-        if line.startswith("presentation"):
-            return parse_presentation(text)
-        break
-    raise FormatError(1, "file must start with 'structure' or 'presentation <kind>'")
+    lines = _Lines(text)
+    first = next(iter(lines), "")
+    if first == "structure":
+        return parse_structure(text).struct
+    if first.startswith("presentation"):
+        return parse_presentation(text)
+    raise lines.error("file must start with 'structure' or 'presentation <kind>'")

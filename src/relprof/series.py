@@ -148,7 +148,9 @@ def fit_rational(seq: TruncatedSeries, denominator_exponents=None, denominator_p
     if margin < 1:
         raise ValueError("margin must be positive")
     if margin > seq.window + 1:
-        raise ValueError(f"margin {margin} larger than window {seq.window + 1}")
+        raise ValueError(
+            f"margin {margin} exceeds the {seq.window + 1} values of window {seq.window}"
+        )
     probe = RationalForm(
         (1,),
         denominator_exponents=tuple(denominator_exponents) if denominator_exponents else None,

@@ -57,16 +57,6 @@ class ShuffleCombination:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def __add__(self, other):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        out = Counter()
-        for k, v in self.terms:
-            out[k] += v
-        for k, v in other.terms:
-            out[k] += v
-        return ShuffleCombination.from_dict(self.alphabet, out)
-
     def scale(self, factor):
         return ShuffleCombination.from_dict(
             self.alphabet, {k: v * Fraction(factor) for k, v in self.terms}

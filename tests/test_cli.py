@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from relprof.fileformat import (
     parse_structure,
     write_structure,
 )
-from relprof.presentations import LexSumPresentation, MultichainPresentation
+from relprof.presentations import LexSumPresentation, MultichainPresentation, tournament_fixtures
 from relprof.profiles import profile_presented
 from relprof.structures import path_graph
 
@@ -57,8 +58,11 @@ def test_parse_structure_diagnostics():
     with pytest.raises(FormatError) as err:
         parse_structure("structure\ndomain 2\nrelation edge 2\n0 7\nend\n")
     assert "line 4" in str(err.value)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="line 4: relation 'edge' not closed"):
         parse_structure("structure\ndomain 2\nrelation edge 2\n0 1\n")  # no end
+    # a file that ends early names its last line, after any comments
+    with pytest.raises(FormatError, match="line 3: expected 'domain <m>'"):
+        parse_structure("# header only\n\nstructure\n")
 
 
 def test_parse_lexsum_presentation():
@@ -89,6 +93,47 @@ vv edge 1 0 >
     pres = parse_presentation(text)
     assert isinstance(pres, MultichainPresentation)
     assert [profile_presented(pres, n) for n in range(7)] == [1, 1, 2, 3, 6, 10, 20]
+
+
+# T1 and T2 as rule tables: a 3-cycle with one or two vertices blown up to
+# omega, the finite rest in an ``fpart`` block (empty for T2)
+MULTICHAIN_T = {
+    "T1": """\
+presentation multichain
+symbols arc 2
+slices 1
+fpart-domain 2
+fpart arc
+0 1
+end
+vv arc 0 0 <
+fv arc 1 0
+vf arc 0 0
+""",
+    "T2": """\
+presentation multichain
+symbols arc 2
+slices 2
+fpart-domain 1
+fpart arc
+end
+vv arc 0 0 <
+vv arc 1 1 <
+vv arc 0 1 < = >
+fv arc 0 0
+vf arc 1 0
+""",
+}
+
+
+@pytest.mark.parametrize("name, profile", [
+    ("T1", [1, 1, 1, 2, 2, 2, 2, 2, 2]),
+    ("T2", [1, 1, 1, 2, 2, 3, 4, 5, 6]),
+])
+def test_parse_multichain_file_with_fpart_block(name, profile):
+    parsed = parse_presentation(MULTICHAIN_T[name])
+    assert dataclasses.replace(parsed, name=name) == tournament_fixtures(name)
+    assert [profile_presented(parsed, n) for n in range(9)] == profile
 
 
 def test_parse_presentation_builtin():
@@ -246,10 +291,28 @@ def test_cli_tournament(capsys):
     assert "classification=embeds-obstruction" in out
 
 
+def test_cli_tournament_finite(capsys, tmp_path):
+    cycle = tmp_path / "c3.txt"
+    cycle.write_text("structure\ndomain 3\nrelation arc 2\n0 1\n1 2\n2 0\nend\n")
+    code, out, _ = run_cli(["tournament", str(cycle)], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("component")] == [
+        "component 0", "component 1", "component 2"
+    ]
+    code, out, _ = run_cli(["tournament", "acyclic:4"], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("component")] == [
+        "component 0,1,2,3"
+    ]
+
+
 def test_cli_check_inequalities(capsys):
     code, out, _ = run_cli(["check", "T2", "--max-n", "8"], capsys)
     assert code == 0
     assert "ok" in out
+    code, out, _ = run_cli(["check", "path:6", "--max-n", "4"], capsys)
+    assert code == 0
+    assert "non-decreasing: not applicable (finite source)\n" in out
 
 
 def test_cli_show_round_trip(capsys, tmp_path):
@@ -274,6 +337,10 @@ def test_cli_input_errors(capsys, tmp_path):
     code, out, err = run_cli(["show", str(bad)], capsys)
     assert code == 2 and out == ""
     assert "line 5: duplicate relation name 'edge'" in err, err
+    bad.write_text("# a comment\nrelation edge 2\n")
+    code, out, err = run_cli(["profile", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert "line 2: file must start with 'structure' or 'presentation <kind>'" in err, err
 
 
 
@@ -321,13 +388,19 @@ def _input_file(rule):
     ("fv arc 0", "line 7"),
     ("vf arc 0", "line 7"),
     ("unary", "line 7"),
-    ("fv arc 5 9", "bad fv rule"),
-    ("fv arc 0 2", "bad fv rule"),
-    ("vf arc 2 0", "bad vf rule"),
-    ("vf arc 0 1", "bad vf rule"),
-    ("unary mark 0 3", "bad unary slice"),
+    ("fv arc 5 9", "line 7: F element 5 out of range 0..0"),
+    ("fv arc 0 2", "line 7: slice 2 out of range 0..1"),
+    ("vf arc 2 0", "line 7: slice 2 out of range 0..1"),
+    ("vf arc 0 1", "line 7: F element 1 out of range 0..0"),
+    ("unary mark 0 3", "line 7: slice 3 out of range 0..1"),
+    # a rule out of range is reported at its own line, not at the file's last
+    ("unary mark 5\nunary mark 0", "line 7: slice 5 out of range 0..1"),
+    ("vv arc 0 7 <\nvv arc 1 0 >", "line 7: slice 7 out of range 0..1"),
+    ("fv arc 3 0\nfv arc 0 1", "line 7: F element 3 out of range 0..0"),
+    ("vf arc 0 4\nvf arc 1 0", "line 7: F element 4 out of range 0..0"),
     ("slices x", "line 3"),
     ("slices -1", "line 3"),
+    ("slices 0", "line 3: at least one slice required"),
     ("fpart-domain x", "line 4"),
     ("index-domain x", "line 2"),
     ("unary mark x", "line 7"),
@@ -341,6 +414,7 @@ def _input_file(rule):
     ("fpart arc\n0\nend", "line 8"),
     ("fpart arc\n0 1\nend", "line 8"),
     ("fpart mark\n0 0\nend", "line 8"),
+    ("fpart arc\n0 0", "line 8: fpart 'arc' not closed by 'end'"),
     ("symbols arc 2 arc 2 mark 1", "line 2: duplicate symbol names"),
     ("vv mark 0 1 <", "line 7: 'vv' needs a symbol of arity 2, 'mark' has arity 1"),
     ("fv mark 0 1", "line 7: 'fv' needs a symbol of arity 2, 'mark' has arity 1"),

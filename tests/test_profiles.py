@@ -931,6 +931,20 @@ def test_kernel_probe_omega_block():
     assert kernel_probe(pres, ("block", 0), 3).status == "undetected"
 
 
+def test_kernel_probe_single_element_blocks_and_f_elements():
+    # each finite vertex of the 3-cycle is a size-1 block of the lexsum form
+    # and an F element of the multichain form; deleting it (the block drops
+    # its index vertex) leaves no 3-cycle
+    for name in ("T1", "T2"):
+        lexsum = lexsum_tournament_fixture(name)
+        chain = tournament_fixtures(name)
+        probes = [kernel_probe(lexsum, ("block", b), 6)
+                  for b, (_, size) in enumerate(lexsum.blocks) if size == 1]
+        probes += [kernel_probe(chain, ("F", a), 6) for a in range(chain.f_size)]
+        assert len(probes) == 2 * (3 - int(name[1])), name
+        assert all((p.status, p.witness_size) == ("in-kernel", 3) for p in probes), name
+
+
 def test_kernel_probe_rejects_missing_f_element():
     # half-bipartite has no finite part, so every F element is missing
     with pytest.raises(IndexError, match="F element 5"):

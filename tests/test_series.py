@@ -93,7 +93,7 @@ def test_fit_round_trip():
 
 
 def test_fit_margin_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^margin 5 exceeds the 2 values of window 1$"):
         fit_rational(series_from([1, 2]), denominator_exponents=(1,), margin=5)
 
 
