@@ -7,18 +7,14 @@ representative of each result type, the splittings of its domain into a
 piece of the first type and a complement of the second; heredity of the
 isomorphy equivalence makes the count representative-independent (tested,
 not assumed).  ``AgeBasis.split_table`` holds these counts keyed by basis
-positions, as index arrays per type of the part.  On a multichain the
-prefix sweep, an automaton over letters, splits each type's word along its
-moves with no canon call (``_PrefixSweep.split``), and the basis maps the
-sweep's candidates to positions by the codes the sweep keeps.  A basis built
-on a finite structure whose levels came from the subset walk keeps the
-walk's record of subset codes, and reads both sides of every split from it.
-Lexicographic sums and finite structures on the interface sweep walk each
-representative's subsets.  ``_mult_matrix`` adds them up into the integer
-array of multiplication by a homogeneous element, which gives the
-e-matrices and the zero-divisor kernels; ``multiply``, and with it the
-structure constants, reads the same tables.  All coefficients are exact
-rationals.
+positions, as index arrays per type of the part, from the engine that
+enumerated the types: a presentation's sweep splits a multichain's words
+along its moves and a lexicographic sum's compositions into
+sub-compositions, and a finite source reads a record of subset codes.
+``_mult_matrix`` adds the tables up into the integer array of
+multiplication by a homogeneous element, which gives the e-matrices and the
+zero-divisor kernels; ``multiply``, and with it the structure constants,
+reads the same tables.  All coefficients are exact rationals.
 """
 
 from __future__ import annotations
@@ -33,8 +29,8 @@ from math import comb, lcm
 import numpy as np
 
 from .linalg import nullspace, rank_exact
-from .presentations import MultichainPresentation, _sweep_of, enumerate_age
-from .profiles import _walked_codes, age_of_finite, subset_codes
+from .presentations import _sweep_of, enumerate_age
+from .profiles import _subset_walk, _walked_codes, age_of_finite
 from .structures import RelStruct
 
 
@@ -54,8 +50,8 @@ class AgeBasis:
     # degree -> (source bitmask of each type's representative, by position,
     # and the subset walk's bitmask -> code), for a finite source on the walk
     _walked: dict = field(default_factory=dict)
-    # for a multichain: its prefix sweep, and per degree the basis position
-    # of each of the sweep's candidates, read from the codes the sweep keeps
+    _memo: dict = field(default_factory=dict)  # shared by the representatives' walks
+    # for a presentation: its sweep, and per degree each candidate's position
     _sweep: object = None
     _positions: list = field(default_factory=list)
 
@@ -76,7 +72,7 @@ class AgeBasis:
             basis.types.append(level)
             for pos, (code, _) in enumerate(level):
                 basis._index[code] = (n, pos)
-        if isinstance(source, MultichainPresentation):
+        if not isinstance(source, RelStruct):
             basis._sweep = sweep = _sweep_of(source)
             basis._positions = [
                 np.array([basis._index[code][1] for code in sweep.codes(n)], dtype=np.int64)
@@ -100,15 +96,16 @@ class AgeBasis:
         splittings, as basis positions.  The representative of the
         degree's type rho has count part-sized subsets of type sigma whose
         complement has type tau of degree - part; only non-zero counts are
-        stored.  Parts 0 and degree give the identity.  On a multichain, the
-        prefix sweep splits each type's word along its moves, with no canon
-        call and no walk.  On a finite source whose levels came from the
-        subset walk, every representative is a subset of the source, so both
-        sides of each split are read from the walk's record of codes.
-        Otherwise one ``subset_codes`` walk of each representative gives the
-        codes of both sides.  Each way gives the table of the complementary part with it,
-        so both are stored at once.  ``multiply`` and ``_mult_matrix`` read
-        every product from these tables."""
+        stored.  Parts 0 and degree give the identity.  A presentation's
+        sweep splits each type with no canon call and no walk, and the
+        basis maps its candidates to positions by their codes.  A finite
+        source reads both sides of each split from a subset-walk record:
+        the walk that gave its levels, whose subsets include every
+        representative, or on the interface sweep a walk of each
+        representative over the split's two sizes.  Each way gives the
+        table of the complementary part with it, so both are stored at
+        once.  ``multiply`` and ``_mult_matrix`` read every product from
+        these tables."""
         table = self._split_tables.get((degree, part))
         if table is not None:
             return table
@@ -131,24 +128,21 @@ class AgeBasis:
             rows, left, right, counts = self._sweep.split(degree, part)
             rho, sigma, tau = at[degree][rows], at[part][left], at[degree - part][right]
             counts = np.array(counts, dtype=np.int64)
-        elif degree in walked and part in walked and degree - part in walked:
+        else:  # (representative bitmask, record of its subsets' codes by level)
+            if walked:  # every representative is a subset of the source
+                pairs = [(walked[degree][0][pos], walked) for pos in range(dims[1])]
+            else:
+                pairs = (((1 << degree) - 1, _subset_walk(
+                    rep, self.max_degree, True, (part, degree - part), self._memo)[1])
+                    for _, rep in self.types[degree])
             sigma, tau = [], []
-            left, right = walked[part][1], walked[degree - part][1]
-            for whole in walked[degree][0]:
+            for whole, record in pairs:
+                left, right = record[part][1], record[degree - part][1]
                 bits = [1 << v for v in range(whole.bit_length()) if whole >> v & 1]
                 for chosen in itertools.combinations(bits, part):
                     mask = sum(chosen)
                     sigma.append(index[left[mask]][1])
                     tau.append(index[right[whole ^ mask]][1])
-        else:
-            sigma, tau = [], []
-            full = (1 << degree) - 1
-            for _, rep in self.types[degree]:
-                codes = subset_codes(rep, (part, degree - part))
-                left, right = codes[part], codes[degree - part]
-                for mask, code in left.items():
-                    sigma.append(index[code][1])
-                    tau.append(index[right[full ^ mask]][1])
         sigma, tau = np.array(sigma, dtype=np.int64), np.array(tau, dtype=np.int64)
         if rho is None:
             rho = np.repeat(np.arange(dims[1], dtype=np.int64), comb(degree, part))
@@ -414,11 +408,10 @@ def is_hereditary(m: int, classes) -> bool:
 
 def isomorphy_partition(struct: RelStruct):
     """The partition of all subsets of the domain by restriction type."""
-    domain = range(struct.domain_size)
     groups = {}
-    for codes in subset_codes(struct, range(struct.domain_size + 1)).values():
+    for _, codes in _subset_walk(struct, struct.domain_size, True)[1]:
         for mask, code in codes.items():
-            groups.setdefault(code, []).append(frozenset(v for v in domain if mask >> v & 1))
+            groups.setdefault(code, []).append(frozenset(v for v in struct.domain if mask >> v & 1))
     return list(groups.values())
 
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from .presentations import (
     LexSumPresentation,
     OMEGA,
+    _sweep_of,
     compositions_of_size,
-    enumerate_age,
     realize_composition,
 )
 from .structures import RelStruct, canonical_code, is_autonomous, restrict
@@ -344,7 +344,8 @@ def monomial_greater(a: Monomial, b: Monomial) -> bool:
     return a.exponents > b.exponents
 
 
-def _realize_vector(pres: LexSumPresentation, decomp: Decomposition, exponents):
+def _composition_of(pres: LexSumPresentation, decomp: Decomposition, exponents) -> tuple:
+    """The composition that fills the slots of each block in order."""
     counts = [0] * len(pres.blocks)
     for (slots, _), e in zip(decomp.blocks, exponents):
         remaining = e
@@ -355,15 +356,16 @@ def _realize_vector(pres: LexSumPresentation, decomp: Decomposition, exponents):
             remaining -= take
         if remaining:
             raise ValueError(f"exponent {e} exceeds block capacity {slots}")
-    return realize_composition(pres, counts)
+    return tuple(counts)
 
 
 def leading_monomials(pres: LexSumPresentation, decomp: Decomposition, degree: int) -> dict:
-    """Map type code -> its leading monomial at the given degree."""
+    """Map type code -> its leading monomial, typed by its composition's code."""
+    code_of = dict(zip(compositions_of_size(pres, degree), _sweep_of(pres).codes(degree)))
     best = {}
     for vec in compositions_of_size(decomp, degree):
         mono = Monomial(vec)
-        code = canonical_code(_realize_vector(pres, decomp, vec))
+        code = code_of[_composition_of(pres, decomp, vec)]
         cur = best.get(code)
         if cur is None or monomial_greater(mono, cur):
             best[code] = mono
@@ -372,11 +374,6 @@ def leading_monomials(pres: LexSumPresentation, decomp: Decomposition, degree: i
 
 def leading_monomial(pres: LexSumPresentation, decomp: Decomposition, type_code: bytes,
                      degree: int) -> Monomial:
-    if degree == 0:
-        (code,) = enumerate_age(pres, 0)
-        if type_code != code:
-            raise KeyError("type not in the age at degree 0")
-        return Monomial(tuple(0 for _ in decomp.blocks))
     table = leading_monomials(pres, decomp, degree)
     if type_code not in table:
         raise KeyError(f"type not realized at degree {degree}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import rank_exact
-from .profiles import age_of_finite, subset_codes
+from .profiles import _check_level, _subset_walk, age_of_finite
 from .structures import RelStruct
 
 
@@ -96,7 +96,8 @@ def dump_matrix(matrix: ExactMatrix, m: int, n: int, k: int) -> str:
 
 def type_indicator_matrix(struct: RelStruct, n: int) -> ExactMatrix:
     """Rows: types of n-restrictions; columns: n-subsets (colex); entry 1 at matches."""
-    codes = subset_codes(struct, (n,))[n]
+    _check_level(struct, n)
+    codes = _subset_walk(struct, n, True, (n,))[1][n][1]
     types = sorted(set(codes.values()))  # the codes of age_of_finite, in its order
     index = {code: i for i, code in enumerate(types)}
     cols = colex_subsets(struct.domain_size, n)

@@ -22,9 +22,9 @@ candidates of the prefix sweep (``_PrefixSweep``); past that, level n is
 read from the sweep, which keeps one prefix per type of its realization
 with each element marked by its interface to later positions, and extends
 the prefixes kept at smaller levels by one letter.  Both engines give the
-same codes; which realization represents a type is not fixed.  The sweep
-also keeps each candidate's code and splits each type's word for the age
-algebra (``_PrefixSweep.split``), which reads nothing else of it.
+same codes; which realization represents a type is not fixed.  For the age
+algebra, which reads nothing else of them, either kind has a sweep that
+keeps each candidate's code and splits each type (``_sweep_of``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .structures import (
     RelStruct,
@@ -374,10 +374,8 @@ def enumerate_age(pres, n: int):
             raws = ((n, rels) for rels, _ in level)
         signature = pres.signature
     elif isinstance(pres, LexSumPresentation):
-        raws = (
-            ((s := realize_composition(pres, c)).domain_size, s.relations)
-            for c in compositions_of_size(pres, n)
-        )
+        raws = [((s := realize_composition(pres, c)).domain_size, s.relations)
+                for c in compositions_of_size(pres, n)]
         signature = Signature((2,))
     else:
         raise TypeError(f"not a presentation: {pres!r}")
@@ -393,7 +391,45 @@ def enumerate_age(pres, n: int):
     if level is not None:  # the sweep keeps each candidate's code
         with sweep.lock:
             sweep.plain[n] = [seen_raw[n, rels] for rels, _ in level]
+    elif isinstance(pres, LexSumPresentation):  # and each composition's
+        _sweep_of(pres).plain[n] = [seen_raw[raw] for raw in raws]
     return dict(sorted(by_code.items()))
+
+
+@dataclass
+class _CompositionSweep:
+    """A lexicographic sum's ``codes`` and ``split``; a candidate of level n
+    is a composition, in ``compositions_of_size`` order.  Blocks are
+    monomorphic, so a type depends only on its composition c, and c has
+    prod C(c_i, b_i) subsets of each sub-composition b."""
+
+    pres: LexSumPresentation
+    plain: dict = field(default_factory=dict)  # level -> each composition's code
+
+    def codes(self, n: int) -> list:
+        """Level n's code of each composition, kept by ``enumerate_age``."""
+        if n not in self.plain:
+            self.plain[n] = [canonical_code(realize_composition(self.pres, c))
+                             for c in compositions_of_size(self.pres, n)]
+        return self.plain[n]
+
+    def split(self, top: int, part: int) -> tuple:
+        """As four lists, the candidates of c, b and c - b and the count, for
+        each type's first composition c and every b <= c with |b| = part."""
+        wholes = list(compositions_of_size(self.pres, top))
+        first = {code: c for c, code in reversed(list(enumerate(self.codes(top))))}
+        parts = list(enumerate(compositions_of_size(self.pres, part)))
+        rests = {b: j for j, b in enumerate(compositions_of_size(self.pres, top - part))}
+        rows, left, right, counts = [], [], [], []
+        for c in first.values():
+            for i, b in parts:
+                j = rests.get(tuple(x - y for x, y in zip(wholes[c], b)))
+                if j is not None:  # b <= c
+                    rows.append(c)
+                    left.append(i)
+                    right.append(j)
+                    counts.append(math.prod(map(math.comb, wholes[c], b)))
+        return rows, left, right, counts
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +460,7 @@ class _PrefixSweep:
     lands on by ``marked_code``.  It also keeps each candidate's plain code
     (``codes``).  From an F subset, the moves give the kept state of any
     word below the top level, so ``split`` splits each type's word with no
-    canon call; the age algebra reads its split tables from ``split`` and
-    ``codes`` alone.  Whoever builds or reads holds ``lock``.
+    canon call.  Whoever builds or reads holds ``lock``.
     """
 
     def __init__(self, pres: MultichainPresentation):
@@ -652,9 +687,12 @@ class _PrefixSweep:
 
 
 @functools.lru_cache(maxsize=64)
-def _sweep_of(pres: MultichainPresentation) -> _PrefixSweep:
-    """One sweep per presentation, so levels built for one request serve the next."""
-    return _PrefixSweep(pres)
+def _sweep_of(pres):
+    """One sweep per presentation, so levels built for one request serve the
+    next; the age algebra reads its ``codes`` and ``split`` alone."""
+    if isinstance(pres, MultichainPresentation):
+        return _PrefixSweep(pres)
+    return _CompositionSweep(pres)
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +705,6 @@ class KernelProbe:
     status: str  # "in-kernel" | "undetected"
     witness_size: int | None
     note: str = ""
-
-
-def _age_codes(pres, n):
-    return frozenset(enumerate_age(pres, n))
 
 
 def _without_f_element(pres: MultichainPresentation, drop: int) -> MultichainPresentation:
@@ -734,7 +768,7 @@ def kernel_probe(pres, element_class, window: int) -> KernelProbe:
     else:
         raise TypeError(f"not a presentation: {pres!r}")
     for n in range(window + 1):
-        if _age_codes(pres, n) != _age_codes(reduced, n):
+        if enumerate_age(pres, n).keys() != enumerate_age(reduced, n).keys():
             return KernelProbe("in-kernel", n)
     return KernelProbe("undetected", None, f"ages agree up to n={window}")
 

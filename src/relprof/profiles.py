@@ -28,22 +28,21 @@ builds none.  A finite structure takes one of two engines:
   inside S, at the index its key coordinates (the parent's canonical
   positions, t last) make read as digits in base ``top``, the pass's top
   level.  Coordinates are below ``top``, so the key is exact: subsets with
-  one key relabel to one structure.  A memo local to the pass maps a key to
-  the child's code and the map from key coordinates to canonical positions,
-  so canon's labelling step runs once per key (McKay's canonical
-  augmentation, J. Algorithms 26, 1998), and relations are built only on a
-  miss, a new type or a descent.  On a miss the child's *canonical image*,
-  its tuples in canonical positions encoded as in the key, names its type,
-  so a map per level of the pass from image to code runs the serializer
-  once per type: on G(16, 1/2) at n <= 7, one pass of 26,332 nodes makes
-  5,189 labelling calls (16,624 restrictions) and 1,076 serializations.
-  When an age basis asks (``_walked_codes``), the pass also records per
-  level each representative's bitmask and every subset's code by bitmask,
-  in walk order, from which a finite basis reads its split tables.
-  ``subset_codes`` is the same walk with no memo: it asks ``canonical_code``
-  for every subset of each requested size, all sizes in one walk, for the
-  split tables of every other basis, isomorphy partitions and the incidence
-  lab's type indicators.
+  one key relabel to one structure.  A memo, local to the pass unless the
+  caller shares it, maps a key to the child's code and the map from key
+  coordinates to canonical positions, so canon's labelling step runs once
+  per key (McKay's canonical augmentation, J. Algorithms 26, 1998), and
+  relations are built only on a miss, a new type or a descent.  On a miss
+  the child's *canonical image*, its tuples in canonical positions encoded
+  as in the key, names its type, so a map per level of the pass from image
+  to code runs the serializer once per type: on G(16, 1/2) at n <= 7, one
+  pass of 26,332 nodes makes 5,189 labelling calls (16,624 restrictions)
+  and 1,076 serializations.  When an age basis asks (``_walked_codes``),
+  the pass also records per level each representative's bitmask and every
+  subset's code by bitmask, in walk order, from which a finite basis reads
+  its split tables.  Asked for some sizes, it visits only the subsets that
+  can grow to one: for the splits of representatives on the sweep,
+  isomorphy partitions and the incidence lab's type indicators.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 from .canon import canonical_labelling, form_bytes, labelled_form
 from .presentations import enumerate_age
 from .series import TruncatedSeries
-from .structures import RelStruct, Signature, canonical_code, marked_code
+from .structures import RelStruct, Signature, marked_code
 
 # Above this interface width the subset walk is faster: measured crossover
 # between widths 2 and 3 for m = 18, n <= 7.
@@ -119,17 +118,22 @@ def _finite_cache(struct: RelStruct) -> tuple:
     return {}, {}
 
 
-def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
-    """Every level 0..top of the age by one depth-first pass over the subsets
-    of size <= top (see the module docstring).  Returns the levels (code ->
-    relations as tuples of tuples) and, when ``record`` is set, per level the
-    representatives' bitmasks (code -> bitmask) and every subset's code
-    (bitmask -> code, in walk order), else None."""
+def _subset_walk(struct: RelStruct, top: int, record: bool, sizes=None, memo=None) -> tuple:
+    """Levels 0..top of the age, or those of ``sizes`` (each at most top and
+    m), by one depth-first pass over the subsets (see the module docstring).
+    One ``memo`` serves passes over structures of one signature and top.
+    Returns the levels (code -> relations as tuples of tuples) and, when
+    ``record`` is set, per level the representatives' bitmasks (code ->
+    bitmask) and every visited subset's code (bitmask -> code), else None."""
     arities = struct.signature.arities
     m = struct.domain_size
+    sizes = range(top + 1) if sizes is None else sorted(set(sizes))
+    # per depth, the least size above it; past the largest, m + 1 leaves no vertex
+    reach = [next((n for n in sizes if n > depth), m + 1) for depth in range(top + 1)]
     back = _tuples_by_last(struct)
     position = [0] * m  # vertex -> index in the current subset
-    memo = {}  # extension key -> (child code, key coordinate -> canonical position)
+    # extension key -> (child code, key coordinate -> canonical position)
+    memo = {} if memo is None else memo
     empty = tuple(frozenset() for _ in arities)
     root = form_bytes(labelled_form(arities, 0, empty, *canonical_labelling(arities, 0, empty)))
     levels = [{root: tuple(map(tuple, empty))}] + [{} for _ in range(top)]
@@ -141,8 +145,9 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
         ext = order + (depth,)
         kept, named = levels[depth + 1], images[depth + 1]
         first, walked = codes[depth + 1] if record else (None, None)
-        deeper = depth + 1 < top
-        for t in range(start, m):
+        # a child at t descends while t leaves room for the next requested size
+        deepest = m - reach[depth + 1] + depth + 1
+        for t in range(start, m - reach[depth] + depth + 1):
             position[t] = depth
             inner = inside | 1 << t
             key = [code]
@@ -157,7 +162,7 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
                 key.append(bits)
             key = tuple(key)
             hit = memo.get(key)
-            descend = deeper and t + 1 < m
+            descend = t < deepest
             if hit is None or descend or hit[0] not in kept:
                 joined = _joined(rels, _relabelled(back[t], position, inner))
             if hit is None:
@@ -190,39 +195,10 @@ def _subset_walk(struct: RelStruct, top: int, record: bool) -> tuple:
             if descend:
                 walk(t + 1, depth + 1, inner, joined, child_code, tuple([lam[k] for k in ext]))
 
-    if top:
+    if reach[0] <= m:
         walk(0, 0, 0, empty, root, ())
     del walk  # it refers to itself, which would keep the memo until a cyclic collection
     return levels, codes
-
-
-def subset_codes(struct: RelStruct, sizes) -> dict[int, dict[int, bytes]]:
-    """Per size n of ``sizes``, in increasing order: vertex bitmask ->
-    canonical code of the restriction, for every n-subset in lexicographic
-    order.  One depth-first walk over the subsets of size <= the largest
-    builds the relabelled relations one vertex at a time, and asks
-    ``canonical_code`` only at the requested sizes."""
-    m, sig = struct.domain_size, struct.signature
-    sizes = sorted(set(sizes))
-    for n in sizes:
-        _check_level(struct, n)
-    back = _tuples_by_last(struct)
-    position = [0] * m  # vertex -> index in the current subset
-    codes = {n: {} for n in sizes}
-
-    def walk(start, depth, inside, rels):
-        if depth in codes:
-            codes[depth][inside] = canonical_code(RelStruct(sig, depth, rels))
-        # the least size above depth; past the largest, m + 1 leaves no vertex
-        above = next((n for n in sizes if n > depth), m + 1)
-        for t in range(start, m - above + depth + 1):
-            position[t] = depth
-            inner = inside | 1 << t
-            walk(t + 1, depth + 1, inner, _joined(rels, _relabelled(back[t], position, inner)))
-
-    walk(0, 0, 0, tuple(frozenset() for _ in struct.relations))
-    del walk  # it refers to itself; without this, ``back`` lives until a cyclic collection
-    return codes
 
 
 def _open_sets(struct: RelStruct):
@@ -341,8 +317,7 @@ def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
     else:
         found, codes = _subset_walk(struct, top, record)
     found = [tuple(sorted(level.items())) for level in found]
-    for n, level in enumerate(found):
-        levels[n] = level
+    levels.update(enumerate(found))
     if codes is not None:
         codes = [(tuple(first[code] for code, _ in level), walked)
                  for level, (first, walked) in zip(found, codes)]

@@ -4,6 +4,7 @@ import random
 import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from relprof.algebra import (
     type_element,
     unit_element,
 )
+from relprof.fileformat import load_source
 from relprof.presentations import (
     colored_dense_chain,
     half_complete_bipartite,
@@ -39,7 +41,7 @@ from relprof.presentations import (
 )
 from relprof.linalg import nullspace, rank_bareiss
 from oracles import split_counter_rows
-from test_profiles import small_multichains
+from test_profiles import small_lexsums, small_multichains
 from relprof import profiles
 from relprof.profiles import profile_presented
 from relprof.structures import (
@@ -52,6 +54,8 @@ from relprof.structures import (
     path_graph,
     restrict,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def basis_of(pres, degree):
@@ -173,9 +177,10 @@ def test_structure_constants_representative_independent():
 
 
 def test_split_table_reads_each_representative_tuples_once(monkeypatch):
-    # both walks of a representative, its parts and their complements, share
-    # one _tuples_by_last; a table of part = degree / 2 walks once.  A lexsum
-    # basis keeps the representative walks (a multichain reads its sweep)
+    # both sizes of a representative's splits, its parts and their
+    # complements, come from one walk and one _tuples_by_last.  A finite
+    # basis on the interface sweep keeps the representative walks (a
+    # presentation reads its sweep, a source on the subset walk its record)
     from relprof import profiles
 
     calls = Counter()
@@ -185,7 +190,8 @@ def test_split_table_reads_each_representative_tuples_once(monkeypatch):
         calls[struct] += 1
         return original(struct)
 
-    basis = basis_of(lexsum_tournament_fixture("T3"), 5)
+    basis = AgeBasis.build(path_graph(9), 5)
+    assert not basis._walked and basis._sweep is None
     monkeypatch.setattr(profiles, "_tuples_by_last", counted)
     for degree, part in ((5, 1), (4, 2), (5, 3)):
         calls.clear()
@@ -509,6 +515,31 @@ def test_split_tables_of_a_sweep_source_take_the_representative_walks():
     _assert_tables_match_oracle(basis, 6)
 
 
+def _spider(legs, length):
+    """Legs of the given length from vertex 0, numbered leg by leg."""
+    edges, v = [], 1
+    for _ in range(legs):
+        edges += [(0 if k == 0 else v + k - 1, v + k) for k in range(length)]
+        v += length
+    return graph_from_edges(v, edges)
+
+
+@pytest.mark.parametrize("source, top", [
+    pytest.param(graph_from_edges(12, [(i, (i + 1) % 12) for i in range(12)]), 7, id="C_12"),
+    pytest.param(_spider(3, 4), 7, id="spider-3x4"),
+    pytest.param(digraph(10, [(i, (i + 1) % 10) for i in range(10)] + [(3, 3), (7, 7)]), 6,
+                 id="directed-C_10-loops"),
+])
+def test_split_tables_of_sweep_sources_match_the_oracle(source, top):
+    # every representative walked over the two sizes of each split, with one
+    # memo for all walks of the basis
+    assert profiles._sweeps(source)
+    basis = AgeBasis.build(source, top)
+    assert not basis._walked and basis._sweep is None
+    _assert_tables_match_oracle(basis, top)
+    assert basis._memo
+
+
 def test_split_tables_outlive_the_walk_record_cache_entry():
     source = _walk_structure("graph", random.Random("split-record:evicted"), 8)
     basis = AgeBasis.build(source, 8)
@@ -587,26 +618,58 @@ def test_random_multichain_split_tables_match_the_oracle(pres):
     _assert_tables_match_oracle(basis, 5)
 
 
+# lexicographic sums, whose split tables come from their compositions
+LEXSUM_SPLIT_SOURCES = [
+    pytest.param(lambda: sum_of_cliques(2), 10, id="two-cliques"),
+    pytest.param(lambda: sum_of_cliques(3), 10, id="three-cliques"),
+    *(pytest.param(lambda name=name: lexsum_tournament_fixture(name), 9, id=f"lexsum-{name}")
+      for name in ("omega", "T1", "T2", "T3")),
+    pytest.param(lambda: load_source(str(DATA / "clique-plus-point.txt")), 8,
+                 id="clique-plus-point"),
+]
+
+
+@pytest.mark.parametrize("make, top", LEXSUM_SPLIT_SOURCES)
+def test_lexsum_split_tables_match_the_oracle(make, top):
+    # every (t, a) from the sub-compositions of each type's first
+    # composition, against recounted splittings of each representative
+    basis = AgeBasis.build(make(), top)
+    assert basis._sweep is not None and not basis._walked
+    _assert_tables_match_oracle(basis, top)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_lexsums())
+def test_random_lexsum_split_tables_match_the_oracle(pres):
+    # every block kind, finite and infinite blocks, on index digraphs of one
+    # to three vertices
+    basis = AgeBasis.build(pres, 6)
+    _assert_tables_match_oracle(basis, 6)
+
+
 def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch):
+    # and a lexicographic sum's basis, which splits its compositions with no
+    # realization either
     from relprof import algebra, canon, presentations, structures
 
     presentations._sweep_of.cache_clear()
-    bases = [AgeBasis.build(tournament_fixtures("T1"), 7),
-             AgeBasis.build(half_complete_bipartite(), 7),
-             AgeBasis.build(colored_dense_chain(3), 5)]
-    for basis in bases:
+    multichains = [AgeBasis.build(tournament_fixtures("T1"), 7),
+                   AgeBasis.build(half_complete_bipartite(), 7),
+                   AgeBasis.build(colored_dense_chain(3), 5)]
+    for basis in multichains:
         assert len(basis._sweep.states) == basis.max_degree  # no marked code at the top
+    lexsums = [AgeBasis.build(sum_of_cliques(3), 9),
+               AgeBasis.build(lexsum_tournament_fixture("T2"), 8)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("called while building split tables")
 
-    for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
-                         (profiles, "canonical_code"), (presentations, "canonical_code"),
-                         (presentations, "marked_code"), (structures, "canonical_code"),
-                         (canon, "canonical_order"), (canon, "canonical_labelling"),
-                         (profiles, "canonical_labelling")):
+    for module, name in ((algebra, "_subset_walk"), (presentations, "canonical_code"),
+                         (presentations, "marked_code"), (presentations, "realize_composition"),
+                         (structures, "canonical_code"), (canon, "canonical_order"),
+                         (canon, "canonical_labelling"), (profiles, "canonical_labelling")):
         monkeypatch.setattr(module, name, refuse)
-    for basis in bases:
+    for basis in multichains + lexsums:
         _all_tables(basis)
 
 
@@ -638,8 +701,7 @@ def test_a_finite_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("called while building split tables")
 
-    for module, name in ((algebra, "subset_codes"), (profiles, "subset_codes"),
-                         (profiles, "canonical_code"), (structures, "canonical_code"),
+    for module, name in ((algebra, "_subset_walk"), (structures, "canonical_code"),
                          (canon, "canonical_labelling"), (profiles, "canonical_labelling")):
         monkeypatch.setattr(module, name, refuse)
     tables = _all_tables(basis)

@@ -88,14 +88,20 @@ def test_traced_multichain_profile_reaches_the_word_and_age_sites():
 
 
 def test_traced_algebra_reaches_the_subset_code_site():
-    # subset_codes is the only traffic through profiles.canonical_code that an
-    # algebra-lab run expects; e_matrix reads its counts from the split table.
-    # T3 is a lexsum, whose basis keeps the representative walks (a multichain
-    # basis reads its split tables from the prefix sweep)
+    # algebra-lab expects calls through profiles.canonical_code, which is gone:
+    # a lexsum basis such as T3 splits its compositions, and no walk in
+    # profiles codes a restriction through canonical_code.  A site that no
+    # longer resolves is noted by the traced run, not failed.  e_matrix still
+    # reads its counts from the split table
+    from relprof import profiles
+
+    assert not hasattr(profiles, "canonical_code")
     result = _traced_worker(
         ["algebra", "T3", "--check", "e-regular", "--max-degree", "3"])
+    assert "profiles.canonical_code" not in result["present"]
     sites = result["trace"]["sites"]
-    for site in ("profiles.canonical_code", "algebra.e_matrix", "algebra.AgeBasis.split_table"):
+    assert "profiles.canonical_code" not in sites
+    for site in ("algebra.e_matrix", "algebra.AgeBasis.split_table"):
         assert sites.get(site, 0) > 0, site
 
 

@@ -26,6 +26,7 @@ from relprof.presentations import (
     INDEPENDENT,
     OMEGA,
     LexSumPresentation,
+    compositions_of_size,
     enumerate_age,
     lexsum_tournament_fixture,
     realize_composition,
@@ -472,6 +473,46 @@ def test_leading_monomial_two_cliques():
     # empty type
     (zero_code,) = enumerate_age(pres, 0)
     assert leading_monomial(pres, decomp, zero_code, 0) == Monomial((0, 0))
+
+
+def _leading_monomials_oracle(pres, decomp, degree):
+    """code -> largest block-total vector over every composition of the
+    degree, each realized and coded: blocks are monomorphic, so compositions
+    with equal block totals have one type."""
+    slot_block = {s: i for i, (slots, _) in enumerate(decomp.blocks) for s in slots}
+    best = {}
+    for counts in compositions_of_size(pres, degree):
+        vec = [0] * len(decomp.blocks)
+        for s, c in enumerate(counts):
+            vec[slot_block[s]] += c
+        mono = Monomial(tuple(vec))
+        code = canonical_code(realize_composition(pres, counts))
+        if code not in best or monomial_greater(mono, best[code]):
+            best[code] = mono
+    return best
+
+
+@pytest.mark.parametrize("name", ["two-cliques", "three-cliques", "T1", "T2", "T3"])
+def test_leading_monomials_read_the_composition_codes(monkeypatch, name):
+    # once the age is enumerated, each exponent vector's type is the code
+    # kept for its composition: no realization and no canon call
+    from relprof import presentations, structures
+
+    pres = builtin(name)
+    decomp = presentation_decomposition(pres)
+    expected = [_leading_monomials_oracle(pres, decomp, d) for d in range(8)]
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    for d in range(8):
+        enumerate_age(pres, d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while reading leading monomials")
+
+    for module, attr in ((presentations, "realize_composition"),
+                         (presentations, "canonical_code"), (structures, "canonical_code")):
+        monkeypatch.setattr(module, attr, refuse)
+    assert [leading_monomials(pres, decomp, d) for d in range(8)] == expected
 
 
 def test_leading_monomial_unknown_type():

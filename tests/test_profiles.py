@@ -46,7 +46,6 @@ from relprof.profiles import (
     profile_finite,
     profile_presented,
     profile_sequence,
-    subset_codes,
 )
 from relprof.structures import (
     RelStruct,
@@ -84,10 +83,6 @@ def test_profile_finite_clique_and_path():
 def test_profile_finite_range_errors():
     with pytest.raises(ValueError):
         profile_finite(path_graph(3), 4)
-    # a size outside 0..m, alone or beside valid ones, with age_of_finite's message
-    for sizes, bad in (((-1,), -1), ((4,), 4), ((2, 4), 4), ((0, -1), -1)):
-        with pytest.raises(ValueError, match=rf"n={bad} outside 0\.\.3"):
-            subset_codes(path_graph(3), sizes)
 
 
 def test_path_profile_is_partition_function():
@@ -143,21 +138,38 @@ def test_subset_walk_matches_restrict_oracle():
     for trial in range(40):
         m = rng.randrange(9)
         s = _random_structure(rng, m)
-        ages = _walk_ages(s, m)
-        # one walk for several sizes, asked in any order, one of them twice
-        pick = random.Random(f"sizes:{trial}")
-        sizes = pick.sample(range(m + 1), pick.randint(1, m + 1))
-        together = subset_codes(s, sizes + sizes[:1])
-        assert list(together) == sorted(sizes)
+        levels, record = _subset_walk(s, m, True)
+        ages = _ages(s, levels)
         for n in range(m + 1):
             # same codes in the same order, and the same least-subset representatives
             assert list(ages[n].items()) == list(_restrict_oracle(s, n).items()), (trial, n)
             # every n-subset's code, keyed by its vertex bitmask in lexicographic order
-            subsets = list(itertools.combinations(range(m), n))
-            expected = [(sum(1 << v for v in x), canonical_code(restrict(s, x))) for x in subsets]
-            assert list(subset_codes(s, (n,))[n].items()) == expected, (trial, n)
-            if n in together:
-                assert list(together[n].items()) == expected, (trial, n, sizes)
+            assert list(record[n][1].items()) == list(restriction_codes(s, n).items()), \
+                (trial, n)
+
+
+def test_subset_walk_for_requested_sizes_matches_the_oracle():
+    # one walk for several sizes, asked in any order and one of them twice,
+    # visits every subset of those sizes; with a top above m and one memo
+    # shared by the walks of seeded relabelings, as an age basis walks its
+    # representatives
+    rng = random.Random(20261021)
+    for trial in range(40):
+        m = rng.randrange(1, 9)
+        base = _random_structure(rng, m)
+        pick = random.Random(f"sizes:{trial}")
+        sizes = pick.sample(range(m + 1), pick.randint(1, m + 1))
+        top, memo = m + pick.randrange(3), {}
+        for s in (base, _relabeled(base, rng), _relabeled(base, rng)):
+            levels, record = _subset_walk(s, top, True, sizes + sizes[:1], memo)
+            ages = _ages(s, levels)
+            for n in sizes:
+                assert list(record[n][1].items()) == list(restriction_codes(s, n).items()), \
+                    (trial, n, sizes)
+                assert list(ages[n].items()) == list(_restrict_oracle(s, n).items()), \
+                    (trial, n, sizes)
+            # nothing beyond the largest requested size
+            assert not any(levels[max(sizes) + 1:]), (trial, sizes)
 
 
 def _least_subset_oracle(struct, n):
@@ -247,7 +259,7 @@ def test_memo_walk_is_shared_by_concurrent_profiles():
         thread.start()
     for thread in threads:
         thread.join()
-    expected = tuple(len(set(codes.values())) for codes in subset_codes(g, range(9)).values())
+    expected = tuple(len(set(restriction_codes(g, n).values())) for n in range(9))
     assert results == [expected, expected]
     for n in range(9):
         assert age_of_finite(g, n) == _least_subset_oracle(g, n), n
@@ -263,7 +275,7 @@ def test_levels_are_published_whole_under_concurrent_passes():
     assert not profiles._sweeps(g)
     profiles._finite_cache.cache_clear()
     expected = [list(age_of_finite(g, n).items()) for n in range(11)]
-    codes = subset_codes(g, range(11))
+    codes = {n: restriction_codes(g, n) for n in range(11)}
     profiles._finite_cache.cache_clear()
     barrier = threading.Barrier(6)
     failures = []
@@ -506,7 +518,7 @@ def test_a_basis_after_a_profile_records_every_level(monkeypatch):
     assert sorted(basis._walked) == list(range(8))
     for n in range(8):
         masks, record = basis._walked[n]
-        assert list(record.items()) == list(subset_codes(g, (n,))[n].items()), n
+        assert list(record.items()) == list(restriction_codes(g, n).items()), n
         for pos, (code, rep) in enumerate(basis.types[n]):
             assert record[masks[pos]] == code
             assert restrict(g, [v for v in g.domain if masks[pos] >> v & 1]) == rep
