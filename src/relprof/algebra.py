@@ -409,7 +409,7 @@ def is_hereditary(m: int, classes) -> bool:
 def isomorphy_partition(struct: RelStruct):
     """The partition of all subsets of the domain by restriction type."""
     groups = {}
-    for _, codes in _subset_walk(struct, struct.domain_size, True)[1]:
+    for _, codes in _subset_walk(struct, struct.domain_size, True)[1].values():
         for mask, code in codes.items():
             groups.setdefault(code, []).append(frozenset(v for v in struct.domain if mask >> v & 1))
     return list(groups.values())

@@ -13,7 +13,8 @@ refinement, the twin test and the search) gives the color sequence and a
 minimizing ordering, and the *serializer* (``labelled_form``) relabels by
 it into the form, whose code is ``form_bytes``.  ``canonical_order``,
 ``canonical_form`` and ``canonical_code_bytes`` run both; the subset walk
-of ``profiles`` runs them apart, to serialize each type once.
+of ``profiles`` runs them apart, and serializes each type once, when its
+codes are read.
 
 The color sequence compares first, so every minimizing ordering sorts the
 vertices by color.  When refinement is discrete (every color class a

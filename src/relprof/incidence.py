@@ -97,8 +97,8 @@ def dump_matrix(matrix: ExactMatrix, m: int, n: int, k: int) -> str:
 def type_indicator_matrix(struct: RelStruct, n: int) -> ExactMatrix:
     """Rows: types of n-restrictions; columns: n-subsets (colex); entry 1 at matches."""
     _check_level(struct, n)
-    codes = _subset_walk(struct, n, True, (n,))[1][n][1]
-    types = sorted(set(codes.values()))  # the codes of age_of_finite, in its order
+    types, codes = _subset_walk(struct, n, True, (n,))[1][n]
+    types = list(types)  # the codes of age_of_finite, in its order
     index = {code: i for i, code in enumerate(types)}
     cols = colex_subsets(struct.domain_size, n)
     array = np.zeros((len(types), len(cols)), dtype=np.uint8)

@@ -286,7 +286,7 @@ def realize_composition(pres: LexSumPresentation, counts) -> RelStruct:
                     for u in range(counts[bi])
                     for v in range(counts[bj])
                 }
-    return digraph(total, arcs)
+    return RelStruct(Signature((2,)), total, (frozenset(arcs),))  # trusted: in range
 
 
 # ---------------------------------------------------------------------------

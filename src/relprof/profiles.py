@@ -5,11 +5,9 @@ n-element restrictions.  For presentations it defers to exact age
 enumeration.  A finite structure keeps one cache entry, and one pass of its
 engine fills every level 0..n of it; later levels up to n are read from the
 entry, so a window costs one pass when its top level is asked first, as
-``profile_sequence`` and ``AgeBasis.build`` do.  The entry holds each
-level's codes and the relabelled relations of their representatives, from
-which each ``age_of_finite`` call builds its own ``RelStruct``s;
-``profile_sequence`` reads the sizes of the levels below its window and
-builds none.  A finite structure takes one of two engines:
+``profile_sequence`` and ``AgeBasis.build`` do.  A level is the read-only
+``FiniteAge`` that ``age_of_finite`` returns; its length needs no code, so
+a profile serializes nothing.  A finite structure takes one of two engines:
 
 * the *interface-coloured vertex sweep*, when every arity is <= 2 and the
   interface width (see ``interface_width``) is <= ``SWEEP_MAX_WIDTH``.  It
@@ -21,34 +19,37 @@ builds none.  A finite structure takes one of two engines:
 * otherwise the subset walk, depth first over all subsets of size <= n,
   building the relabelled relations one vertex at a time; pre-order visits
   each level's subsets in lexicographic order, and the first subset per
-  code is kept, so each representative is the least n-subset of its type.
-  Each node carries its code and a canonical order (subset index ->
-  position in a minimizing ordering).  A child S = S' + t, t largest, is
-  keyed by code(S') and, per symbol, one integer: one bit per tuple of t
-  inside S, at the index its key coordinates (the parent's canonical
-  positions, t last) make read as digits in base ``top``, the pass's top
-  level.  Coordinates are below ``top``, so the key is exact: subsets with
-  one key relabel to one structure.  A memo, local to the pass unless the
-  caller shares it, maps a key to the child's code and the map from key
-  coordinates to canonical positions, so canon's labelling step runs once
+  type is kept, so each representative is the least n-subset of its type.
+  Each node carries its type's *name* and a canonical order (subset index
+  -> position in a minimizing ordering).  The name is the level and the
+  *canonical image*: per symbol, one bit per tuple at the index its
+  canonical positions make read as digits in base ``top``, the pass's top
+  level.  Positions are below ``top``, so one name is one type (the level
+  keeps the all-zero image of an edgeless type to one level).  A child
+  S = S' + t, t largest, is keyed by the name of S' and, per symbol, the
+  tuples of t inside S encoded likewise at key coordinates (the parent's
+  canonical positions, t last), so subsets with one key relabel to one
+  structure.  A memo, local to the pass unless the caller shares it, maps
+  a key to the child's name, the map from key coordinates to canonical
+  positions and the colour sequence, so canon's labelling step runs once
   per key (McKay's canonical augmentation, J. Algorithms 26, 1998), and
-  relations are built only on a miss, a new type or a descent.  On a miss
-  the child's *canonical image*, its tuples in canonical positions encoded
-  as in the key, names its type, so a map per level of the pass from image
-  to code runs the serializer once per type: on G(16, 1/2) at n <= 7, one
-  pass of 26,332 nodes makes 5,189 labelling calls (16,624 restrictions)
-  and 1,076 serializations.  When an age basis asks (``_walked_codes``),
-  the pass also records per level each representative's bitmask and every
-  subset's code by bitmask, in walk order, from which a finite basis reads
-  its split tables.  Asked for some sizes, it visits only the subsets that
-  can grow to one: for the splits of representatives on the sweep,
-  isomorphy partitions and the incidence lab's type indicators.
+  relations are built only on a miss or a descent.  A new type keeps its
+  bitmask and labelling, and its code is serialized when first read: on
+  G(16, 1/2) at n <= 7 one pass of 26,332 nodes makes 5,189 labelling
+  calls (16,624 restrictions) and no serialization.  When an age basis
+  asks (``_walked_codes``), the pass also records every subset's type by
+  bitmask, in walk order, and serializes each type once after the pass;
+  a finite basis reads its split tables from that record.  Asked for some
+  sizes, it visits only the subsets that can grow to one: for the splits
+  of representatives on the sweep, isomorphy partitions and the incidence
+  lab's type indicators.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .canon import canonical_labelling, form_bytes, labelled_form
@@ -78,19 +79,25 @@ class ProfileSequence(TruncatedSeries):
 # ---------------------------------------------------------------------------
 
 
+def _masked(struct: RelStruct) -> list:
+    """Per symbol, (tuple, vertex bitmask) of each tuple."""
+    return [[(tup, sum(1 << x for x in set(tup))) for tup in rel] for rel in struct.relations]
+
+
 def _tuples_by_last(struct: RelStruct) -> list:
     """t -> per symbol, (tuple, vertex bitmask) of the tuples whose largest vertex is t."""
     back = [[[] for _ in struct.relations] for _ in range(struct.domain_size)]
-    for s, rel in enumerate(struct.relations):
-        for tup in rel:
-            back[max(tup)][s].append((tup, sum(1 << x for x in set(tup))))
+    for s, tuples in enumerate(_masked(struct)):
+        for tup, mask in tuples:
+            back[mask.bit_length() - 1][s].append((tup, mask))
     return back
 
 
 def _relabelled(added: list, position, inside: int) -> list:
-    """Per symbol, the tuples of ``added`` (``_tuples_by_last`` at a chosen
-    set's new largest vertex) that lie inside the chosen set, the bitmask
-    ``inside``, relabelled by ``position`` (chosen vertex -> its index)."""
+    """Per symbol, the tuples of ``added`` (per symbol, (tuple, vertex
+    bitmask) pairs, such as ``_tuples_by_last`` at a chosen set's new
+    largest vertex) that lie inside the chosen set, the bitmask ``inside``,
+    relabelled by ``position`` (chosen vertex -> its new label)."""
     return [[tuple([position[x] for x in tup]) for tup, mask in tuples if mask & inside == mask]
             for tuples in added]
 
@@ -100,21 +107,80 @@ def _joined(rels: tuple, added: list) -> tuple:
     return tuple(rel.union(new) if new else rel for rel, new in zip(rels, added))
 
 
+def _restriction(masked: list, inside: int, label) -> list:
+    """Per symbol, the tuples (``_masked``) inside the vertex bitmask
+    ``inside``, the vertex of rank i in the set relabelled ``label[i]``."""
+    position = {}
+    for v in range(inside.bit_length()):
+        if inside >> v & 1:
+            position[v] = label[len(position)]
+    return _relabelled(masked, position, inside)
+
+
+def _code(arities: tuple, masked: list, n: int, inside: int, color_seq: tuple, order: tuple):
+    """The code of the n-subset ``inside`` from its labelling: the serializer,
+    on relations relabelled into canonical positions as they are built."""
+    rels = _restriction(masked, inside, order)
+    return form_bytes(labelled_form(arities, n, rels, color_seq, None))
+
+
 def _check_level(struct: RelStruct, n: int):
     if not 0 <= n <= struct.domain_size:
         raise ValueError(f"n={n} outside 0..{struct.domain_size}")
 
 
+class FiniteAge(Mapping):
+    """Level n of a finite age: code -> representative, in code order.  It
+    holds the walk's (bitmask, colour sequence, canonical order) per type,
+    and serializes, sorts and keeps the codes on first access to them, or
+    holds the codes (code -> bitmask) from the start.  A representative is
+    built from its bitmask when read."""
+
+    __slots__ = ("struct", "size", "_types", "_codes", "_masked")
+
+    def __init__(self, struct: RelStruct, size: int, types: tuple = (), codes: dict = None):
+        self.struct, self.size = struct, size
+        self._types, self._codes, self._masked = types, codes, None
+
+    def __len__(self):
+        codes = self._codes
+        return len(self._types) if codes is None else len(codes)
+
+    def __iter__(self):
+        return iter(self._coded())
+
+    def __contains__(self, code):
+        return code in self._coded()
+
+    def __getitem__(self, code) -> RelStruct:
+        rels = _restriction(self._tuples(), self._coded()[code], range(self.size))
+        return RelStruct(self.struct.signature, self.size, tuple(map(frozenset, rels)))
+
+    def _tuples(self) -> list:
+        if self._masked is None:
+            self._masked = _masked(self.struct)
+        return self._masked
+
+    def _coded(self) -> dict:
+        # every reader computes the same dict, so a race costs work, not values
+        codes = self._codes
+        if codes is None:
+            arities, masked = self.struct.signature.arities, self._tuples()
+            codes = self._codes = dict(sorted(
+                (_code(arities, masked, self.size, *labelled), labelled[0])
+                for labelled in self._types))
+        return codes
+
+
 @functools.lru_cache(maxsize=64)
 def _finite_cache(struct: RelStruct) -> tuple:
-    """One cache entry per structure: the levels filled so far (n -> (code,
-    relabelled relations) pairs in code order, each relation a tuple of
-    tuples, which takes less than half the memory of a frozenset) and the
-    subset walk's record (n -> (source bitmask of each type's
-    representative, in code order; n-subset bitmask -> code, in walk
-    order)), kept only for the levels an age basis asked for.  Neither needs
-    a lock: a level or a record is published whole, once its pass is done,
-    and every pass publishes the same values."""
+    """One cache entry per structure: the levels filled so far (n ->
+    ``FiniteAge``; on the subset walk it holds bitmasks and labellings, and
+    keeps its codes once they are read) and the subset walk's record (n ->
+    (source bitmask of each type's representative, in code order; n-subset
+    bitmask -> code, in walk order)), kept only for the levels an age basis
+    asked for.  Neither needs a lock: a level, its codes and a record are
+    published whole, and every pass publishes the same values."""
     return {}, {}
 
 
@@ -122,9 +188,11 @@ def _subset_walk(struct: RelStruct, top: int, record: bool, sizes=None, memo=Non
     """Levels 0..top of the age, or those of ``sizes`` (each at most top and
     m), by one depth-first pass over the subsets (see the module docstring).
     One ``memo`` serves passes over structures of one signature and top.
-    Returns the levels (code -> relations as tuples of tuples) and, when
-    ``record`` is set, per level the representatives' bitmasks (code ->
-    bitmask) and every visited subset's code (bitmask -> code), else None."""
+    Returns the levels, each a tuple of (representative bitmask, colour
+    sequence, canonical order) per type in walk order, and, when ``record``
+    is set, per requested size its codes (code -> representative bitmask,
+    in code order) and every visited subset's code (bitmask -> code, in
+    walk order), else None."""
     arities = struct.signature.arities
     m = struct.domain_size
     sizes = range(top + 1) if sizes is None else sorted(set(sizes))
@@ -132,25 +200,26 @@ def _subset_walk(struct: RelStruct, top: int, record: bool, sizes=None, memo=Non
     reach = [next((n for n in sizes if n > depth), m + 1) for depth in range(top + 1)]
     back = _tuples_by_last(struct)
     position = [0] * m  # vertex -> index in the current subset
-    # extension key -> (child code, key coordinate -> canonical position)
+    # extension key -> (child name, key coordinate -> canonical position, colour sequence)
     memo = {} if memo is None else memo
     empty = tuple(frozenset() for _ in arities)
-    root = form_bytes(labelled_form(arities, 0, empty, *canonical_labelling(arities, 0, empty)))
-    levels = [{root: tuple(map(tuple, empty))}] + [{} for _ in range(top)]
-    images = [{} for _ in range(top + 1)]  # per level: canonical image -> code
-    codes = [({root: 0}, {0: root})] + [({}, {}) for _ in range(top)] if record else None
+    root = (0,) + (0,) * len(arities)
+    levels = [{root: (0, *canonical_labelling(arities, 0, empty))}] + [{} for _ in range(top)]
+    # per recorded size: subset bitmask -> name
+    names = [{} if record and n in sizes else None for n in range(top + 1)]
+    if names[0] is not None:
+        names[0][0] = root
 
-    def walk(start, depth, inside, rels, code, order):
+    def walk(start, depth, inside, rels, name, order):
         # order: subset index -> canonical position; the new vertex goes last
         ext = order + (depth,)
-        kept, named = levels[depth + 1], images[depth + 1]
-        first, walked = codes[depth + 1] if record else (None, None)
+        kept, walked = levels[depth + 1], names[depth + 1]
         # a child at t descends while t leaves room for the next requested size
         deepest = m - reach[depth + 1] + depth + 1
         for t in range(start, m - reach[depth] + depth + 1):
             position[t] = depth
             inner = inside | 1 << t
-            key = [code]
+            key = [name]
             for tuples in back[t]:
                 bits = 0
                 for tup, mask in tuples:
@@ -163,11 +232,11 @@ def _subset_walk(struct: RelStruct, top: int, record: bool, sizes=None, memo=Non
             key = tuple(key)
             hit = memo.get(key)
             descend = t < deepest
-            if hit is None or descend or hit[0] not in kept:
+            if hit is None or descend:
                 joined = _joined(rels, _relabelled(back[t], position, inner))
             if hit is None:
                 color_seq, found = canonical_labelling(arities, depth + 1, joined)
-                image = []
+                image = [depth + 1]
                 for rel in joined:
                     bits = 0
                     for tup in rel:
@@ -176,29 +245,33 @@ def _subset_walk(struct: RelStruct, top: int, record: bool, sizes=None, memo=Non
                             i = i * top + found[x]
                         bits |= 1 << i
                     image.append(bits)
-                image = tuple(image)
-                child_code = named.get(image)
-                if child_code is None:
-                    child_code = named[image] = form_bytes(
-                        labelled_form(arities, depth + 1, joined, color_seq, found))
                 lam = [0] * (depth + 1)  # key coordinate -> canonical position
                 for k, p in zip(ext, found):
                     lam[k] = p
-                hit = memo[key] = child_code, tuple(lam)
-            child_code, lam = hit
-            if record:
-                walked[inner] = child_code
-            if child_code not in kept:
-                kept[child_code] = tuple(map(tuple, joined))
-                if record:
-                    first[child_code] = inner
-            if descend:
-                walk(t + 1, depth + 1, inner, joined, child_code, tuple([lam[k] for k in ext]))
+                hit = memo[key] = tuple(image), tuple(lam), color_seq
+            child, lam, color_seq = hit
+            if walked is not None:
+                walked[inner] = child
+            new = child not in kept
+            if new or descend:
+                child_order = tuple([lam[k] for k in ext])
+                if new:
+                    kept[child] = inner, color_seq, child_order
+                if descend:
+                    walk(t + 1, depth + 1, inner, joined, child, child_order)
 
     if reach[0] <= m:
         walk(0, 0, 0, empty, root, ())
     del walk  # it refers to itself, which would keep the memo until a cyclic collection
-    return levels, codes
+    codes = None
+    if record:  # names become codes, one serialization per type
+        codes, masked = {}, _masked(struct)
+        for n in sizes:
+            code_of = {child: _code(arities, masked, n, *labelled)
+                       for child, labelled in levels[n].items()}
+            coded = sorted((code, levels[n][child][0]) for child, code in code_of.items())
+            codes[n] = dict(coded), {inner: code_of[child] for inner, child in names[n].items()}
+    return [tuple(kept.values()) for kept in levels], codes
 
 
 def _open_sets(struct: RelStruct):
@@ -227,7 +300,7 @@ def interface_width(struct: RelStruct) -> int:
 
 def _interface_levels(struct: RelStruct, top: int) -> list:
     """Every level 0..top of the age of an arity <= 2 structure by one vertex
-    sweep, as (code -> relations as tuples of tuples) per level.
+    sweep, as (code -> representative bitmask) per level.
 
     Vertices are processed in order; a state is a chosen vertex tuple of at
     most top vertices, and at step t each state skips t or takes it.  The
@@ -271,8 +344,8 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
                 _keep(new, chosen + (t,), _joined(rels, added), interfaces, sig)
         states = new
     levels = [{} for _ in range(top + 1)]
-    for (_, code), (chosen, rels) in states.items():
-        levels[len(chosen)][code] = tuple(map(tuple, rels))
+    for (_, code), (chosen, _) in states.items():
+        levels[len(chosen)][code] = sum(1 << v for v in chosen)
     return levels
 
 
@@ -286,19 +359,18 @@ def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: dict, sig: Signa
         states[key] = (chosen, rels)
 
 
-def age_of_finite(struct: RelStruct, n: int) -> dict:
-    """Types of the n-element restrictions as (code -> representative), in
-    code order.  Level n is read from the structure's cache entry; on a miss
-    one pass fills every level 0..n.  A representative is the
-    lexicographically least n-subset of its type, on either engine."""
-    sig = struct.signature
-    return {code: RelStruct(sig, n, tuple(map(frozenset, rels)))
-            for code, rels in _level(struct, n)}
+def age_of_finite(struct: RelStruct, n: int) -> FiniteAge:
+    """Types of the n-element restrictions, code -> representative in code
+    order.  Level n is read from the structure's cache entry; on a miss one
+    pass fills every level 0..n.  A representative is the lexicographically
+    least n-subset of its type, on either engine."""
+    return _level(struct, n)
 
 
-def _level(struct: RelStruct, n: int) -> tuple:
-    """Level n of the structure's cache entry, (code, relations) pairs in
-    code order; on a miss one pass fills every level 0..n."""
+def _level(struct: RelStruct, n: int) -> FiniteAge:
+    """Level n of the structure's cache entry; on a miss one pass fills
+    every level 0..n.  The levels below a window are read through it, so a
+    window makes one ``age_of_finite`` call."""
     _check_level(struct, n)
     level = _finite_cache(struct)[0].get(n)
     if level is None:
@@ -308,20 +380,22 @@ def _level(struct: RelStruct, n: int) -> tuple:
 
 def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
     """One pass of the structure's engine over levels 0..top, published to
-    its cache entry level by level: (code, relations) pairs in code order
-    per level, and with ``record`` on the subset walk each level's record
-    too (None on the sweep, which visits no subsets)."""
+    its cache entry level by level, and with ``record`` on the subset walk
+    each level's record too (None on the sweep, which visits no subsets).
+    The sweep's levels, and a recording pass's, hold their codes."""
     levels, records = _finite_cache(struct)
+    codes = None
     if _sweeps(struct):
-        found, codes = _interface_levels(struct, top), None
+        found = [FiniteAge(struct, n, codes=dict(sorted(level.items())))
+                 for n, level in enumerate(_interface_levels(struct, top))]
     else:
-        found, codes = _subset_walk(struct, top, record)
-    found = [tuple(sorted(level.items())) for level in found]
+        types, codes = _subset_walk(struct, top, record)
+        found = [FiniteAge(struct, n, level, None if codes is None else codes[n][0])
+                 for n, level in enumerate(types)]
     levels.update(enumerate(found))
     if codes is not None:
-        codes = [(tuple(first[code] for code, _ in level), walked)
-                 for level, (first, walked) in zip(found, codes)]
-        records.update(enumerate(codes))
+        codes = {n: (tuple(coded.values()), walked) for n, (coded, walked) in codes.items()}
+        records.update(codes)
     return found, codes
 
 
@@ -334,7 +408,7 @@ def _walked_codes(struct: RelStruct, top: int) -> dict:
     levels, records = _finite_cache(struct)
     sweeps = _sweeps(struct)
     if top not in levels or not sweeps and any(n not in records for n in range(top + 1)):
-        return dict(enumerate(_fill_levels(struct, top, record=True)[1] or ()))
+        return _fill_levels(struct, top, record=True)[1] or {}
     return {} if sweeps else {n: records[n] for n in range(top + 1)}
 
 

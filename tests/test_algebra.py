@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -575,6 +576,41 @@ def test_split_tables_of_bases_built_by_two_threads():
     profiles._finite_cache.cache_clear()
     expected = _all_tables(AgeBasis.build(source, 10))
     assert results == [expected, expected]
+
+
+def test_threads_that_count_beside_threads_that_read_codes():
+    # two threads only count profile windows while two others read the codes
+    # of the same structure's levels and build a basis on it; levels and
+    # codes are published whole, so each reads what a run alone reads
+    source = _walk_structure("graph", random.Random("split-record:threads"), 10)
+    profiles._finite_cache.cache_clear()
+    counts = profiles.profile_sequence(source, 10).coeffs
+    codes = [list(profiles.age_of_finite(source, n)) for n in range(11)]
+    tables = _all_tables(AgeBasis.build(source, 10))
+    profiles._finite_cache.cache_clear()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        barrier.wait()
+        if i % 2 == 0:
+            results[i] = [profiles.profile_sequence(source, top).coeffs for top in (10, 6, 10)]
+        else:
+            read = [list(profiles.age_of_finite(source, n)) for n in range(10, -1, -1)][::-1]
+            results[i] = read, _all_tables(AgeBasis.build(source, 10))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[counts, counts[:7], counts], (codes, tables)] * 2
 
 
 def _marked_chain_product():

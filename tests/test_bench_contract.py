@@ -96,6 +96,10 @@ def test_traced_algebra_reaches_the_subset_code_site():
     from relprof import profiles
 
     assert not hasattr(profiles, "canonical_code")
+    # nor restrict: a level builds its representatives from their vertex
+    # bitmasks, which invites that import, and dense-types lists
+    # profiles.restrict, so a copy that records no call would fail its traced runs
+    assert not hasattr(profiles, "restrict")
     result = _traced_worker(
         ["algebra", "T3", "--check", "e-regular", "--max-degree", "3"])
     assert "profiles.canonical_code" not in result["present"]

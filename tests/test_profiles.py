@@ -33,6 +33,7 @@ from relprof.presentations import (
 )
 from relprof.profiles import (
     SWEEP_MAX_WIDTH,
+    FiniteAge,
     ProfileSequence,
     _interface_levels,
     _subset_walk,
@@ -100,22 +101,27 @@ def _restrict_oracle(struct, n):
     return dict(sorted(by_code.items()))
 
 
-def _ages(struct, levels):
-    """Levels of code -> packed relations as ages, code -> representative in
-    code order."""
-    sig = struct.signature
-    return [{code: RelStruct(sig, n, tuple(map(frozenset, level[code])))
-             for code in sorted(level)} for n, level in enumerate(levels)]
+def _rep(struct, inside):
+    """The restriction to the vertex bitmask ``inside``."""
+    return restrict(struct, [v for v in struct.domain if inside >> v & 1])
+
+
+def _coded_ages(struct, levels):
+    """Levels of code -> representative bitmask as ages, code ->
+    representative in code order."""
+    return [{code: _rep(struct, level[code]) for code in sorted(level)} for level in levels]
 
 
 def _walk_ages(struct, top):
-    """Levels 0..top from one subset-walk pass."""
-    return _ages(struct, _subset_walk(struct, top, False)[0])
+    """Levels 0..top from one subset-walk pass, serialized as a level of
+    the cache entry serializes them when its codes are read."""
+    return [dict(FiniteAge(struct, n, types).items())
+            for n, types in enumerate(_subset_walk(struct, top, False)[0])]
 
 
 def _sweep_ages(struct, top):
     """Levels 0..top from one interface-sweep pass."""
-    return _ages(struct, _interface_levels(struct, top))
+    return _coded_ages(struct, _interface_levels(struct, top))
 
 
 def _random_structure(rng, m):
@@ -138,11 +144,17 @@ def test_subset_walk_matches_restrict_oracle():
     for trial in range(40):
         m = rng.randrange(9)
         s = _random_structure(rng, m)
-        levels, record = _subset_walk(s, m, True)
-        ages = _ages(s, levels)
+        oracle = [_restrict_oracle(s, n) for n in range(m + 1)]
+        profiles._finite_cache.cache_clear()
+        # the counts first, top level first: one pass, and no code serialized
+        ages = [age_of_finite(s, n) for n in range(m, -1, -1)][::-1]
+        assert [len(age) for age in ages] == [len(level) for level in oracle], trial
+        assert all(age._codes is None for age in ages), trial
+        _, record = _subset_walk(s, m, True)
         for n in range(m + 1):
             # same codes in the same order, and the same least-subset representatives
-            assert list(ages[n].items()) == list(_restrict_oracle(s, n).items()), (trial, n)
+            assert list(ages[n].items()) == list(oracle[n].items()), (trial, n)
+            assert list(record[n][0]) == list(oracle[n]), (trial, n)
             # every n-subset's code, keyed by its vertex bitmask in lexicographic order
             assert list(record[n][1].items()) == list(restriction_codes(s, n).items()), \
                 (trial, n)
@@ -162,12 +174,15 @@ def test_subset_walk_for_requested_sizes_matches_the_oracle():
         top, memo = m + pick.randrange(3), {}
         for s in (base, _relabeled(base, rng), _relabeled(base, rng)):
             levels, record = _subset_walk(s, top, True, sizes + sizes[:1], memo)
-            ages = _ages(s, levels)
+            assert sorted(record) == sorted(set(sizes)), (trial, sizes)
             for n in sizes:
-                assert list(record[n][1].items()) == list(restriction_codes(s, n).items()), \
+                coded, walked = record[n]
+                assert list(walked.items()) == list(restriction_codes(s, n).items()), \
                     (trial, n, sizes)
-                assert list(ages[n].items()) == list(_restrict_oracle(s, n).items()), \
+                ages = {code: _rep(s, inside) for code, inside in coded.items()}
+                assert list(ages.items()) == list(_restrict_oracle(s, n).items()), \
                     (trial, n, sizes)
+                assert sorted(coded.values()) == sorted(inside for inside, _, _ in levels[n])
             # nothing beyond the largest requested size
             assert not any(levels[max(sizes) + 1:]), (trial, sizes)
 
@@ -179,7 +194,7 @@ def _least_subset_oracle(struct, n):
     by_code = {}
     for mask, code in restriction_codes(struct, n).items():
         if code not in by_code:
-            by_code[code] = restrict(struct, [v for v in struct.domain if mask >> v & 1])
+            by_code[code] = _rep(struct, mask)
     return dict(sorted(by_code.items()))
 
 
@@ -556,6 +571,33 @@ def test_one_profile_runs_canon_once_per_extension_key(monkeypatch):
     assert calls.count(0) == 1  # the root, once for the whole window
 
 
+def test_a_profile_serializes_no_code_and_a_read_level_one_per_type(monkeypatch):
+    # counting needs no code: the pass names types by canonical image, and a
+    # level serializes its types when its codes are first read, once each;
+    # a basis's recording pass serializes each type of its levels once
+    from relprof.algebra import AgeBasis
+
+    g = _g12()
+    profiles._finite_cache.cache_clear()
+    labellings = _count_canon_calls(monkeypatch)
+    serialized = []
+    form = profiles.labelled_form
+    monkeypatch.setattr(profiles, "labelled_form",
+                        lambda *args: serialized.append(args[1]) or form(*args))
+    seq = profile_sequence(g, 8)
+    assert seq.coeffs == (1, 1, 2, 4, 11, 30, 103, 295, 392)
+    assert len(labellings) == G12_WINDOW_CANON_CALLS and serialized == []
+    age = age_of_finite(g, 8)
+    assert len(age) == 392 and serialized == []
+    assert list(age) == sorted(set(restriction_codes(g, 8).values()))
+    assert len(labellings) == G12_WINDOW_CANON_CALLS and serialized == [8] * 392
+    list(age_of_finite(g, 8).items())  # the level keeps its codes
+    assert len(serialized) == 392
+    serialized.clear()
+    AgeBasis.build(g, 8)
+    assert len(serialized) == sum(seq.coeffs) == 839  # one per type of levels 0..8
+
+
 def test_a_finished_pass_leaves_no_memo_in_the_cache_entry():
     # the entry holds the levels and the record, nothing of the pass's
     # extension memo, and no closure over the memo waits for a cyclic collection
@@ -571,7 +613,10 @@ def test_a_finished_pass_leaves_no_memo_in_the_cache_entry():
         gc.enable()
     levels, records = profiles._finite_cache(g)
     assert sorted(levels) == list(range(9))
-    assert all(isinstance(code, bytes) for level in levels.values() for code, _ in level)
+    # per level, each type's bitmask and labelling, and no code yet
+    assert all(level._codes is None
+               and all(isinstance(inside, int) for inside, _, _ in level._types)
+               for level in levels.values())
     assert records == {}
 
 
