@@ -44,7 +44,8 @@ class AgeBasis:
 
     source_name: str
     max_degree: int
-    types: list = field(default_factory=list)  # per degree: list[(code, rep)]
+    levels: list = field(default_factory=list)  # per degree: code -> rep, in code order
+    _codes: list = field(default_factory=list)  # per degree: the codes, by position
     _index: dict = field(default_factory=dict)  # code -> (degree, position)
     _split_tables: dict = field(default_factory=dict)
     # degree -> (source bitmask of each type's representative, by position,
@@ -65,13 +66,13 @@ class AgeBasis:
             basis._walked = _walked_codes(source, min(max_degree, source.domain_size))
         for n in range(max_degree + 1):
             if isinstance(source, RelStruct):
-                ages = age_of_finite(source, n) if n <= source.domain_size else {}
+                level = age_of_finite(source, n) if n <= source.domain_size else {}
             else:
-                ages = enumerate_age(source, n)
-            level = list(ages.items())  # both engines return code order
-            basis.types.append(level)
-            for pos, (code, _) in enumerate(level):
-                basis._index[code] = (n, pos)
+                level = enumerate_age(source, n)
+            codes = list(level)  # both engines return code order
+            basis.levels.append(level)  # a finite level builds a representative when read
+            basis._codes.append(codes)
+            basis._index.update((code, (n, pos)) for pos, code in enumerate(codes))
         if not isinstance(source, RelStruct):
             basis._sweep = sweep = _sweep_of(source)
             basis._positions = [
@@ -80,13 +81,13 @@ class AgeBasis:
         return basis
 
     def dimension(self, degree: int) -> int:
-        return len(self.types[degree])
+        return len(self._codes[degree])
 
     def codes(self, degree: int):
-        return [code for code, _ in self.types[degree]]
+        return list(self._codes[degree])
 
     def representative(self, degree: int, pos: int) -> RelStruct:
-        return self.types[degree][pos][1]
+        return self.levels[degree][self._codes[degree][pos]]
 
     def index_of(self, code: bytes):
         return self._index[code]
@@ -134,7 +135,7 @@ class AgeBasis:
             else:
                 pairs = (((1 << degree) - 1, _subset_walk(
                     rep, self.max_degree, True, (part, degree - part), self._memo)[1])
-                    for _, rep in self.types[degree])
+                    for rep in self.levels[degree].values())
             sigma, tau = [], []
             for whole, record in pairs:
                 left, right = record[part][1], record[degree - part][1]
@@ -215,7 +216,7 @@ def e_element(basis: AgeBasis) -> AlgebraElement:
 def structure_constants(basis: AgeBasis, sigma: bytes, tau: bytes) -> dict:
     """Counts of each product type in sigma * tau, as code -> integer."""
     product = multiply(basis, type_element(basis, sigma), type_element(basis, tau))
-    return {basis.types[deg][pos][0]: int(c) for (deg, pos), c in product.coeffs}
+    return {basis._codes[deg][pos]: int(c) for (deg, pos), c in product.coeffs}
 
 
 def multiply(basis: AgeBasis, left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:

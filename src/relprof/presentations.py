@@ -15,16 +15,17 @@ signatures:
   clique, independent set, chain, reflexive clique, antichain) of finite or
   infinite size.  Finite restrictions are encoded by size compositions.
 
-Ages are enumerated exactly.  A lexicographic sum realizes every
-composition of total size n and deduplicates by canonical code.  A
-multichain does the same with its words while they are no more than the
-candidates of the prefix sweep (``_PrefixSweep``); past that, level n is
-read from the sweep, which keeps one prefix per type of its realization
-with each element marked by its interface to later positions, and extends
-the prefixes kept at smaller levels by one letter.  Both engines give the
-same codes; which realization represents a type is not fixed.  For the age
-algebra, which reads nothing else of them, either kind has a sweep that
-keeps each candidate's code and splits each type (``_sweep_of``).
+Ages are enumerated exactly, each level by the presentation's sweep
+(``_sweep_of``), which realizes and codes its candidates; ``enumerate_age``
+keeps the first candidate of each code.  A lexicographic sum's candidates
+are the compositions of total size n, each realized once and each distinct
+realization coded once.  A multichain's prefix sweep (``_PrefixSweep``)
+keeps one prefix per type of its realization with each element marked by
+its interface to later positions, and extends the prefixes kept at smaller
+levels by one letter; while the words of size n are no more than its
+candidates, the words are realized instead, one letter at a time by the
+same letter table.  Both give the same codes; which realization represents
+a type is not fixed.  The age algebra reads each sweep's codes and splits.
 """
 
 from __future__ import annotations
@@ -203,45 +204,6 @@ def block_relation(kind: str, n: int) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _realized_relations(pres: MultichainPresentation, word: Word):
-    f_elems = sorted(word.f_subset)
-    f_pos = {a: i for i, a in enumerate(f_elems)}
-    slice_elems = []  # (slice x, position i)
-    for i, letter in enumerate(word.letters):
-        for x in sorted(letter):
-            slice_elems.append((x, i))
-    offset = len(f_elems)
-    n = offset + len(slice_elems)
-
-    relations = []
-    for sym, arity in enumerate(pres.signature.arities):
-        if arity == 1:
-            rel = {(f_pos[a],) for (a,) in pres.finite_part.relations[sym] if a in f_pos}
-            slice_rule = pres.unary_slices[sym]
-            rel |= {
-                (offset + k,) for k, (x, _) in enumerate(slice_elems) if x in slice_rule
-            }
-        else:
-            fp_rel = pres.finite_part.relations[sym]
-            vv, fv, vf = pres.vv_true[sym], pres.fv_true[sym], pres.vf_true[sym]
-            rel = {
-                (f_pos[a], f_pos[b]) for (a, b) in fp_rel if a in f_pos and b in f_pos
-            }
-            for fi, a in enumerate(f_elems):
-                for k, (x, _) in enumerate(slice_elems):
-                    if (a, x) in fv:
-                        rel.add((fi, offset + k))
-                    if (x, a) in vf:
-                        rel.add((offset + k, fi))
-            for k, (x, i) in enumerate(slice_elems):
-                for l, (y, j) in enumerate(slice_elems):
-                    cmp = "=" if i == j else ("<" if i < j else ">")
-                    if (x, y, cmp) in vv:
-                        rel.add((offset + k, offset + l))
-        relations.append(frozenset(rel))
-    return n, tuple(relations)
-
-
 def realize(pres: MultichainPresentation, word: Word) -> RelStruct:
     """The finite restriction named by a word.
 
@@ -257,8 +219,7 @@ def realize(pres: MultichainPresentation, word: Word) -> RelStruct:
     for letter in word.letters:
         if any(not (0 <= x < pres.v_size) for x in letter):
             raise ValueError(f"letter {set(letter)} out of range")
-    n, relations = _realized_relations(pres, word)
-    return RelStruct(pres.signature, n, relations)
+    return RelStruct(pres.signature, word.total_size, _sweep_of(pres).realized(word))
 
 
 def realize_composition(pres: LexSumPresentation, counts) -> RelStruct:
@@ -364,62 +325,60 @@ def enumerate_age(pres, n: int):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    level = None
     if isinstance(pres, MultichainPresentation):
-        sweep = _sweep_of(pres)
-        level = sweep.level(n)
-        if level is None:
-            raws = (_realized_relations(pres, w) for w in words_of_size(pres, n))
-        else:
-            raws = ((n, rels) for rels, _ in level)
         signature = pres.signature
     elif isinstance(pres, LexSumPresentation):
-        raws = [((s := realize_composition(pres, c)).domain_size, s.relations)
-                for c in compositions_of_size(pres, n)]
-        signature = Signature((2,))
+        signature = pres.index.signature
     else:
         raise TypeError(f"not a presentation: {pres!r}")
-    seen_raw = {}  # raw -> code
-    by_code = {}
-    for raw in raws:
-        if raw in seen_raw:
-            continue
-        struct = RelStruct(signature, raw[0], raw[1])
-        code = seen_raw[raw] = canonical_code(struct)
-        if code not in by_code:
-            by_code[code] = struct
-    if level is not None:  # the sweep keeps each candidate's code
-        with sweep.lock:
-            sweep.plain[n] = [seen_raw[n, rels] for rels, _ in level]
-    elif isinstance(pres, LexSumPresentation):  # and each composition's
-        _sweep_of(pres).plain[n] = [seen_raw[raw] for raw in raws]
-    return dict(sorted(by_code.items()))
+    sweep = _sweep_of(pres)
+    level = sweep.level(n)
+    if level is None:  # a multichain's words: each distinct realization coded once
+        found = dict.fromkeys(sweep.realized(w) for w in words_of_size(pres, n))
+        coded = ((rels, canonical_code(RelStruct(signature, n, rels))) for rels in found)
+    else:
+        coded = zip((rels for rels, _ in level), sweep.codes(n))
+    first = {}
+    for rels, code in coded:
+        first.setdefault(code, rels)
+    return {code: RelStruct(signature, n, first[code]) for code in sorted(first)}
 
 
 @dataclass
 class _CompositionSweep:
-    """A lexicographic sum's ``codes`` and ``split``; a candidate of level n
-    is a composition, in ``compositions_of_size`` order.  Blocks are
-    monomorphic, so a type depends only on its composition c, and c has
-    prod C(c_i, b_i) subsets of each sub-composition b."""
+    """A lexicographic sum's ``level``, ``codes`` and ``split``; a candidate
+    of level n is a composition, in ``compositions_of_size`` order.  Blocks
+    are monomorphic, so a type depends only on its composition c, and c has
+    prod C(c_i, b_i) subsets of each sub-composition b.  Each level and its
+    codes are published whole, so readers need no lock."""
 
     pres: LexSumPresentation
+    levels: dict = field(default_factory=dict)  # level -> (relations, composition) each
     plain: dict = field(default_factory=dict)  # level -> each composition's code
 
+    def level(self, n: int) -> list:
+        """Level n's compositions, each with the relations of its realization."""
+        if n not in self.levels:
+            self.levels[n] = [(realize_composition(self.pres, c).relations, c)
+                              for c in compositions_of_size(self.pres, n)]
+        return self.levels[n]
+
     def codes(self, n: int) -> list:
-        """Level n's code of each composition, kept by ``enumerate_age``."""
+        """Level n's code of each composition; equal realizations are coded once."""
         if n not in self.plain:
-            self.plain[n] = [canonical_code(realize_composition(self.pres, c))
-                             for c in compositions_of_size(self.pres, n)]
+            sig, level = self.pres.index.signature, self.level(n)
+            coded = {rels: canonical_code(RelStruct(sig, n, rels))
+                     for rels in dict.fromkeys(rels for rels, _ in level)}
+            self.plain[n] = [coded[rels] for rels, _ in level]
         return self.plain[n]
 
     def split(self, top: int, part: int) -> tuple:
         """As four lists, the candidates of c, b and c - b and the count, for
         each type's first composition c and every b <= c with |b| = part."""
-        wholes = list(compositions_of_size(self.pres, top))
+        wholes = [c for _, c in self.level(top)]
         first = {code: c for c, code in reversed(list(enumerate(self.codes(top))))}
-        parts = list(enumerate(compositions_of_size(self.pres, part)))
-        rests = {b: j for j, b in enumerate(compositions_of_size(self.pres, top - part))}
+        parts = list(enumerate(b for _, b in self.level(part)))
+        rests = {b: j for j, (_, b) in enumerate(self.level(top - part))}
         rows, left, right, counts = [], [], [], []
         for c in first.values():
             for i, b in parts:
@@ -460,7 +419,8 @@ class _PrefixSweep:
     lands on by ``marked_code``.  It also keeps each candidate's plain code
     (``codes``).  From an F subset, the moves give the kept state of any
     word below the top level, so ``split`` splits each type's word with no
-    canon call.  Whoever builds or reads holds ``lock``.
+    canon call.  Whoever builds or reads a level holds ``lock``; the same
+    steps realize any word (``realized``), with no lock.
     """
 
     def __init__(self, pres: MultichainPresentation):
@@ -508,6 +468,8 @@ class _PrefixSweep:
                     ))
             classes = tuple(slice_class[x] for x in xs)
             self.letters[len(xs)].append((mask, classes, inner, cross))
+        self.letter_of = {letter[0]: letter for size in self.letters for letter in size}
+        self.f_roots = {}  # F bitmask -> its state with no letter
         self.levels = []  # level -> candidates
         # level -> per candidate its first origin: the index s << v | letter of
         # ``moves`` that made it, or ~mask for the F subset of that bitmask
@@ -571,8 +533,7 @@ class _PrefixSweep:
 
     def codes(self, n: int) -> list:
         """Level n's plain code of each candidate.  ``_states`` keeps it where
-        the marked code is the plain one and ``enumerate_age`` where it reads
-        the level; any other is computed here, once."""
+        the marked code is the plain one; any other is computed here, once."""
         with self.lock:
             sig, cands = self.pres.signature, self.candidates(n)
             codes = self.plain[n] = [code or canonical_code(RelStruct(sig, n, rels))
@@ -639,15 +600,28 @@ class _PrefixSweep:
                     counts.append(count)
         return rows, left, right, counts
 
+    def realized(self, word: Word) -> tuple:
+        """The relations of ``realize(pres, word)``: the state of the word's
+        F subset, extended by each letter in turn."""
+        rels, classes = self._root(sum(1 << a for a in word.f_subset))
+        for xs in word.letters:
+            rels, classes = self._extend(rels, classes, self.letter_of[sum(1 << x for x in xs)])
+        return rels
+
     def _roots(self, n: int):
         """The states with no letter, as (bitmask, state): the F subsets of
         size n in bitmask order."""
-        f = self.pres.f_size
-        for mask in range(1 << f):
-            subset = [a for a in range(f) if mask >> a & 1]
-            if len(subset) == n:
-                rels = restrict(self.pres.finite_part, subset).relations
-                yield mask, (rels, tuple(self.f_class[a] for a in subset))
+        for mask in range(1 << self.pres.f_size):
+            if mask.bit_count() == n:
+                yield mask, self._root(mask)
+
+    def _root(self, mask: int) -> tuple:
+        """The state of the F subset of a bitmask, built once."""
+        if mask not in self.f_roots:  # a race builds an equal state twice
+            subset = [a for a in range(self.pres.f_size) if mask >> a & 1]
+            self.f_roots[mask] = (restrict(self.pres.finite_part, subset).relations,
+                                  tuple(self.f_class[a] for a in subset))
+        return self.f_roots[mask]
 
     def _extend(self, rels: tuple, classes: tuple, letter) -> tuple:
         """The child state after one letter at a new last position."""

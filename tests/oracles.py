@@ -8,8 +8,11 @@ definition, by exhaustive search, so it is only usable on small inputs:
 * ``are_isomorphic_brute_force`` - isomorphism by trying every bijection;
 * ``are_label_isomorphic_brute_force`` - the same, keeping a label per
   element, as ``structures.marked_code`` compares structures;
+* ``realize_oracle`` - a multichain word's realization, pair by pair from
+  the rule tables;
 * ``brute_profile_presented`` - a presentation's profile, by realizing every
-  word or composition and deduplicating by pairwise isomorphism;
+  word (by ``realize_oracle``) or composition and deduplicating by pairwise
+  isomorphism;
 * ``is_monomorphic_part_oracle`` - the full pairwise definition of a
   monomorphic part, without the pair test;
 * ``rank_mod_p_oracle`` - the rank over GF(p) by textbook Gauss-Jordan
@@ -28,8 +31,8 @@ from collections import Counter
 from relprof.canon import refined_colors, staged_relations
 from relprof.presentations import (
     MultichainPresentation,
+    Word,
     compositions_of_size,
-    realize,
     realize_composition,
     words_of_size,
 )
@@ -94,11 +97,45 @@ def are_label_isomorphic_brute_force(left: RelStruct, left_labels,
     return False
 
 
+def realize_oracle(pres: MultichainPresentation, word: Word) -> RelStruct:
+    """The word's restriction, as ``presentations.realize`` orders it: the F
+    part, then each letter in slice order.  Every pair of elements is looked
+    up in the rule tables: '<', '=' or '>' by how the positions compare, the
+    fv and vf rules between F and a slice, the finite part inside F."""
+    f_elems = sorted(word.f_subset)
+    f_pos = {a: i for i, a in enumerate(f_elems)}
+    slice_elems = [(x, i) for i, letter in enumerate(word.letters) for x in sorted(letter)]
+    offset = len(f_elems)
+    relations = []
+    for sym, arity in enumerate(pres.signature.arities):
+        if arity == 1:
+            rel = {(f_pos[a],) for (a,) in pres.finite_part.relations[sym] if a in f_pos}
+            slice_rule = pres.unary_slices[sym]
+            rel |= {(offset + k,) for k, (x, _) in enumerate(slice_elems) if x in slice_rule}
+        else:
+            fp_rel = pres.finite_part.relations[sym]
+            vv, fv, vf = pres.vv_true[sym], pres.fv_true[sym], pres.vf_true[sym]
+            rel = {(f_pos[a], f_pos[b]) for (a, b) in fp_rel if a in f_pos and b in f_pos}
+            for fi, a in enumerate(f_elems):
+                for k, (x, _) in enumerate(slice_elems):
+                    if (a, x) in fv:
+                        rel.add((fi, offset + k))
+                    if (x, a) in vf:
+                        rel.add((offset + k, fi))
+            for k, (x, i) in enumerate(slice_elems):
+                for l, (y, j) in enumerate(slice_elems):
+                    cmp = "=" if i == j else ("<" if i < j else ">")
+                    if (x, y, cmp) in vv:
+                        rel.add((offset + k, offset + l))
+        relations.append(frozenset(rel))
+    return RelStruct(pres.signature, offset + len(slice_elems), tuple(relations))
+
+
 def brute_profile_presented(pres, n: int) -> int:
     """Oracle path: realize every word, deduplicate by pairwise isomorphism."""
     reps = []
     if isinstance(pres, MultichainPresentation):
-        realizations = [realize(pres, w) for w in words_of_size(pres, n)]
+        realizations = [realize_oracle(pres, w) for w in words_of_size(pres, n)]
     else:
         realizations = [
             realize_composition(pres, c) for c in compositions_of_size(pres, n)
@@ -158,7 +195,7 @@ def split_counter_rows(basis, degree: int, part: int) -> list:
     position) over the part-subsets of its representative."""
     full = (1 << degree) - 1
     rows = []
-    for _, rep in basis.types[degree]:
+    for rep in basis.levels[degree].values():
         left = restriction_codes(rep, part)
         right = restriction_codes(rep, degree - part)
         rows.append(Counter((basis.index_of(code)[1], basis.index_of(right[full ^ mask])[1])

@@ -177,6 +177,25 @@ def test_structure_constants_representative_independent():
                 assert _recounted_splits(basis, rep, part) == _splits_of(table, pos), (subset, part)
 
 
+def test_a_finite_basis_builds_a_representative_when_asked(monkeypatch):
+    # the build reads each level's codes; a representative is built from its
+    # bitmask by representative() alone
+    from relprof import profiles
+
+    built = []
+    getitem = profiles.FiniteAge.__getitem__
+    monkeypatch.setattr(profiles.FiniteAge, "__getitem__",
+                        lambda level, code: built.append(code) or getitem(level, code))
+    rng = random.Random(5)
+    graph = graph_from_edges(8, [e for e in itertools.combinations(range(8), 2)
+                                 if rng.random() < 0.5])
+    basis = AgeBasis.build(graph, 6)
+    basis.split_table(6, 2)
+    assert built == []
+    code = basis.codes(4)[1]
+    assert canonical_code(basis.representative(4, 1)) == code and built == [code]
+
+
 def test_split_table_reads_each_representative_tuples_once(monkeypatch):
     # both sizes of a representative's splits, its parts and their
     # complements, come from one walk and one _tuples_by_last.  A finite
@@ -197,7 +216,7 @@ def test_split_table_reads_each_representative_tuples_once(monkeypatch):
     for degree, part in ((5, 1), (4, 2), (5, 3)):
         calls.clear()
         basis.split_table(degree, part)
-        reps = [rep for _, rep in basis.types[degree]]
+        reps = list(basis.levels[degree].values())
         assert calls == Counter(reps), (degree, part)
 
 
@@ -215,7 +234,7 @@ def test_e_matrix_entries_match_restrict_oracle():
         for degree in range(basis.max_degree):
             col_index = {code: j for j, code in enumerate(basis.codes(degree))}
             expected = []
-            for _, rep in basis.types[degree + 1]:
+            for rep in basis.levels[degree + 1].values():
                 row = [0] * len(col_index)
                 for x in rep.domain:
                     rest = restrict(rep, [v for v in rep.domain if v != x])

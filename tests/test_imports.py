@@ -106,7 +106,7 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
 # The prefix sweep's record of its pass, and the steps that build it: outside
 # presentations.py the sweep is read only through its ``split`` and ``codes``.
 SWEEP_INTERNALS = {"origins", "roots", "states", "landing", "moves", "plain",
-                   "_states", "_roots", "_extend"}
+                   "_states", "_roots", "_root", "_extend"}
 
 
 def sweep_internals_used(source: str):
@@ -125,3 +125,32 @@ def test_guard_flags_a_read_of_the_sweep_record():
                                         if p.name != "presentations.py"), ids=lambda p: p.name)
 def test_only_presentations_reads_the_sweep_record(path):
     assert sweep_internals_used(path.read_text(encoding="utf-8")) == []
+
+
+# A level's codes have one writer, its sweep: inside presentations.py only the
+# two sweep classes touch a sweep's codes (``plain``) or its ``lock``.
+SWEEP_CLASSES = ("_PrefixSweep", "_CompositionSweep")
+
+
+def sweep_state_outside_the_sweeps(source: str):
+    """Uses of ``.plain`` or ``.lock`` outside the bodies of the sweep classes."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name in SWEEP_CLASSES
+              for node in ast.walk(cls)}
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("plain", "lock")
+                  and id(node) not in inside)
+
+
+def test_guard_flags_sweep_state_outside_the_sweeps():
+    source = ("class _PrefixSweep:\n    def codes(self):\n        with self.lock:\n"
+              "            return self.plain\n\n"
+              "def enumerate_age(sweep):\n    with sweep.lock:\n        sweep.plain[0] = []\n\n"
+              "class Other:\n    def f(self):\n        return self.plain\n")
+    assert sweep_state_outside_the_sweeps(source) == [(7, "lock"), (8, "plain"), (12, "plain")]
+
+
+def test_only_the_sweeps_write_their_codes():
+    source = (PACKAGE / "presentations.py").read_text(encoding="utf-8")
+    assert sweep_state_outside_the_sweeps(source) == []

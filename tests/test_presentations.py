@@ -3,8 +3,9 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
 
-from oracles import are_isomorphic_brute_force
+from oracles import are_isomorphic_brute_force, realize_oracle
 from relprof.presentations import (
     ACYCLIC,
     CLIQUE,
@@ -40,6 +41,7 @@ from relprof.structures import (
     restrict,
 )
 from relprof.series import RationalForm, expand
+from test_profiles import small_multichains
 
 
 def test_word_validation():
@@ -110,7 +112,7 @@ def test_word_dedup_agrees_with_pairwise_isomorphism():
         for n in range(5):
             reps = []
             for w in words_of_size(pres, n):
-                s = realize(pres, w)
+                s = realize_oracle(pres, w)
                 if not any(are_isomorphic_brute_force(s, r) for r in reps):
                     reps.append(s)
             assert len(enumerate_age(pres, n)) == len(reps), (pres.name, n)
@@ -170,15 +172,32 @@ MULTICHAIN_FIXTURES = [
 
 @pytest.mark.parametrize("pres", MULTICHAIN_FIXTURES, ids=lambda pres: pres.name)
 def test_prefix_sweep_matches_word_realizations(pres):
-    # the word path realizes every word; the sweep merges prefixes by their
-    # interface-marked types and must reach exactly the same codes
+    # every word realized from the rule tables; the sweep merges prefixes by
+    # their interface-marked types and must reach exactly the same codes
     sweep = _PrefixSweep(pres)
     for n in range(7):
-        words = {canonical_code(realize(pres, w)) for w in words_of_size(pres, n)}
+        words = {canonical_code(realize_oracle(pres, w)) for w in words_of_size(pres, n)}
         swept = {canonical_code(RelStruct(pres.signature, n, rels))
                  for rels, _ in sweep.candidates(n)}
         assert swept == words, n
         assert set(enumerate_age(pres, n)) == words, n
+
+
+def _with_every_fixture(test):
+    for pres in MULTICHAIN_FIXTURES:
+        test = example(pres)(test)
+    return test
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@_with_every_fixture
+@given(small_multichains())
+def test_realize_equals_the_rule_table_oracle(pres):
+    # realize extends the word's F subset one letter at a time through the
+    # sweep's letter table; the oracle looks every pair up in the rule tables
+    for n in range(6):
+        for w in words_of_size(pres, n):
+            assert realize(pres, w) == realize_oracle(pres, w), (pres.name, w)
 
 
 def test_prefix_sweep_shared_by_threads_builds_each_level_once():

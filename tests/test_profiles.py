@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_profile_presented, restriction_codes
+from oracles import brute_profile_presented, realize_oracle, restriction_codes
 from relprof import profiles
 from relprof.presentations import (
     BLOCK_KINDS,
@@ -534,10 +534,10 @@ def test_a_basis_after_a_profile_records_every_level(monkeypatch):
     for n in range(8):
         masks, record = basis._walked[n]
         assert list(record.items()) == list(restriction_codes(g, n).items()), n
-        for pos, (code, rep) in enumerate(basis.types[n]):
+        for pos, code in enumerate(basis.codes(n)):
             assert record[masks[pos]] == code
-            assert restrict(g, [v for v in g.domain if masks[pos] >> v & 1]) == rep
-        assert basis.types[n] == list(_restrict_oracle(g, n).items()), n
+            assert _rep(g, masks[pos]) == basis.representative(n, pos)
+        assert list(basis.levels[n].items()) == list(_restrict_oracle(g, n).items()), n
 
 
 def _g12():
@@ -819,7 +819,6 @@ def test_profile_presented_matches_pairwise_dedup_oracle():
     # tests (no canonical-code set shortcut)
     from relprof.presentations import (
         compositions_of_size,
-        realize,
         realize_composition,
         words_of_size,
     )
@@ -834,7 +833,7 @@ def test_profile_presented_matches_pairwise_dedup_oracle():
         for n in range(6, 8):
             reps = []
             for w in words_of_size(pres, n):
-                s = realize(pres, w)
+                s = realize_oracle(pres, w)
                 if not any(are_isomorphic(s, r) for r in reps):
                     reps.append(s)
             assert len(reps) == profile_presented(pres, n), (pres.name, n)
