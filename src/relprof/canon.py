@@ -12,9 +12,10 @@ is p.  A call has two steps: the *labelling* (``canonical_labelling``:
 refinement, the twin test and the search) gives the color sequence and a
 minimizing ordering, and the *serializer* (``labelled_form``) relabels by
 it into the form, whose code is ``form_bytes``.  ``canonical_order``,
-``canonical_form`` and ``canonical_code_bytes`` run both; the subset walk
-of ``profiles`` runs them apart, and serializes each type once, when its
-codes are read.
+``canonical_form`` and ``canonical_code_bytes`` run both.  The subset walk
+of ``profiles`` and the prefix sweep of ``presentations`` run them apart:
+each names a type by its ``canonical_image`` under the labelling, and
+serializes each type once, when its codes are read.
 
 The color sequence compares first, so every minimizing ordering sorts the
 vertices by color.  When refinement is discrete (every color class a
@@ -363,6 +364,24 @@ def _search(m, class_order, twins, assigned, stage_of):
     search(0)
     del search  # it refers to itself
     return best_chosen
+
+
+def canonical_image(relations, order, base: int) -> tuple:
+    """Per symbol, the relabelled tuples as one bitmask: a tuple sets the bit
+    at the index its positions ``order[x]`` make read as digits in ``base``.
+    With every position below ``base``, equal images of one signature and
+    size mean equal relabelled structures, so under a canonical ``order`` an
+    image names its isomorphism type as the code does, with no serializing."""
+    image = []
+    for rel in relations:
+        bits = 0
+        for tup in rel:
+            i = 0
+            for x in tup:
+                i = i * base + order[x]
+            bits |= 1 << i
+        image.append(bits)
+    return tuple(image)
 
 
 def labelled_form(arities, m, relations, color_seq, order):

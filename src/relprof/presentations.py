@@ -16,16 +16,19 @@ signatures:
   infinite size.  Finite restrictions are encoded by size compositions.
 
 Ages are enumerated exactly, each level by the presentation's sweep
-(``_sweep_of``), which realizes and codes its candidates; ``enumerate_age``
-keeps the first candidate of each code.  A lexicographic sum's candidates
-are the compositions of total size n, each realized once and each distinct
-realization coded once.  A multichain's prefix sweep (``_PrefixSweep``)
-keeps one prefix per type of its realization with each element marked by
-its interface to later positions, and extends the prefixes kept at smaller
-levels by one letter; while the words of size n are no more than its
-candidates, the words are realized instead, one letter at a time by the
-same letter table.  Both give the same codes; which realization represents
-a type is not fixed.  The age algebra reads each sweep's codes and splits.
+(``_sweep_of``), which realizes its candidates; ``enumerate_age`` returns
+the read-only ``structures.Age`` of the first candidate of each type.  A
+lexicographic sum's candidates are the compositions of total size n, each
+realized once and each distinct realization coded once.  A multichain's
+prefix sweep (``_PrefixSweep``) keeps one prefix per type of its
+realization with each element marked by its interface to later positions,
+and extends the prefixes kept at smaller levels by one letter.  It names
+each candidate by its canonical image, so a profile serializes no code; a
+level's codes are serialized once per type when read.  While the words of
+size n are no more than its candidates, the words are realized instead, one
+letter at a time by the same letter table, and coded.  Both give the same
+codes; which realization represents a type is not fixed.  The age algebra
+reads each sweep's codes and splits.
 """
 
 from __future__ import annotations
@@ -36,14 +39,16 @@ import math
 import threading
 from dataclasses import dataclass, field
 
+from .canon import canonical_image, canonical_labelling, form_bytes, labelled_form
 from .structures import (
+    Age,
     RelStruct,
     Signature,
     canonical_code,
     digraph,
     make_struct,
-    marked_code,
     restrict,
+    with_marks,
 )
 
 COMPARATORS = ("<", "=", ">")
@@ -315,13 +320,15 @@ def compositions_of_size(pres, n: int):
 
 
 @functools.lru_cache(maxsize=4096)
-def enumerate_age(pres, n: int):
+def enumerate_age(pres, n: int) -> Age:
     """Isomorphism types of the n-element restrictions, as (code -> representative).
 
-    The mapping is ordered by canonical code.  A representative is some
-    realization of its type (a word's realization for a multichain, a
-    composition's for a lexicographic sum); which one is not part of the
-    contract, only its isomorphism type is.
+    The mapping is read-only and ordered by canonical code.  On a level of
+    the prefix sweep its length needs no code: the sweep names each
+    candidate, and the codes are read from the sweep when first asked for.
+    A representative is some realization of its type (a word's realization
+    for a multichain, a composition's for a lexicographic sum); which one is
+    not part of the contract, only its isomorphism type is.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -331,17 +338,28 @@ def enumerate_age(pres, n: int):
         signature = pres.index.signature
     else:
         raise TypeError(f"not a presentation: {pres!r}")
+    build = functools.partial(RelStruct, signature, n)
     sweep = _sweep_of(pres)
     level = sweep.level(n)
     if level is None:  # a multichain's words: each distinct realization coded once
         found = dict.fromkeys(sweep.realized(w) for w in words_of_size(pres, n))
-        coded = ((rels, canonical_code(RelStruct(signature, n, rels))) for rels in found)
+        coded = ((rels, canonical_code(build(rels))) for rels in found)
+    elif isinstance(sweep, _PrefixSweep):  # the first candidate of each name
+        first = {}
+        for c, name in enumerate(sweep.names(n)):
+            first.setdefault(name, c)
+
+        def coder(firsts):
+            codes = sweep.codes(n)
+            return dict(sorted((codes[c], level[c][0]) for c in firsts))
+
+        return Age(build, tuple(first.values()), coder)
     else:
         coded = zip((rels for rels, _ in level), sweep.codes(n))
     first = {}
     for rels, code in coded:
         first.setdefault(code, rels)
-    return {code: RelStruct(signature, n, first[code]) for code in sorted(first)}
+    return Age(build, codes={code: first[code] for code in sorted(first)})
 
 
 @dataclass
@@ -413,14 +431,23 @@ class _PrefixSweep:
     is kept.  Level n is built from the F subsets of size n and the kept
     states of levels n - v..n - 1, extended by letters of the missing size.
 
+    A realization is named by its canonical image (``canon.canonical_image``
+    under ``canon.canonical_labelling``'s order, base n at level n), so
+    naming serializes nothing.  A state's key is the classes present and
+    the name of its realization marked by class (``with_marks``).  With one
+    class present the mark is dropped, and the key's name is the candidate's
+    *plain* name, which ``names`` gives for every candidate: each distinct
+    realization of a level is labelled once, by ``_states`` or ``names``,
+    whichever comes first, and the other reuses it.  ``codes`` serializes
+    each type once from the labelling that named it, and keeps the codes.
+
     The pass records itself as an automaton: each candidate's first origin
     (a kept state and letter, or an F subset), the candidate each F subset
     and each (kept state, letter) made, and the kept state each candidate
-    lands on by ``marked_code``.  It also keeps each candidate's plain code
-    (``codes``).  From an F subset, the moves give the kept state of any
-    word below the top level, so ``split`` splits each type's word with no
-    canon call.  Whoever builds or reads a level holds ``lock``; the same
-    steps realize any word (``realized``), with no lock.
+    lands on.  From an F subset, the moves give the kept state of any word
+    below the top level, so ``split`` splits each type's word with no canon
+    call.  Whoever builds or reads a level holds ``lock``; the same steps
+    realize any word (``realized``), with no lock.
     """
 
     def __init__(self, pres: MultichainPresentation):
@@ -478,8 +505,11 @@ class _PrefixSweep:
         self.states = []  # level -> candidate index of each kept state, one per marked type
         self.landing = []  # level -> per candidate, the kept state of its marked type
         self.moves = []  # level -> per s << v | letter, kept state s's child candidate
-        self.plain = []  # level -> per candidate its plain code, None until known
-        self.lock = threading.Lock()  # levels are appended in order, one caller at a time
+        self.named = []  # level -> per candidate its plain name, None until ``names``
+        self.label_of = []  # level -> realization -> its plain name
+        self.labellings = []  # level -> plain name -> (realization, colours, order)
+        self.plain = []  # level -> per candidate its plain code, None until ``codes``
+        self.lock = threading.RLock()  # levels are appended in order, one caller at a time
 
     def level(self, n: int):
         """Level n's candidates, or None when the words of size n are no more
@@ -528,17 +558,31 @@ class _PrefixSweep:
                             origins.append(s << v | letter[0])
             self.levels.append(list(found))
             self.origins.append(origins)
-            self.plain.append([None] * len(found))
+            self.named.append(None)
+            self.label_of.append({})
+            self.labellings.append({})
+            self.plain.append(None)
         return self.levels[n]
 
-    def codes(self, n: int) -> list:
-        """Level n's plain code of each candidate.  ``_states`` keeps it where
-        the marked code is the plain one; any other is computed here, once."""
+    def names(self, n: int) -> list:
+        """Level n's plain name of each candidate: equal names, one type."""
         with self.lock:
-            sig, cands = self.pres.signature, self.candidates(n)
-            codes = self.plain[n] = [code or canonical_code(RelStruct(sig, n, rels))
-                                     for code, (rels, _) in zip(self.plain[n], cands)]
-            return codes
+            cands = self.candidates(n)
+            if self.named[n] is None:
+                self.named[n] = [self._name(n, rels) for rels, _ in cands]
+            return self.named[n]
+
+    def codes(self, n: int) -> list:
+        """Level n's plain code of each candidate, serialized once per type
+        from the labelling that named it, and kept."""
+        with self.lock:
+            names = self.names(n)
+            if self.plain[n] is None:
+                arities, coded = self.pres.signature.arities, {}
+                for name, (rels, color_seq, order) in self.labellings[n].items():
+                    coded[name] = form_bytes(labelled_form(arities, n, rels, color_seq, order))
+                self.plain[n] = [coded[name] for name in names]
+            return self.plain[n]
 
     def split(self, top: int, part: int) -> tuple:
         """The splittings of each type's first word at level top into a part
@@ -637,20 +681,37 @@ class _PrefixSweep:
             out.append(rel.union(added) if added else rel)
         return tuple(out), classes + new_classes
 
+    def _name(self, n: int, rels: tuple) -> tuple:
+        """The plain name of a realization at level n, labelled once per
+        distinct realization; the labelling is kept for ``codes``."""
+        name = self.label_of[n].get(rels)
+        if name is None:
+            color_seq, order = canonical_labelling(self.pres.signature.arities, n, rels)
+            name = self.label_of[n][rels] = canonical_image(rels, order, n)
+            self.labellings[n].setdefault(name, (rels, color_seq, order))
+        return name
+
     def _states(self, n: int) -> list:
         """Level n's kept states, as candidate indices: the first candidate per
-        ``marked_code`` of the realization labelled by interface class.  Every
-        element has a class, so with one class present the code is the
-        candidate's plain code, and it is kept."""
+        key, the classes present and the name of the realization marked by
+        interface class.  Every element has a class, so with one class
+        present the key's name is the candidate's plain name."""
         while len(self.states) <= n:
             level = len(self.states)
             sig = self.pres.signature
             kept, landing, states = {}, [], []
+            marked_names = {}  # marked realization -> its name, labelled once
             for c, (rels, classes) in enumerate(self.candidates(level)):
-                present, code = marked_code(sig, level, rels, classes)
-                if len(present) <= 1:  # one class present: the plain code
-                    self.plain[level][c] = code
-                s = kept.setdefault((present, code), len(kept))
+                present, marked, marked_rels = with_marks(sig, rels, classes)
+                if len(present) <= 1:  # one class present: no mark
+                    name = self._name(level, rels)
+                else:
+                    name = marked_names.get(marked_rels)
+                    if name is None:
+                        order = canonical_labelling(marked.arities, level, marked_rels)[1]
+                        name = marked_names[marked_rels] = canonical_image(
+                            marked_rels, order, level)
+                s = kept.setdefault((present, name), len(kept))
                 if s == len(states):
                     states.append(c)
                 landing.append(s)
@@ -741,8 +802,10 @@ def kernel_probe(pres, element_class, window: int) -> KernelProbe:
         reduced = _without_one_block_element(pres, which)
     else:
         raise TypeError(f"not a presentation: {pres!r}")
+    # the reduced presentation is an induced substructure, so its age lies in
+    # the age of pres, and the two are equal exactly when their counts are
     for n in range(window + 1):
-        if enumerate_age(pres, n).keys() != enumerate_age(reduced, n).keys():
+        if len(enumerate_age(pres, n)) != len(enumerate_age(reduced, n)):
             return KernelProbe("in-kernel", n)
     return KernelProbe("undetected", None, f"ages agree up to n={window}")
 

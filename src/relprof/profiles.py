@@ -6,8 +6,8 @@ enumeration.  A finite structure keeps one cache entry, and one pass of its
 engine fills every level 0..n of it; later levels up to n are read from the
 entry, so a window costs one pass when its top level is asked first, as
 ``profile_sequence`` and ``AgeBasis.build`` do.  A level is the read-only
-``FiniteAge`` that ``age_of_finite`` returns; its length needs no code, so
-a profile serializes nothing.  A finite structure takes one of two engines:
+``structures.Age`` that ``age_of_finite`` returns; its length needs no
+code, so a profile serializes nothing.  A finite structure takes one of two engines:
 
 * the *interface-coloured vertex sweep*, when every arity is <= 2 and the
   interface width (see ``interface_width``) is <= ``SWEEP_MAX_WIDTH``.  It
@@ -22,21 +22,22 @@ a profile serializes nothing.  A finite structure takes one of two engines:
   type is kept, so each representative is the least n-subset of its type.
   Each node carries its type's *name* and a canonical order (subset index
   -> position in a minimizing ordering).  The name is the level and the
-  *canonical image*: per symbol, one bit per tuple at the index its
-  canonical positions make read as digits in base ``top``, the pass's top
-  level.  Positions are below ``top``, so one name is one type (the level
-  keeps the all-zero image of an edgeless type to one level).  A child
-  S = S' + t, t largest, is keyed by the name of S' and, per symbol, the
-  tuples of t inside S encoded likewise at key coordinates (the parent's
-  canonical positions, t last), so subsets with one key relabel to one
-  structure.  A memo, local to the pass unless the caller shares it, maps
-  a key to the child's name, the map from key coordinates to canonical
-  positions and the colour sequence, so canon's labelling step runs once
-  per key (McKay's canonical augmentation, J. Algorithms 26, 1998), and
-  relations are built only on a miss or a descent.  A new type keeps its
-  bitmask and labelling, and its code is serialized when first read: on
-  G(16, 1/2) at n <= 7 one pass of 26,332 nodes makes 5,189 labelling
-  calls (16,624 restrictions) and no serialization.  When an age basis
+  *canonical image* (``canon.canonical_image``): per symbol, one bit per
+  tuple at the index its canonical positions make read as digits in base
+  ``top``, the pass's top level.  Positions are below ``top``, so one name
+  is one type (the level keeps the all-zero image of an edgeless type to
+  one level).  A child S = S' + t, t largest, is keyed by the name of S'
+  and, per symbol, the tuples of t inside S encoded likewise at key
+  coordinates (the parent's canonical positions, t last), so subsets with
+  one key relabel to one structure.  A memo, local to the pass unless the
+  caller shares it, maps a key to the child's name, the map from key
+  coordinates to canonical positions and the colour sequence, so canon's
+  labelling step runs once per key (McKay's canonical augmentation, J.
+  Algorithms 26, 1998), and relations are built only on a miss or a
+  descent.  A new type keeps its bitmask and labelling, and its code is
+  serialized when first read: on G(16, 1/2) at n <= 7 one pass of 26,332
+  nodes makes 5,189 labelling calls (16,624 restrictions) and no
+  serialization.  When an age basis
   asks (``_walked_codes``), the pass also records every subset's type by
   bitmask, in walk order, and serializes each type once after the pass;
   a finite basis reads its split tables from that record.  Asked for some
@@ -49,13 +50,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .canon import canonical_labelling, form_bytes, labelled_form
+from .canon import canonical_image, canonical_labelling, form_bytes, labelled_form
 from .presentations import enumerate_age
 from .series import TruncatedSeries
-from .structures import RelStruct, Signature, marked_code
+from .structures import Age, RelStruct, Signature, marked_code
 
 # Above this interface width the subset walk is faster: measured crossover
 # between widths 2 and 3 for m = 18, n <= 7.
@@ -129,54 +129,33 @@ def _check_level(struct: RelStruct, n: int):
         raise ValueError(f"n={n} outside 0..{struct.domain_size}")
 
 
-class FiniteAge(Mapping):
-    """Level n of a finite age: code -> representative, in code order.  It
-    holds the walk's (bitmask, colour sequence, canonical order) per type,
-    and serializes, sorts and keeps the codes on first access to them, or
-    holds the codes (code -> bitmask) from the start.  A representative is
-    built from its bitmask when read."""
+def _finite_age(struct: RelStruct, n: int, types: tuple = (), codes: dict = None) -> Age:
+    """Level n of the structure's age from the walk's (bitmask, colour
+    sequence, canonical order) per type, serialized and sorted when its
+    codes are first read, or from its codes (code -> bitmask, in code
+    order).  A representative is built from its bitmask when read."""
 
-    __slots__ = ("struct", "size", "_types", "_codes", "_masked")
+    @functools.cache
+    def tuples() -> list:  # the structure's ``_masked`` tuples, once a reader needs them
+        return _masked(struct)
 
-    def __init__(self, struct: RelStruct, size: int, types: tuple = (), codes: dict = None):
-        self.struct, self.size = struct, size
-        self._types, self._codes, self._masked = types, codes, None
+    def coder(types) -> dict:
+        arities = struct.signature.arities
+        return dict(sorted((_code(arities, tuples(), n, *labelled), labelled[0])
+                           for labelled in types))
 
-    def __len__(self):
-        codes = self._codes
-        return len(self._types) if codes is None else len(codes)
+    def build(inside: int) -> RelStruct:
+        rels = _restriction(tuples(), inside, range(n))
+        return RelStruct(struct.signature, n, tuple(map(frozenset, rels)))
 
-    def __iter__(self):
-        return iter(self._coded())
-
-    def __contains__(self, code):
-        return code in self._coded()
-
-    def __getitem__(self, code) -> RelStruct:
-        rels = _restriction(self._tuples(), self._coded()[code], range(self.size))
-        return RelStruct(self.struct.signature, self.size, tuple(map(frozenset, rels)))
-
-    def _tuples(self) -> list:
-        if self._masked is None:
-            self._masked = _masked(self.struct)
-        return self._masked
-
-    def _coded(self) -> dict:
-        # every reader computes the same dict, so a race costs work, not values
-        codes = self._codes
-        if codes is None:
-            arities, masked = self.struct.signature.arities, self._tuples()
-            codes = self._codes = dict(sorted(
-                (_code(arities, masked, self.size, *labelled), labelled[0])
-                for labelled in self._types))
-        return codes
+    return Age(build, types, coder, codes)
 
 
 @functools.lru_cache(maxsize=64)
 def _finite_cache(struct: RelStruct) -> tuple:
-    """One cache entry per structure: the levels filled so far (n ->
-    ``FiniteAge``; on the subset walk it holds bitmasks and labellings, and
-    keeps its codes once they are read) and the subset walk's record (n ->
+    """One cache entry per structure: the levels filled so far (n -> ``Age``;
+    on the subset walk it holds bitmasks and labellings, and keeps its
+    codes once they are read) and the subset walk's record (n ->
     (source bitmask of each type's representative, in code order; n-subset
     bitmask -> code, in walk order)), kept only for the levels an age basis
     asked for.  Neither needs a lock: a level, its codes and a record are
@@ -236,19 +215,11 @@ def _subset_walk(struct: RelStruct, top: int, record: bool, sizes=None, memo=Non
                 joined = _joined(rels, _relabelled(back[t], position, inner))
             if hit is None:
                 color_seq, found = canonical_labelling(arities, depth + 1, joined)
-                image = [depth + 1]
-                for rel in joined:
-                    bits = 0
-                    for tup in rel:
-                        i = 0
-                        for x in tup:
-                            i = i * top + found[x]
-                        bits |= 1 << i
-                    image.append(bits)
                 lam = [0] * (depth + 1)  # key coordinate -> canonical position
                 for k, p in zip(ext, found):
                     lam[k] = p
-                hit = memo[key] = tuple(image), tuple(lam), color_seq
+                image = (depth + 1, *canonical_image(joined, found, top))
+                hit = memo[key] = image, tuple(lam), color_seq
             child, lam, color_seq = hit
             if walked is not None:
                 walked[inner] = child
@@ -359,7 +330,7 @@ def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: dict, sig: Signa
         states[key] = (chosen, rels)
 
 
-def age_of_finite(struct: RelStruct, n: int) -> FiniteAge:
+def age_of_finite(struct: RelStruct, n: int) -> Age:
     """Types of the n-element restrictions, code -> representative in code
     order.  Level n is read from the structure's cache entry; on a miss one
     pass fills every level 0..n.  A representative is the lexicographically
@@ -367,7 +338,7 @@ def age_of_finite(struct: RelStruct, n: int) -> FiniteAge:
     return _level(struct, n)
 
 
-def _level(struct: RelStruct, n: int) -> FiniteAge:
+def _level(struct: RelStruct, n: int) -> Age:
     """Level n of the structure's cache entry; on a miss one pass fills
     every level 0..n.  The levels below a window are read through it, so a
     window makes one ``age_of_finite`` call."""
@@ -386,11 +357,11 @@ def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
     levels, records = _finite_cache(struct)
     codes = None
     if _sweeps(struct):
-        found = [FiniteAge(struct, n, codes=dict(sorted(level.items())))
+        found = [_finite_age(struct, n, codes=dict(sorted(level.items())))
                  for n, level in enumerate(_interface_levels(struct, top))]
     else:
         types, codes = _subset_walk(struct, top, record)
-        found = [FiniteAge(struct, n, level, None if codes is None else codes[n][0])
+        found = [_finite_age(struct, n, level, None if codes is None else codes[n][0])
                  for n, level in enumerate(types)]
     levels.update(enumerate(found))
     if codes is not None:

@@ -1,4 +1,4 @@
-"""Finite relational structures: restriction, isomorphism, canonical codes, autonomy.
+"""Finite relational structures: restriction, isomorphism, canonical codes, ages, autonomy.
 
 A structure is a finite domain {0..m-1} together with one set of fixed-arity
 tuples per relation symbol.  Values are immutable and hashable; equality is
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import canon
@@ -88,21 +89,64 @@ def canonical_code(struct: RelStruct) -> bytes:
     )
 
 
-def marked_code(signature: Signature, size: int, relations: tuple, labels) -> tuple:
-    """(Sorted distinct labels, canonical code of the structure with one unary
-    mark per label), where ``labels[i]`` is element i's label and None means
-    it has none.  Two structures get equal results iff some isomorphism keeps
-    every element's label.  With no label, or with the one label present on
-    every element, a mark tells nothing and the plain code serves; so
-    compare keys within one signature, since such a code can equal a marked
-    one of a signature shorter by one unary symbol."""
+def with_marks(signature: Signature, relations: tuple, labels) -> tuple:
+    """(Sorted distinct labels, signature, relations) of the structure with
+    one unary mark per label, where ``labels[i]`` is element i's label and
+    None means it has none.  Two structures of one signature are isomorphic
+    by a map that keeps every element's label iff the labels match and the
+    marked structures are isomorphic.  With no label, or with the one label
+    present on every element, a mark tells nothing, and the signature and
+    relations are returned as given."""
     present = tuple(sorted({label for label in labels if label is not None}))
     if not present or len(present) == 1 and None not in labels:
-        return present, canonical_code(RelStruct(signature, size, relations))
+        return present, signature, relations
     marks = tuple(frozenset((i,) for i, label in enumerate(labels) if label == mark)
                   for mark in present)
-    marked = Signature(signature.arities + (1,) * len(present))
-    return present, canonical_code(RelStruct(marked, size, relations + marks))
+    return present, Signature(signature.arities + (1,) * len(present)), relations + marks
+
+
+def marked_code(signature: Signature, size: int, relations: tuple, labels) -> tuple:
+    """(Sorted distinct labels, canonical code of the structure ``with_marks``
+    gives).  Two structures get equal results iff some isomorphism keeps
+    every element's label.  An unmarked code can equal a marked one of a
+    signature shorter by one unary symbol, so compare keys within one
+    signature."""
+    present, marked, rels = with_marks(signature, relations, labels)
+    return present, canonical_code(RelStruct(marked, size, rels))
+
+
+class Age(Mapping):
+    """Level n of an age: code -> representative, in code order.  Its length
+    is the type count and needs no code.  The engine that found the level
+    supplies one handle per type (``types``), ``coder``, which maps them to
+    (code -> handle, in code order) on the first access to the codes, and
+    ``build``, which builds a representative from its handle; or it
+    supplies (code -> handle) whole as ``codes``.  Every reader computes the
+    same codes, so a race costs work, not values."""
+
+    __slots__ = ("_types", "_coder", "_build", "_codes")
+
+    def __init__(self, build, types=(), coder=None, codes=None):
+        self._build, self._types, self._coder, self._codes = build, types, coder, codes
+
+    def __len__(self):
+        codes = self._codes
+        return len(self._types) if codes is None else len(codes)
+
+    def __iter__(self):
+        return iter(self._coded())
+
+    def __contains__(self, code):
+        return code in self._coded()
+
+    def __getitem__(self, code) -> RelStruct:
+        return self._build(self._coded()[code])
+
+    def _coded(self) -> dict:
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = self._coder(self._types)
+        return codes
 
 
 def are_isomorphic(left: RelStruct, right: RelStruct) -> bool:

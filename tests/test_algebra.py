@@ -180,11 +180,11 @@ def test_structure_constants_representative_independent():
 def test_a_finite_basis_builds_a_representative_when_asked(monkeypatch):
     # the build reads each level's codes; a representative is built from its
     # bitmask by representative() alone
-    from relprof import profiles
+    from relprof import structures
 
     built = []
-    getitem = profiles.FiniteAge.__getitem__
-    monkeypatch.setattr(profiles.FiniteAge, "__getitem__",
+    getitem = structures.Age.__getitem__
+    monkeypatch.setattr(structures.Age, "__getitem__",
                         lambda level, code: built.append(code) or getitem(level, code))
     rng = random.Random(5)
     graph = graph_from_edges(8, [e for e in itertools.combinations(range(8), 2)
@@ -632,6 +632,48 @@ def test_threads_that_count_beside_threads_that_read_codes():
     assert results == [[counts, counts[:7], counts], (codes, tables)] * 2
 
 
+def test_threads_that_count_a_presentation_beside_threads_that_read_its_codes():
+    # the same on a presentation's prefix sweep: names, kept labellings and
+    # codes are written under the sweep's lock, so counting threads and
+    # threads that read codes and build a basis each see a run alone
+    from relprof import presentations
+
+    pres = colored_dense_chain(3)
+
+    def fresh():
+        presentations._sweep_of.cache_clear()
+        presentations.enumerate_age.cache_clear()
+
+    fresh()
+    counts = profiles.profile_sequence(pres, 6).coeffs
+    codes = [list(presentations.enumerate_age(pres, n)) for n in range(7)]
+    tables = _all_tables(AgeBasis.build(pres, 6))
+    fresh()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        barrier.wait()
+        if i % 2 == 0:
+            results[i] = [profiles.profile_sequence(pres, top).coeffs for top in (6, 4, 6)]
+        else:
+            read = [list(presentations.enumerate_age(pres, n)) for n in range(6, -1, -1)][::-1]
+            results[i] = read, _all_tables(AgeBasis.build(pres, 6))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[counts, counts[:5], counts], (codes, tables)] * 2
+
+
 def _marked_chain_product():
     from test_shuffle import marked_chain_product
 
@@ -720,7 +762,8 @@ def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypa
         raise AssertionError("called while building split tables")
 
     for module, name in ((algebra, "_subset_walk"), (presentations, "canonical_code"),
-                         (presentations, "marked_code"), (presentations, "realize_composition"),
+                         (presentations, "canonical_labelling"),
+                         (presentations, "realize_composition"),
                          (structures, "canonical_code"), (canon, "canonical_order"),
                          (canon, "canonical_labelling"), (profiles, "canonical_labelling")):
         monkeypatch.setattr(module, name, refuse)
@@ -729,7 +772,7 @@ def test_a_multichain_basis_builds_its_tables_with_no_walk_and_no_canon(monkeypa
 
 
 def test_a_multichain_basis_reads_its_positions_from_the_codes_the_sweep_keeps():
-    # the profile computed every code of the sweep's levels: mapping kept
+    # the profile named every candidate of the sweep's levels: mapping kept
     # states and top candidates to basis positions, and splitting, asks the
     # canon cache nothing
     from relprof import presentations, structures

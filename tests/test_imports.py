@@ -104,9 +104,11 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
 
 
 # The prefix sweep's record of its pass, and the steps that build it: outside
-# presentations.py the sweep is read only through its ``split`` and ``codes``.
+# presentations.py the sweep is read only through its ``split``, ``names``
+# and ``codes``.
 SWEEP_INTERNALS = {"origins", "roots", "states", "landing", "moves", "plain",
-                   "_states", "_roots", "_root", "_extend"}
+                   "named", "label_of", "labellings",
+                   "_states", "_roots", "_root", "_extend", "_name"}
 
 
 def sweep_internals_used(source: str):

@@ -13,11 +13,13 @@ from relprof.presentations import (
     LexSumPresentation,
     Word,
     _PrefixSweep,
+    _without_f_element,
     colored_dense_chain,
     empty_finite_part,
     enumerate_age,
     half_complete_bipartite,
     interval_division_chain,
+    kernel_probe,
     lexsum_tournament_fixture,
     multichain,
     product_of,
@@ -200,6 +202,37 @@ def test_realize_equals_the_rule_table_oracle(pres):
             assert realize(pres, w) == realize_oracle(pres, w), (pres.name, w)
 
 
+def _key_set_witness(pres, which, window):
+    """The least n <= window at which deleting F element ``which`` changes the
+    set of codes of the age, else None."""
+    reduced = _without_f_element(pres, which)
+    for n in range(window + 1):
+        full, less = set(enumerate_age(pres, n)), set(enumerate_age(reduced, n))
+        assert less <= full, n  # an induced substructure's age lies inside
+        if less != full:
+            return n
+    return None
+
+
+# a point below every point of omega: deleting it leaves omega's age
+_POINT_BELOW_OMEGA = multichain((2,), make_struct((2,), 1, [set()]), 1,
+                                vv={0: {(0, 0, "<")}}, fv={0: {(0, 0)}}, name="1+omega")
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@_with_every_fixture
+@example(_POINT_BELOW_OMEGA)
+@given(small_multichains())
+def test_kernel_probe_by_counts_matches_the_key_set_oracle(pres):
+    # kernel_probe compares level sizes: the reduced age lies inside the full
+    # one, so the sizes differ exactly where the code sets do
+    for which in range(pres.f_size):
+        probe = kernel_probe(pres, ("F", which), 5)
+        witness = _key_set_witness(pres, which, 5)
+        status = "undetected" if witness is None else "in-kernel"
+        assert (probe.status, probe.witness_size) == (status, witness), (pres.name, which)
+
+
 def test_prefix_sweep_shared_by_threads_builds_each_level_once():
     def codes(sweep, n):
         level = sweep.level(n)
@@ -228,6 +261,92 @@ def test_prefix_sweep_shared_by_threads_builds_each_level_once():
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 4
     assert len(shared.levels) == len(alone.levels) and len(shared.states) == len(alone.states)
+
+
+# sha256 over the enumerate_age items of every pinned presentation at n <= 6,
+# recorded before the prefix sweep named its candidates by canonical image:
+# codes, type order and representatives must not move
+_PRESENTED_DIGEST = """
+import hashlib
+from relprof.presentations import enumerate_age, lexsum_tournament_fixture, sum_of_cliques
+from test_presentations import MULTICHAIN_FIXTURES
+pinned = [*MULTICHAIN_FIXTURES, sum_of_cliques(3),
+          *(lexsum_tournament_fixture(name) for name in ("omega", "T1", "T2", "T3"))]
+digest = hashlib.sha256()
+for pres in pinned:
+    for n in range(7):
+        for code, rep in enumerate_age(pres, n).items():
+            digest.update(code)
+            digest.update(repr(tuple(sorted(rel) for rel in rep.relations)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_presented_codes_pinned_under_two_hash_seeds():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here.parent / "src"), str(here),
+                                       os.environ.get("PYTHONPATH")) if p)
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _PRESENTED_DIGEST], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == (
+            "659b604f7b40d30597a603c9b72704be5f382b03db9fd93b0a1773db84bcf07b"
+        ), hashseed
+
+
+def test_a_presented_profile_serializes_no_code(monkeypatch):
+    # the sweep names candidates by canonical image: counting serializes
+    # nothing, reading a level's codes serializes each of its types once, and
+    # candidates with the relations of an earlier one are not labelled again
+    from relprof import presentations
+    from relprof.profiles import profile_sequence
+
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    serialized = []
+    form = presentations.labelled_form
+    monkeypatch.setattr(presentations, "labelled_form",
+                        lambda *args: serialized.append(args[1]) or form(*args))
+    t3 = tournament_fixtures("T3")
+    labelled = []  # every realization the sweep labels, marked or plain
+    plain = {}  # level -> relations of each plain labelling of T3's candidates
+    label = presentations.canonical_labelling
+
+    def counted(arities, m, rels):
+        labelled.append((arities, m, rels))
+        if arities == t3.signature.arities:
+            plain.setdefault(m, []).append(rels)
+        return label(arities, m, rels)
+
+    monkeypatch.setattr(presentations, "canonical_labelling", counted)
+    profile_sequence(t3, 8)
+    monkeypatch.setattr(presentations, "canonical_labelling", label)
+    windows = ((colored_dense_chain(3), 7), (half_complete_bipartite(), 9), (t3, 8))
+    seqs = [profile_sequence(pres, top).coeffs for pres, top in windows]
+    assert seqs[0] == tuple(3 ** n for n in range(8))
+    assert seqs[1] == tuple(expand(_HALF_BIPARTITE, 9).coeffs)
+    assert serialized == []
+    for (pres, top), seq in zip(windows, seqs):
+        assert len(list(enumerate_age(pres, top))) == seq[top]
+        assert serialized == [top] * seq[top]
+        list(enumerate_age(pres, top).items())  # the sweep keeps its codes
+        assert len(serialized) == seq[top]
+        serialized.clear()
+    sweep = presentations._sweep_of(t3)
+    swept = range(3, 9)  # the levels read from the sweep, not from words
+    assert [sweep.level(n) is None for n in range(9)] == [True] * 3 + [False] * 6
+    candidates = [[rels for rels, _ in sweep.candidates(n)] for n in swept]
+    distinct = [list(dict.fromkeys(level)) for level in candidates]
+    assert sum(map(len, candidates)) == 608
+    assert sum(map(len, candidates)) - sum(map(len, distinct)) == 221
+    assert [plain[n] for n in swept] == distinct  # one labelling per relations
+    assert len(set(labelled)) == len(labelled) == 764
 
 
 def _c3omega_values(window):

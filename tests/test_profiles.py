@@ -33,8 +33,8 @@ from relprof.presentations import (
 )
 from relprof.profiles import (
     SWEEP_MAX_WIDTH,
-    FiniteAge,
     ProfileSequence,
+    _finite_age,
     _interface_levels,
     _subset_walk,
     age_of_finite,
@@ -115,7 +115,7 @@ def _coded_ages(struct, levels):
 def _walk_ages(struct, top):
     """Levels 0..top from one subset-walk pass, serialized as a level of
     the cache entry serializes them when its codes are read."""
-    return [dict(FiniteAge(struct, n, types).items())
+    return [dict(_finite_age(struct, n, types).items())
             for n, types in enumerate(_subset_walk(struct, top, False)[0])]
 
 
