@@ -12,10 +12,10 @@ is p.  A call has two steps: the *labelling* (``canonical_labelling``:
 refinement, the twin test and the search) gives the color sequence and a
 minimizing ordering, and the *serializer* (``labelled_form``) relabels by
 it into the form, whose code is ``form_bytes``.  ``canonical_order``,
-``canonical_form`` and ``canonical_code_bytes`` run both.  The subset walk
-of ``profiles`` and the prefix sweep of ``presentations`` run them apart:
-each names a type by its ``canonical_image`` under the labelling, and
-serializes each type once, when its codes are read.
+``canonical_form`` and ``canonical_code_bytes`` run both.  The engines of
+``profiles`` and ``presentations`` run them apart: each names a type by its
+``canonical_image`` under the labelling, and serializes each type once,
+when its codes are read.
 
 The color sequence compares first, so every minimizing ordering sorts the
 vertices by color.  When refinement is discrete (every color class a

@@ -16,15 +16,15 @@ signatures:
   infinite size.  Finite restrictions are encoded by size compositions.
 
 Ages are enumerated exactly, each level by the presentation's sweep
-(``_sweep_of``), which realizes its candidates; ``enumerate_age`` returns
-the read-only ``structures.Age`` of the first candidate of each type.  A
-lexicographic sum's candidates are the compositions of total size n, each
-realized once and each distinct realization coded once.  A multichain's
-prefix sweep (``_PrefixSweep``) keeps one prefix per type of its
-realization with each element marked by its interface to later positions,
-and extends the prefixes kept at smaller levels by one letter.  It names
-each candidate by its canonical image, so a profile serializes no code; a
-level's codes are serialized once per type when read.  While the words of
+(``_sweep_of``), which realizes its candidates and names each distinct
+realization by its canonical image (``_named``), so a profile serializes
+no code; a level's codes are serialized once per type when read.
+``enumerate_age`` returns the read-only ``structures.Age`` of the first
+candidate of each type.  A lexicographic sum's candidates are the
+compositions of total size n.  A multichain's prefix sweep
+(``_PrefixSweep``) keeps one prefix per type of its realization with each
+element marked by its interface to later positions, and extends the
+prefixes kept at smaller levels by one letter.  While the words of
 size n are no more than its candidates, the words are realized instead, one
 letter at a time by the same letter table, and coded.  Both give the same
 codes; which realization represents a type is not fixed.  The age algebra
@@ -323,9 +323,9 @@ def compositions_of_size(pres, n: int):
 def enumerate_age(pres, n: int) -> Age:
     """Isomorphism types of the n-element restrictions, as (code -> representative).
 
-    The mapping is read-only and ordered by canonical code.  On a level of
-    the prefix sweep its length needs no code: the sweep names each
-    candidate, and the codes are read from the sweep when first asked for.
+    The mapping is read-only and ordered by canonical code.  On a sweep's
+    level its length needs no code: the sweep names each candidate, and the
+    codes are read from the sweep when first asked for.
     A representative is some realization of its type (a word's realization
     for a multichain, a composition's for a lexicographic sum); which one is
     not part of the contract, only its isomorphism type is.
@@ -340,38 +340,52 @@ def enumerate_age(pres, n: int) -> Age:
         raise TypeError(f"not a presentation: {pres!r}")
     build = functools.partial(RelStruct, signature, n)
     sweep = _sweep_of(pres)
-    level = sweep.level(n)
+    level, first = sweep.level(n), {}
     if level is None:  # a multichain's words: each distinct realization coded once
-        found = dict.fromkeys(sweep.realized(w) for w in words_of_size(pres, n))
-        coded = ((rels, canonical_code(build(rels))) for rels in found)
-    elif isinstance(sweep, _PrefixSweep):  # the first candidate of each name
-        first = {}
-        for c, name in enumerate(sweep.names(n)):
-            first.setdefault(name, c)
+        for rels in dict.fromkeys(sweep.realized(w) for w in words_of_size(pres, n)):
+            first.setdefault(canonical_code(build(rels)), rels)
+        return Age(build, codes={code: first[code] for code in sorted(first)})
+    for c, name in enumerate(sweep.names(n)):  # each name's first candidate
+        first.setdefault(name, c)
 
-        def coder(firsts):
-            codes = sweep.codes(n)
-            return dict(sorted((codes[c], level[c][0]) for c in firsts))
+    def coder(firsts):
+        codes = sweep.codes(n)
+        return dict(sorted((codes[c], level[c][0]) for c in firsts))
 
-        return Age(build, tuple(first.values()), coder)
-    else:
-        coded = zip((rels for rels, _ in level), sweep.codes(n))
-    first = {}
-    for rels, code in coded:
-        first.setdefault(code, rels)
-    return Age(build, codes={code: first[code] for code in sorted(first)})
+    return Age(build, tuple(first.values()), coder)
+
+
+def _named(label_of: dict, labellings: dict, arities, n: int, rels: tuple) -> tuple:
+    """A realization's name at level n, its canonical image in base n,
+    labelled once (``label_of``); the first labelling of each name is kept
+    in ``labellings`` for ``_coded``."""
+    name = label_of.get(rels)
+    if name is None:
+        color_seq, order = canonical_labelling(arities, n, rels)
+        name = label_of[rels] = canonical_image(rels, order, n)
+        labellings.setdefault(name, (rels, color_seq, order))
+    return name
+
+
+def _coded(arities, n: int, names: list, labellings: dict) -> list:
+    """The code of each name in ``names``, serialized once per type from
+    the labelling that named it."""
+    coded = {name: form_bytes(labelled_form(arities, n, *labelled))
+             for name, labelled in labellings.items()}
+    return [coded[name] for name in names]
 
 
 @dataclass
 class _CompositionSweep:
-    """A lexicographic sum's ``level``, ``codes`` and ``split``; a candidate
-    of level n is a composition, in ``compositions_of_size`` order.  Blocks
-    are monomorphic, so a type depends only on its composition c, and c has
-    prod C(c_i, b_i) subsets of each sub-composition b.  Each level and its
-    codes are published whole, so readers need no lock."""
+    """A lexicographic sum's ``level``, ``names``, ``codes`` and ``split``; a
+    candidate of level n is a composition, in ``compositions_of_size`` order.
+    Blocks are monomorphic, so a type depends only on its composition c, and c
+    has prod C(c_i, b_i) subsets of each sub-composition b.  A level, its names
+    and its codes are published whole: readers need no lock."""
 
     pres: LexSumPresentation
     levels: dict = field(default_factory=dict)  # level -> (relations, composition) each
+    named: dict = field(default_factory=dict)  # level -> (each name, name -> labelling)
     plain: dict = field(default_factory=dict)  # level -> each composition's code
 
     def level(self, n: int) -> list:
@@ -381,13 +395,19 @@ class _CompositionSweep:
                               for c in compositions_of_size(self.pres, n)]
         return self.levels[n]
 
+    def names(self, n: int) -> list:
+        """Level n's name of each composition: equal names, one type."""
+        if n not in self.named:
+            arities, label_of, labellings = self.pres.index.signature.arities, {}, {}
+            self.named[n] = [_named(label_of, labellings, arities, n, rels)
+                             for rels, _ in self.level(n)], labellings
+        return self.named[n][0]
+
     def codes(self, n: int) -> list:
-        """Level n's code of each composition; equal realizations are coded once."""
+        """Level n's code of each composition, serialized once per type."""
         if n not in self.plain:
-            sig, level = self.pres.index.signature, self.level(n)
-            coded = {rels: canonical_code(RelStruct(sig, n, rels))
-                     for rels in dict.fromkeys(rels for rels, _ in level)}
-            self.plain[n] = [coded[rels] for rels, _ in level]
+            self.names(n)
+            self.plain[n] = _coded(self.pres.index.signature.arities, n, *self.named[n])
         return self.plain[n]
 
     def split(self, top: int, part: int) -> tuple:
@@ -431,15 +451,12 @@ class _PrefixSweep:
     is kept.  Level n is built from the F subsets of size n and the kept
     states of levels n - v..n - 1, extended by letters of the missing size.
 
-    A realization is named by its canonical image (``canon.canonical_image``
-    under ``canon.canonical_labelling``'s order, base n at level n), so
-    naming serializes nothing.  A state's key is the classes present and
-    the name of its realization marked by class (``with_marks``).  With one
-    class present the mark is dropped, and the key's name is the candidate's
-    *plain* name, which ``names`` gives for every candidate: each distinct
-    realization of a level is labelled once, by ``_states`` or ``names``,
-    whichever comes first, and the other reuses it.  ``codes`` serializes
-    each type once from the labelling that named it, and keeps the codes.
+    A state's key is the classes present and the name (``_named``) of its
+    realization marked by class (``with_marks``).  With one class present
+    the mark is dropped, and the key's name is the candidate's *plain* name,
+    which ``names`` gives for every candidate: ``_states`` and ``names``
+    share one labelling per distinct realization of a level.  ``codes``
+    serializes each type once from the labelling that named it.
 
     The pass records itself as an automaton: each candidate's first origin
     (a kept state and letter, or an F subset), the candidate each F subset
@@ -569,7 +586,8 @@ class _PrefixSweep:
         with self.lock:
             cands = self.candidates(n)
             if self.named[n] is None:
-                self.named[n] = [self._name(n, rels) for rels, _ in cands]
+                plain, sig = (self.label_of[n], self.labellings[n]), self.pres.signature
+                self.named[n] = [_named(*plain, sig.arities, n, rels) for rels, _ in cands]
             return self.named[n]
 
     def codes(self, n: int) -> list:
@@ -578,10 +596,7 @@ class _PrefixSweep:
         with self.lock:
             names = self.names(n)
             if self.plain[n] is None:
-                arities, coded = self.pres.signature.arities, {}
-                for name, (rels, color_seq, order) in self.labellings[n].items():
-                    coded[name] = form_bytes(labelled_form(arities, n, rels, color_seq, order))
-                self.plain[n] = [coded[name] for name in names]
+                self.plain[n] = _coded(self.pres.signature.arities, n, names, self.labellings[n])
             return self.plain[n]
 
     def split(self, top: int, part: int) -> tuple:
@@ -681,16 +696,6 @@ class _PrefixSweep:
             out.append(rel.union(added) if added else rel)
         return tuple(out), classes + new_classes
 
-    def _name(self, n: int, rels: tuple) -> tuple:
-        """The plain name of a realization at level n, labelled once per
-        distinct realization; the labelling is kept for ``codes``."""
-        name = self.label_of[n].get(rels)
-        if name is None:
-            color_seq, order = canonical_labelling(self.pres.signature.arities, n, rels)
-            name = self.label_of[n][rels] = canonical_image(rels, order, n)
-            self.labellings[n].setdefault(name, (rels, color_seq, order))
-        return name
-
     def _states(self, n: int) -> list:
         """Level n's kept states, as candidate indices: the first candidate per
         key, the classes present and the name of the realization marked by
@@ -700,17 +705,13 @@ class _PrefixSweep:
             level = len(self.states)
             sig = self.pres.signature
             kept, landing, states = {}, [], []
-            marked_names = {}  # marked realization -> its name, labelled once
-            for c, (rels, classes) in enumerate(self.candidates(level)):
+            cands = self.candidates(level)
+            plain, marked_names = (self.label_of[level], self.labellings[level]), ({}, {})
+            for c, (rels, classes) in enumerate(cands):
                 present, marked, marked_rels = with_marks(sig, rels, classes)
-                if len(present) <= 1:  # one class present: no mark
-                    name = self._name(level, rels)
-                else:
-                    name = marked_names.get(marked_rels)
-                    if name is None:
-                        order = canonical_labelling(marked.arities, level, marked_rels)[1]
-                        name = marked_names[marked_rels] = canonical_image(
-                            marked_rels, order, level)
+                # one class present: no mark, and the plain name is shared with ``names``
+                named = plain if len(present) <= 1 else marked_names
+                name = _named(*named, marked.arities, level, marked_rels)
                 s = kept.setdefault((present, name), len(kept))
                 if s == len(states):
                     states.append(c)

@@ -6,8 +6,11 @@ enumeration.  A finite structure keeps one cache entry, and one pass of its
 engine fills every level 0..n of it; later levels up to n are read from the
 entry, so a window costs one pass when its top level is asked first, as
 ``profile_sequence`` and ``AgeBasis.build`` do.  A level is the read-only
-``structures.Age`` that ``age_of_finite`` returns; its length needs no
-code, so a profile serializes nothing.  A finite structure takes one of two engines:
+``structures.Age`` that ``age_of_finite`` returns.  Both engines name a
+type by its *canonical image* (``canon.canonical_image``) and keep its
+representative bitmask and labelling, from which its code is serialized
+when the level's codes are first read, so a profile serializes nothing.
+A finite structure takes one of two engines:
 
 * the *interface-coloured vertex sweep*, when every arity is <= 2 and the
   interface width (see ``interface_width``) is <= ``SWEEP_MAX_WIDTH``.  It
@@ -15,35 +18,27 @@ code, so a profile serializes nothing.  A finite structure takes one of two engi
   vertices per class of "same type once each vertex is coloured by its
   arcs to vertices not yet processed"; such sets have the same completions,
   so a 30-vertex path at n <= 8 keys 6,546 states instead of visiting 5.8
-  million subsets;
+  million subsets, and labels 240 distinct marked structures;
 * otherwise the subset walk, depth first over all subsets of size <= n,
   building the relabelled relations one vertex at a time; pre-order visits
   each level's subsets in lexicographic order, and the first subset per
   type is kept, so each representative is the least n-subset of its type.
-  Each node carries its type's *name* and a canonical order (subset index
-  -> position in a minimizing ordering).  The name is the level and the
-  *canonical image* (``canon.canonical_image``): per symbol, one bit per
-  tuple at the index its canonical positions make read as digits in base
-  ``top``, the pass's top level.  Positions are below ``top``, so one name
-  is one type (the level keeps the all-zero image of an edgeless type to
-  one level).  A child S = S' + t, t largest, is keyed by the name of S'
-  and, per symbol, the tuples of t inside S encoded likewise at key
-  coordinates (the parent's canonical positions, t last), so subsets with
-  one key relabel to one structure.  A memo, local to the pass unless the
-  caller shares it, maps a key to the child's name, the map from key
-  coordinates to canonical positions and the colour sequence, so canon's
-  labelling step runs once per key (McKay's canonical augmentation, J.
-  Algorithms 26, 1998), and relations are built only on a miss or a
-  descent.  A new type keeps its bitmask and labelling, and its code is
-  serialized when first read: on G(16, 1/2) at n <= 7 one pass of 26,332
-  nodes makes 5,189 labelling calls (16,624 restrictions) and no
-  serialization.  When an age basis
-  asks (``_walked_codes``), the pass also records every subset's type by
-  bitmask, in walk order, and serializes each type once after the pass;
-  a finite basis reads its split tables from that record.  Asked for some
-  sizes, it visits only the subsets that can grow to one: for the splits
-  of representatives on the sweep, isomorphy partitions and the incidence
-  lab's type indicators.
+  Each node carries its type's name (the level and its image in base
+  ``top``, the pass's top level) and a canonical order (subset index ->
+  position in a minimizing ordering).  A child S = S' + t, t largest, is
+  keyed by the name of S' and, per symbol, the tuples of t inside S encoded
+  likewise at key coordinates (the parent's canonical positions, t last),
+  so subsets with one key relabel to one structure.  A memo, local to the
+  pass unless the caller shares it, maps a key to the child's name, the map
+  from key coordinates to canonical positions and the colour sequence, so
+  canon's labelling step runs once per key (McKay's canonical augmentation,
+  J. Algorithms 26, 1998), and relations are built only on a miss or a
+  descent.  When an age basis asks (``_walked_codes``), the pass also
+  records every subset's type by bitmask, in walk order, and serializes
+  each type once after the pass; a finite basis reads its split tables from
+  that record.  Asked for some sizes, it visits only the subsets that can
+  grow to one: for the splits of representatives on the sweep, isomorphy
+  partitions and the incidence lab's type indicators.
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ from dataclasses import dataclass
 from .canon import canonical_image, canonical_labelling, form_bytes, labelled_form
 from .presentations import enumerate_age
 from .series import TruncatedSeries
-from .structures import Age, RelStruct, Signature, marked_code
+from .structures import Age, RelStruct, with_marks
 
 # Above this interface width the subset walk is faster: measured crossover
 # between widths 2 and 3 for m = 18, n <= 7.
@@ -130,7 +125,7 @@ def _check_level(struct: RelStruct, n: int):
 
 
 def _finite_age(struct: RelStruct, n: int, types: tuple = (), codes: dict = None) -> Age:
-    """Level n of the structure's age from the walk's (bitmask, colour
+    """Level n of the structure's age from the engine's (bitmask, colour
     sequence, canonical order) per type, serialized and sorted when its
     codes are first read, or from its codes (code -> bitmask, in code
     order).  A representative is built from its bitmask when read."""
@@ -153,13 +148,12 @@ def _finite_age(struct: RelStruct, n: int, types: tuple = (), codes: dict = None
 
 @functools.lru_cache(maxsize=64)
 def _finite_cache(struct: RelStruct) -> tuple:
-    """One cache entry per structure: the levels filled so far (n -> ``Age``;
-    on the subset walk it holds bitmasks and labellings, and keeps its
-    codes once they are read) and the subset walk's record (n ->
-    (source bitmask of each type's representative, in code order; n-subset
-    bitmask -> code, in walk order)), kept only for the levels an age basis
-    asked for.  Neither needs a lock: a level, its codes and a record are
-    published whole, and every pass publishes the same values."""
+    """One cache entry per structure: the levels filled so far (n -> ``Age``,
+    holding bitmasks and labellings, and its codes once read) and the subset
+    walk's record (n -> (source bitmask of each type's representative, in
+    code order; n-subset bitmask -> code, in walk order)), kept only for the
+    levels an age basis asked for.  Neither needs a lock: a level, its codes
+    and a record are published whole, and every pass publishes equal ones."""
     return {}, {}
 
 
@@ -270,20 +264,20 @@ def interface_width(struct: RelStruct) -> int:
 
 
 def _interface_levels(struct: RelStruct, top: int) -> list:
-    """Every level 0..top of the age of an arity <= 2 structure by one vertex
-    sweep, as (code -> representative bitmask) per level.
+    """Levels 0..top of the age of an arity <= 2 structure by one vertex sweep,
+    as (representative bitmask, colour sequence, canonical order) per type.
 
     Vertices are processed in order; a state is a chosen vertex tuple of at
     most top vertices, and at step t each state skips t or takes it.  The
     *interface* of a chosen v at step t is the literal set of (w, symbol,
-    direction) over its binary tuples with w > t.  States are keyed by the
-    ``marked_code`` of the restriction labelled by non-empty interface; the
-    code holds the number of chosen vertices, so states of different sizes
-    never share a key.  Equal keys mean an isomorphism of the chosen sets
-    that keeps every literal interface, so (arity <= 2) both sets have
-    isomorphic completions by every later set, and one per key suffices.
-    The lexicographically least chosen tuple is kept, so each type's
-    representative is its least subset, as on the subset walk.
+    direction) over its binary tuples with w > t.  A state's key is the
+    interfaces present and the name (size and canonical image in base the
+    size) of its restriction marked by interface (``with_marks``).  Equal
+    keys mean an isomorphism of the chosen sets that keeps every literal
+    interface, so (arity <= 2) both sets have isomorphic completions by
+    every later set, and one per key suffices.  The least chosen tuple is
+    kept, so each type's representative is its least subset.  After the
+    last step no interface is left: a state's name is its restriction's.
     """
     m = struct.domain_size
     back = _tuples_by_last(struct)
@@ -298,36 +292,55 @@ def _interface_levels(struct: RelStruct, top: int) -> list:
                     arcs[w].append((u, s, 1))
     for a in arcs:
         a.sort()
-    sig = struct.signature
-    states = {}
-    _keep(states, (), tuple(frozenset() for _ in sig.arities), {}, sig)
+    memo, states = (struct.signature, {}, {}), {}
+    _keep(states, (), tuple(frozenset() for _ in struct.relations), {}, memo)
     for t, opened in enumerate(_open_sets(struct)):
         # chosen or not, each open vertex's interface at step t
         interfaces = {v: tuple(a for a in arcs[v] if a[0] > t) for v in opened}
         new = {}
-        for chosen, rels in states.values():
-            _keep(new, chosen, rels, interfaces, sig)
+        for chosen, rels, _ in states.values():
+            _keep(new, chosen, rels, interfaces, memo)
             if len(chosen) < top:
                 position = {v: i for i, v in enumerate(chosen)}
                 position[t] = len(chosen)
                 inside = sum(1 << v for v in position)
                 added = _relabelled(back[t], position, inside)
-                _keep(new, chosen + (t,), _joined(rels, added), interfaces, sig)
+                _keep(new, chosen + (t,), _joined(rels, added), interfaces, memo)
         states = new
-    levels = [{} for _ in range(top + 1)]
-    for (_, code), (chosen, _) in states.items():
-        levels[len(chosen)][code] = sum(1 << v for v in chosen)
+    levels = [[] for _ in range(top + 1)]
+    for chosen, _, (_, color_seq, order) in states.values():
+        levels[len(chosen)].append((sum(1 << v for v in chosen), color_seq, order))
     return levels
 
 
-def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: dict, sig: Signature):
-    """Add a sweep state under its interface-labelled key, keeping the least
-    chosen tuple per key; ``interfaces`` maps each open vertex to its
-    interface at the step, and a chosen vertex that is not open has none."""
-    key = marked_code(sig, len(chosen), rels, [interfaces.get(v) for v in chosen])
+def _keep(states: dict, chosen: tuple, rels: tuple, interfaces: dict, memo: tuple):
+    """Add a sweep state under its key, keeping the least chosen tuple per
+    key; ``interfaces`` maps each open vertex to its interface at the step.
+    ``memo`` holds the signature and two maps to (name, colour sequence,
+    order): from the marked structure (size, marked relations), labelled
+    once each, and in front of it from the relations and each chosen
+    vertex's rank among the interfaces present, so a repeat builds no mark."""
+    sig, seen, labelled = memo
+    labels = tuple(map(interfaces.get, chosen))
+    present = set(labels)
+    present.discard(None)
+    present = tuple(sorted(present))
+    rank = {label: i for i, label in enumerate(present)}
+    ranked = rels, (tuple(map(rank.get, labels)) if present else labels)
+    hit = seen.get(ranked)
+    if hit is None:
+        size = len(chosen)
+        marked, marked_rels = with_marks(sig, rels, labels)[1:]
+        hit = labelled.get((size, marked_rels))
+        if hit is None:
+            color_seq, order = canonical_labelling(marked.arities, size, marked_rels)
+            name = (size, *canonical_image(marked_rels, order, size))
+            hit = labelled[size, marked_rels] = name, color_seq, order
+        seen[ranked] = hit
+    key = present, hit[0]
     kept = states.get(key)
     if kept is None or chosen < kept[0]:
-        states[key] = (chosen, rels)
+        states[key] = chosen, rels, hit
 
 
 def age_of_finite(struct: RelStruct, n: int) -> Age:
@@ -353,16 +366,12 @@ def _fill_levels(struct: RelStruct, top: int, record: bool) -> tuple:
     """One pass of the structure's engine over levels 0..top, published to
     its cache entry level by level, and with ``record`` on the subset walk
     each level's record too (None on the sweep, which visits no subsets).
-    The sweep's levels, and a recording pass's, hold their codes."""
+    A recording pass's levels hold their codes."""
     levels, records = _finite_cache(struct)
-    codes = None
-    if _sweeps(struct):
-        found = [_finite_age(struct, n, codes=dict(sorted(level.items())))
-                 for n, level in enumerate(_interface_levels(struct, top))]
-    else:
-        types, codes = _subset_walk(struct, top, record)
-        found = [_finite_age(struct, n, level, None if codes is None else codes[n][0])
-                 for n, level in enumerate(types)]
+    types, codes = ((_interface_levels(struct, top), None) if _sweeps(struct)
+                    else _subset_walk(struct, top, record))
+    found = [_finite_age(struct, n, level, None if codes is None else codes[n][0])
+             for n, level in enumerate(types)]
     levels.update(enumerate(found))
     if codes is not None:
         codes = {n: (tuple(coded.values()), walked) for n, (coded, walked) in codes.items()}

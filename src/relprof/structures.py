@@ -105,16 +105,6 @@ def with_marks(signature: Signature, relations: tuple, labels) -> tuple:
     return present, Signature(signature.arities + (1,) * len(present)), relations + marks
 
 
-def marked_code(signature: Signature, size: int, relations: tuple, labels) -> tuple:
-    """(Sorted distinct labels, canonical code of the structure ``with_marks``
-    gives).  Two structures get equal results iff some isomorphism keeps
-    every element's label.  An unmarked code can equal a marked one of a
-    signature shorter by one unary symbol, so compare keys within one
-    signature."""
-    present, marked, rels = with_marks(signature, relations, labels)
-    return present, canonical_code(RelStruct(marked, size, rels))
-
-
 class Age(Mapping):
     """Level n of an age: code -> representative, in code order.  Its length
     is the type count and needs no code.  The engine that found the level

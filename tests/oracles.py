@@ -7,7 +7,8 @@ definition, by exhaustive search, so it is only usable on small inputs:
   minimum over all m! orderings;
 * ``are_isomorphic_brute_force`` - isomorphism by trying every bijection;
 * ``are_label_isomorphic_brute_force`` - the same, keeping a label per
-  element, as ``structures.marked_code`` compares structures;
+  element, as the sweeps' keys compare structures marked by
+  ``structures.with_marks``;
 * ``realize_oracle`` - a multichain word's realization, pair by pair from
   the rule tables;
 * ``brute_profile_presented`` - a presentation's profile, by realizing every

@@ -156,3 +156,38 @@ def test_guard_flags_sweep_state_outside_the_sweeps():
 def test_only_the_sweeps_write_their_codes():
     source = (PACKAGE / "presentations.py").read_text(encoding="utf-8")
     assert sweep_state_outside_the_sweeps(source) == []
+
+
+def test_profiles_imports_no_cached_or_marked_code():
+    # the finite engines name their types by canonical image and serialize
+    # through canon: profiles never asks the process-wide code cache
+    tree = ast.parse((PACKAGE / "profiles.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"marked_code", "canonical_code"}
+
+
+def test_lexsum_levels_build_without_the_cached_code(monkeypatch):
+    # a lexicographic sum's sweep names and codes its levels itself
+    from relprof import presentations, structures
+    from relprof.presentations import (
+        compositions_of_size,
+        lexsum_tournament_fixture,
+        realize_composition,
+        sum_of_cliques,
+    )
+
+    def refused(struct):
+        raise AssertionError("presentations.canonical_code was asked")
+
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    monkeypatch.setattr(presentations, "canonical_code", refused)
+    fixtures = [sum_of_cliques(2), sum_of_cliques(3),
+                *(lexsum_tournament_fixture(name) for name in ("omega", "T1", "T2", "T3"))]
+    for pres in fixtures:
+        for n in range(7):
+            age = presentations.enumerate_age(pres, n)
+            assert all(structures.canonical_code(rep) == code for code, rep in age.items())
+            assert set(age) == {structures.canonical_code(realize_composition(pres, c))
+                                for c in compositions_of_size(pres, n)}

@@ -120,8 +120,13 @@ def _walk_ages(struct, top):
 
 
 def _sweep_ages(struct, top):
-    """Levels 0..top from one interface-sweep pass."""
-    return _coded_ages(struct, _interface_levels(struct, top))
+    """Levels 0..top from one interface-sweep pass: each type's code
+    serialized from the labelling the pass kept for it, its representative
+    restricted from its bitmask."""
+    arities, masked = struct.signature.arities, profiles._masked(struct)
+    return _coded_ages(struct, [
+        {profiles._code(arities, masked, n, *labelled): labelled[0] for labelled in types}
+        for n, types in enumerate(_interface_levels(struct, top))])
 
 
 def _random_structure(rng, m):
@@ -664,6 +669,113 @@ def test_path_window_is_one_sweep_pass(monkeypatch):
         partitions_oracle(n) for n in range(9))
     assert passes == [8]
     assert len(kept) == 6546
+
+
+# recorded before the interface sweep named its states by canonical image:
+# codes, type order and least-subset representatives must not move
+_SWEPT_DIGEST = """
+import hashlib
+import random
+from relprof import profiles
+from relprof.structures import graph_from_edges, path_graph
+from test_profiles import _random_narrow_structure
+spider = graph_from_edges(16, [(0 if k == 0 else 5 * leg + k, 5 * leg + k + 1)
+                               for leg in range(3) for k in range(5)])
+pinned = [(path_graph(30), 8), (graph_from_edges(20, [(i, (i + 1) % 20) for i in range(20)]), 8),
+          (spider, 10), (_random_narrow_structure(random.Random("sweep-pin"), 11), 11)]
+digest = hashlib.sha256()
+for struct, top in pinned:
+    assert profiles._sweeps(struct)
+    for n in range(top + 1):
+        for code, rep in profiles.age_of_finite(struct, n).items():
+            digest.update(code)
+            digest.update(repr(tuple(sorted(rel) for rel in rep.relations)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_swept_levels_pinned_under_two_hash_seeds():
+    # a path, a cycle, a spider of three legs of 5 and a narrow structure
+    # with loops and a unary symbol, every level of each
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here.parent / "src"), str(here),
+                                       os.environ.get("PYTHONPATH")) if p)
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _SWEPT_DIGEST], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == (
+            "b017072a12e093fa0c8898029dd7698ba51a62c66c7c139f22fcf1eff992cee9"
+        ), hashseed
+
+
+def _refuse(monkeypatch, *names):
+    """Make every relprof module's binding of each name raise."""
+    def refused(*args):
+        raise AssertionError("refused")
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("relprof.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+
+
+def test_a_swept_profile_asks_neither_the_cache_nor_the_serializer(monkeypatch):
+    # the interface sweep and the lexicographic-sum sweep name their types by
+    # canonical image, labelling each distinct (marked) structure once; a
+    # level serializes each type once when its codes are first read
+    from relprof import presentations
+
+    profiles._finite_cache.cache_clear()
+    presentations._sweep_of.cache_clear()
+    presentations.enumerate_age.cache_clear()
+    t3 = lexsum_tournament_fixture("T3")
+    labellings = []
+    label = profiles.canonical_labelling
+    for module in (profiles, presentations):
+        monkeypatch.setattr(module, "canonical_labelling",
+                            lambda *args: labellings.append(args[1]) or label(*args))
+    with monkeypatch.context() as refusing:
+        _refuse(refusing, "canonical_code", "labelled_form", "form_bytes")
+        assert profile_sequence(path_graph(30), 8).coeffs == tuple(
+            partitions_oracle(n) for n in range(9))
+        assert len(labellings) == 240
+        labellings.clear()
+        assert profile_sequence(t3, 10).coeffs == (1, 1, 1, 2, 2, 3, 5, 6, 8, 11, 13)
+        assert len(labellings) == 176
+    serialized = []
+    form = profiles.labelled_form
+    for module in (profiles, presentations):
+        monkeypatch.setattr(module, "labelled_form",
+                            lambda *args: serialized.append(args[1]) or form(*args))
+    for level, n, types in ((lambda: age_of_finite(path_graph(30), 8), 8, 22),
+                            (lambda: presentations.enumerate_age(t3, 10), 10, 13)):
+        assert len(list(level().items())) == types
+        assert serialized == [n] * types
+        list(level().items())  # the level keeps its codes
+        assert len(serialized) == types
+        serialized.clear()
+    assert len(labellings) == 176
+
+
+def test_engine_choice_does_not_change_the_profile():
+    # seeded relabelings of a path, a cycle, a caterpillar and a grid count
+    # as the natural order does, whichever engine _sweeps picks: in natural
+    # order all but the grid take the sweep, and these relabelings the walk
+    caterpillar = graph_from_edges(12, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6),
+                                        (6, 7), (6, 8), (6, 9), (9, 10), (9, 11)])
+    cycle = graph_from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+    rng = random.Random("engine-choice")
+    engines = set()
+    for struct in (path_graph(12), cycle, caterpillar, _grid(3, 4)):
+        natural = profile_sequence(struct, 6).coeffs
+        engines.add(profiles._sweeps(struct))
+        for _ in range(5):
+            copy = _relabeled(struct, rng)
+            engines.add(profiles._sweeps(copy))
+            assert profile_sequence(copy, 6).coeffs == natural
+    assert engines == {False, True}
 
 
 def test_canon_calls_of_a_profile_do_not_depend_on_the_hash_seed():

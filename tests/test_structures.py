@@ -20,9 +20,9 @@ from relprof.structures import (
     is_autonomous,
     is_local_iso,
     make_struct,
-    marked_code,
     path_graph,
     restrict,
+    with_marks,
 )
 
 
@@ -199,7 +199,12 @@ def _labelled(rng, arities, m):
 
 
 def _marked_key(struct, labels):
-    return marked_code(struct.signature, struct.domain_size, struct.relations, labels)
+    """(Sorted distinct labels, canonical code of the structure ``with_marks``
+    gives): equal iff some isomorphism keeps every element's label.  An
+    unmarked code can equal a marked one of a signature shorter by one unary
+    symbol, so keys are compared within one signature."""
+    present, marked, rels = with_marks(struct.signature, struct.relations, labels)
+    return present, canonical_code(RelStruct(marked, struct.domain_size, rels))
 
 
 def test_marked_code_is_invariant_under_relabeling():
@@ -268,7 +273,7 @@ def test_one_label_on_every_element_groups_as_marking_would():
 
 def test_marked_codes_of_different_signatures_never_collide():
     # no signature here is another plus one unary symbol, the one case where
-    # a one-label plain code could equal a marked one (see marked_code)
+    # a one-label plain code could equal a marked one (see _marked_key)
     rng = random.Random("marked-code:signatures")
     seen = {}
     for arities in ((2,), (3,), (2, 2), (1, 2)):
